@@ -14,7 +14,7 @@ from dataclasses import replace
 from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import per_frame_errors, read_tum, scale_align, write_metrics_csv, write_per_frame_csv
 from .frontend import generate_sequence, load_scene_config, write_observations
-from .mc import mc_depth_distribution, mc_projection_covariance, summarize_report, write_report_csv
+from .mc import MIN_SAMPLES, mc_depth_distribution, mc_projection_covariance, summarize_report, write_report_csv
 from .optimizer import CovarianceMode
 from .pipeline import ablate, load_run_config, run, write_ablation_csv, write_run_outputs
 from .uncertainty import DisparityEstimate, PixelObservation
@@ -91,6 +91,8 @@ def _cmd_mc_verify(args) -> int:
 
     cam = StereoCamera(**_MC_CAMERA)
     seed = 0 if args.seed is None else int(args.seed)
+    if args.samples < MIN_SAMPLES[args.which]:
+        raise ConfigError(f"--samples: {args.which} needs at least {MIN_SAMPLES[args.which]}, got {args.samples}")
     if args.which == "depth":
         disp = DisparityEstimate(mu=args.disparity, gamma=args.gamma)
         report = mc_depth_distribution(cam, disp, n=args.samples, seed=seed)
@@ -103,7 +105,7 @@ def _cmd_mc_verify(args) -> int:
             d=args.depth,
             sigma_d2=(args.gamma * args.depth) ** 2,
         )
-        report = mc_projection_covariance(cam, obs, n=max(args.samples, 100_000), seed=seed)
+        report = mc_projection_covariance(cam, obs, n=args.samples, seed=seed)
     if args.output:
         write_report_csv(report, args.output)
     print(summarize_report(report))

@@ -5,6 +5,8 @@ angle, ...) raise plain ``ValueError``; the classes below mark failures
 that the CLI maps to distinct exit codes.
 """
 
+from contextlib import contextmanager
+
 
 class StereoVoError(Exception):
     """Base class for package-specific failures."""
@@ -28,3 +30,15 @@ class DegenerateGeometryError(NumericalError):
 
 class InsufficientKeypointsError(NumericalError):
     """Fewer keypoints survived selection than the optimizer needs."""
+
+
+@contextmanager
+def config_field(path: str):
+    """Re-raise a missing key or a malformed value met while reading a
+    config field as a ConfigError naming the field path."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 from scipy.spatial.transform import Rotation
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, config_field
 from .evaluation import Trajectory, read_tum, write_tum
 from .geometry import PoseSE3, StereoCamera, se3_exp
 
@@ -488,7 +488,7 @@ def _need(d: dict, key: str, path: str):
 
 
 def camera_from_dict(d: dict, path: str = "camera.") -> StereoCamera:
-    try:
+    with config_field(path.rstrip(".")):
         return StereoCamera(
             fx=float(_need(d, "fx", path)),
             fy=float(_need(d, "fy", path)),
@@ -498,44 +498,46 @@ def camera_from_dict(d: dict, path: str = "camera.") -> StereoCamera:
             width=int(_need(d, "width", path)),
             height=int(_need(d, "height", path)),
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path.rstrip('.')}: {exc}") from exc
 
 
 def scene_config_from_dict(d: dict, path: str = "") -> SceneConfig:
     if not isinstance(d, dict):
         raise ConfigError(f"{path or 'scene'}: expected a mapping")
-    motion_d = dict(d.get("motion", {"kind": "static"}))
-    motion = MotionSpec(
-        kind=str(motion_d.get("kind", "static")),
-        velocity=tuple(float(x) for x in motion_d.get("velocity", (0.0, 0.0, 0.0))),
-        angular_velocity=tuple(float(x) for x in motion_d.get("angular_velocity", (0.0, 0.0, 0.0))),
-        orbit_radius=float(motion_d.get("orbit_radius", 5.0)),
-        orbit_rate=float(motion_d.get("orbit_rate", 0.02)),
-        waypoints=tuple(tuple(float(x) for x in row) for row in motion_d.get("waypoints", ())),
-    )
-    noise_d = dict(d.get("noise", {}))
-    noise = NoiseModel(
-        sigma_flow=float(noise_d.get("sigma_flow", 0.0)),
-        gamma_disp=float(noise_d.get("gamma_disp", 0.0)),
-        heteroscedastic=bool(noise_d.get("heteroscedastic", False)),
-        lie_in_anomalies=bool(noise_d.get("lie_in_anomalies", False)),
-    )
-    regions = tuple(
-        AnomalyRegion(rect=tuple(float(x) for x in r["rect"]), multiplier=float(r["multiplier"]))
-        for r in d.get("anomaly_regions", ())
-    )
+    with config_field(f"{path}motion"):
+        motion_d = dict(d.get("motion", {"kind": "static"}))
+        motion = MotionSpec(
+            kind=str(motion_d.get("kind", "static")),
+            velocity=tuple(float(x) for x in motion_d.get("velocity", (0.0, 0.0, 0.0))),
+            angular_velocity=tuple(float(x) for x in motion_d.get("angular_velocity", (0.0, 0.0, 0.0))),
+            orbit_radius=float(motion_d.get("orbit_radius", 5.0)),
+            orbit_rate=float(motion_d.get("orbit_rate", 0.02)),
+            waypoints=tuple(tuple(float(x) for x in row) for row in motion_d.get("waypoints", ())),
+        )
+    with config_field(f"{path}noise"):
+        noise_d = dict(d.get("noise", {}))
+        noise = NoiseModel(
+            sigma_flow=float(noise_d.get("sigma_flow", 0.0)),
+            gamma_disp=float(noise_d.get("gamma_disp", 0.0)),
+            heteroscedastic=bool(noise_d.get("heteroscedastic", False)),
+            lie_in_anomalies=bool(noise_d.get("lie_in_anomalies", False)),
+        )
+    with config_field(f"{path}anomaly_regions"):
+        regions = tuple(
+            AnomalyRegion(rect=tuple(float(x) for x in r["rect"]), multiplier=float(r["multiplier"]))
+            for r in d.get("anomaly_regions", ())
+        )
     walls = d.get("walls")
     if walls is not None:
-        walls = tuple(
-            Wall(
-                z=float(_need(w, "z", f"{path}walls[{i}].")),
-                x_range=tuple(float(x) for x in _need(w, "x_range", f"{path}walls[{i}].")),
-                y_range=tuple(float(x) for x in _need(w, "y_range", f"{path}walls[{i}].")),
+        with config_field(f"{path}walls"):
+            walls = tuple(
+                Wall(
+                    z=float(_need(w, "z", f"{path}walls[{i}].")),
+                    x_range=tuple(float(x) for x in _need(w, "x_range", f"{path}walls[{i}].")),
+                    y_range=tuple(float(x) for x in _need(w, "y_range", f"{path}walls[{i}].")),
+                )
+                for i, w in enumerate(walls)
             )
-            for i, w in enumerate(walls)
-        )
-    try:
+    with config_field(path or "scene"):
         return SceneConfig(
             seed=int(_need(d, "seed", path)),
             num_frames=int(_need(d, "num_frames", path)),
@@ -550,8 +552,6 @@ def scene_config_from_dict(d: dict, path: str = "") -> SceneConfig:
             render_landmarks=bool(d.get("render_landmarks", True)),
             frame_dt=float(d.get("frame_dt", DEFAULT_FRAME_DT)),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path or 'scene'}: {exc}") from exc
 
 
 def load_scene_config(path) -> SceneConfig:

@@ -58,10 +58,15 @@ class StereoCamera:
             )
 
 
+# skew(v)[i, j] == _SKEW_SIGN[i, j] * v[_SKEW_INDEX[i, j]]
+_SKEW_INDEX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_SKEW_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+
+
 def skew(v) -> np.ndarray:
-    """3x3 skew-symmetric matrix such that skew(a) @ b == cross(a, b)."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """3x3 skew-symmetric matrix such that skew(a) @ b == cross(a, b);
+    a stack of vectors (N, 3) gives a stack of matrices (N, 3, 3)."""
+    return np.asarray(v, dtype=float)[..., _SKEW_INDEX] * _SKEW_SIGN
 
 
 def so3_exp(phi) -> np.ndarray:
@@ -125,7 +130,8 @@ def _left_jacobian_inv(phi) -> np.ndarray:
     if theta < _SMALL_ANGLE:
         b = (1.0 + theta2 / 60.0) / 12.0
     else:
-        b = (1.0 - 0.5 * theta * np.sin(theta) / (1.0 - np.cos(theta))) / theta2
+        # half-angle form: 1 - cos(theta) would cancel for small theta
+        b = (1.0 - 0.5 * theta / np.tan(0.5 * theta)) / theta2
     return np.eye(3) - 0.5 * k + b * kk
 
 

@@ -23,6 +23,7 @@ BLOCK_SIZE = 1 << 16
 # never non-positive" assumption is considered violated
 REJECTION_FLAG_RATE = 0.01
 _ELLIPSOID_CONF = 0.90
+MIN_SAMPLES = {"depth": 10_000, "projection": 100_000}  # per oracle
 
 
 @dataclass
@@ -46,7 +47,7 @@ class McReport:
     coverage_diag: float | None = None
 
     def __post_init__(self):
-        if self.samples < 10_000:
+        if self.samples < MIN_SAMPLES["depth"]:
             raise ValueError(f"need at least 1e4 samples, got {self.samples}")
 
 
@@ -75,7 +76,7 @@ def mc_depth_distribution(
 
     Non-positive disparity draws are rejected (and counted; a rate above
     1% flags the report)."""
-    if n < 10_000:
+    if n < MIN_SAMPLES["depth"]:
         raise ValueError(f"need at least 1e4 samples, got {n}")
     bf = cam.baseline * cam.fx
     sigma = disp.gamma * disp.mu
@@ -140,7 +141,7 @@ def mc_projection_covariance(
     Also reports the fraction of samples inside the 90% confidence
     ellipsoid of (a) the closed-form covariance and (b) its diagonal
     truncation."""
-    if n < 100_000:
+    if n < MIN_SAMPLES["projection"]:
         raise ValueError(f"need at least 1e5 samples, got {n}")
     from .uncertainty import covariance_from_observation  # comparison target only
 

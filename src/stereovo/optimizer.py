@@ -1,9 +1,9 @@
 """Two-frame pose optimization.
 
-Solves for the camera-to-world pose T of the current frame by minimizing
-the summed squared Mahalanobis distance between world-frame landmarks
-from the previous frame and the transformed camera-frame landmarks of the
-current frame:
+Solves for the pose T of the current camera in a reference frame by
+minimizing the summed squared Mahalanobis distance between the previous
+frame's landmarks, given in that reference frame, and the transformed
+camera-frame landmarks of the current frame:
 
     cost(T) = sum_i  r_i^T S_i^{-1} r_i,   r_i = p_i - T(q_i),
     S_i = Sigma_prev_i + R Sigma_curr_i R^T.
@@ -11,6 +11,10 @@ current frame:
 Levenberg-Marquardt on the right-multiplied twist (T <- T * exp(xi));
 the per-pair weight S_i depends on the current rotation, so it is
 recomputed at every iterate and held fixed inside each linearization.
+
+The reference frame is the one the previous landmarks are given in. The
+pipeline uses the previous camera's, so T is the motion between the two
+frames and the problem depends on those two frames alone.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from .geometry import Landmark3D, PoseSE3, se3_exp, skew
 _COND_LIMIT = 1e12
 _RIDGE_REL = 1e-9
 _RIDGE_ABS = 1e-12
+# A determinant at or below this fraction of trace^3 is rounding noise of
+# a rank-deficient covariance (exact arithmetic gives 0).
+_DET_REL_TOL = 64 * np.finfo(float).eps
 # Collinearity threshold on the second singular value of the centered
 # previous-frame positions.
 _COLLINEAR_TOL = 1e-9
@@ -42,15 +49,13 @@ class CovarianceMode(str, Enum):
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """A landmark seen in both frames: world-frame from the previous
-    frame, camera-frame from the current one."""
+    """A landmark seen in both frames: prev_world from the previous frame in
+    the problem's reference frame, curr_camera in the current camera's."""
 
     prev_world: Landmark3D
     curr_camera: Landmark3D
 
     def __post_init__(self):
-        if self.prev_world.frame != "world":
-            raise ValueError("prev_world must be a world-frame landmark")
         if self.curr_camera.frame != "camera":
             raise ValueError("curr_camera must be a camera-frame landmark")
 
@@ -105,38 +110,35 @@ def scale_agnostic_normalizers(pairs: list[MatchedPair]) -> tuple[float, float]:
 
     det^(1/3) of a 3x3 covariance has units of variance, so dividing by
     the mean makes the average generalized variance 1 in each frame.
-    Rank-deficient covariances have zero determinant; a frame whose mean
-    vanishes falls back to the mean per-axis variance (trace/3), which
-    has the same units, and to 1 if even that is zero."""
+    Rank-deficient covariances have zero determinant (a computed one at
+    rounding level relative to trace^3 counts as zero); a frame whose
+    mean vanishes falls back to the mean per-axis variance (trace/3),
+    which has the same units, and to 1 if even that is zero."""
 
     def normalizer(covs) -> float:
-        dets = [max(float(np.linalg.det(c)), 0.0) ** (1.0 / 3.0) for c in covs]
-        scale = float(np.mean(dets))
+        det = np.linalg.det(covs)
+        trace = np.trace(covs, axis1=1, axis2=2)
+        scale = float(np.mean(np.where(det > _DET_REL_TOL * trace**3, det, 0.0) ** (1.0 / 3.0)))
         if scale > _RIDGE_ABS:
             return scale
-        scale = float(np.mean([np.trace(c) / 3.0 for c in covs]))
+        scale = float(np.mean(trace / 3.0))
         return scale if scale > _RIDGE_ABS else 1.0
 
     return (
-        normalizer([m.prev_world.covariance for m in pairs]),
-        normalizer([m.curr_camera.covariance for m in pairs]),
+        normalizer(np.stack([m.prev_world.covariance for m in pairs])),
+        normalizer(np.stack([m.curr_camera.covariance for m in pairs])),
     )
 
 
-def _stack_covariances(
-    pairs: list[MatchedPair], mode: CovarianceMode
+def _mode_adjusted(
+    sp: np.ndarray, sq: np.ndarray, mode: CovarianceMode, prev_scale: float, curr_scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-adjusted (N,3,3) covariance stacks for both frames."""
-    sp = np.stack([m.prev_world.covariance for m in pairs])
-    sq = np.stack([m.curr_camera.covariance for m in pairs])
+    """Covariance stacks (N,3,3) of both frames as the mode weights them."""
     if mode is CovarianceMode.DIAGONAL:
         eye = np.eye(3, dtype=bool)
-        sp = np.where(eye, sp, 0.0)
-        sq = np.where(eye, sq, 0.0)
-    elif mode is CovarianceMode.SCALE_AGNOSTIC:
-        prev_scale, curr_scale = scale_agnostic_normalizers(pairs)
-        sp = sp / prev_scale
-        sq = sq / curr_scale
+        return np.where(eye, sp, 0.0), np.where(eye, sq, 0.0)
+    if mode is CovarianceMode.SCALE_AGNOSTIC:
+        return sp / prev_scale, sq / curr_scale
     return sp, sq
 
 
@@ -173,40 +175,47 @@ def pair_covariance(
     statistics, see scale_agnostic_normalizers). Returns (S, regularized).
     """
     mode = CovarianceMode(mode)
-    if mode is CovarianceMode.IDENTITY:
-        return np.eye(3), False
-    sp = pair.prev_world.covariance
-    sq = pair.curr_camera.covariance
-    if mode is CovarianceMode.DIAGONAL:
-        sp, sq = np.diag(np.diag(sp)), np.diag(np.diag(sq))
-    elif mode is CovarianceMode.SCALE_AGNOSTIC:
-        sp, sq = sp / prev_scale, sq / curr_scale
-    s, flagged = _combined_covariances(sp[None], sq[None], np.asarray(rotation, float), mode)
+    sp, sq = _mode_adjusted(
+        pair.prev_world.covariance[None], pair.curr_camera.covariance[None], mode, prev_scale, curr_scale
+    )
+    s, flagged = _combined_covariances(sp, sq, np.asarray(rotation, float), mode)
     return s[0], flagged
 
 
 def residual_jacobian(pose: PoseSE3, curr_position: np.ndarray) -> np.ndarray:
-    """d r / d xi of r = p - T*exp(xi)(q) at xi = 0, shape (3, 6)."""
-    r = pose.rotation
-    return np.hstack([-r, r @ skew(curr_position)])
+    """d r / d xi of r = p - T*exp(xi)(q) at xi = 0: shape (3, 6) for one
+    point q, (N, 3, 6) for a stack of points (N, 3)."""
+    qx = skew(curr_position)
+    r = np.broadcast_to(pose.rotation, qx.shape)
+    return np.concatenate([-r, pose.rotation @ qx], axis=-1)
 
 
-def _residuals(p: np.ndarray, q: np.ndarray, pose: PoseSE3) -> np.ndarray:
-    return p - pose.apply(q)
+def _problem_arrays(problem: FramePairProblem) -> tuple[np.ndarray, ...]:
+    """Positions p, q (N,3) and mode-adjusted covariances sp, sq (N,3,3)."""
+    pairs, mode = problem.pairs, problem.covariance_mode
+    p = np.stack([m.prev_world.position for m in pairs])
+    q = np.stack([m.curr_camera.position for m in pairs])
+    sp = np.stack([m.prev_world.covariance for m in pairs])
+    sq = np.stack([m.curr_camera.covariance for m in pairs])
+    scales = scale_agnostic_normalizers(pairs) if mode is CovarianceMode.SCALE_AGNOSTIC else (1.0, 1.0)
+    return (p, q) + _mode_adjusted(sp, sq, mode, *scales)
 
 
-def _cost(res: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.einsum("ni,nij,nj->", res, weights, res))
+def _weighted_cost(
+    p: np.ndarray, q: np.ndarray, sp: np.ndarray, sq: np.ndarray, pose: PoseSE3, mode: CovarianceMode
+) -> tuple[float, np.ndarray, np.ndarray, bool]:
+    """(cost, residuals, weights S^-1, regularized) at a pose, with the
+    combined covariances evaluated at its rotation."""
+    s, flagged = _combined_covariances(sp, sq, pose.rotation, mode)
+    w = np.linalg.inv(s)
+    res = p - pose.apply(q)
+    return float(np.einsum("ni,nij,nj->", res, w, res)), res, w, flagged
 
 
 def mahalanobis_cost(problem: FramePairProblem, pose: PoseSE3) -> float:
     """Total squared Mahalanobis distance at the given pose, with the
     combined covariances evaluated at this pose's rotation."""
-    p = np.stack([m.prev_world.position for m in problem.pairs])
-    q = np.stack([m.curr_camera.position for m in problem.pairs])
-    sp, sq = _stack_covariances(problem.pairs, problem.covariance_mode)
-    s, _ = _combined_covariances(sp, sq, pose.rotation, problem.covariance_mode)
-    return _cost(_residuals(p, q, pose), np.linalg.inv(s))
+    return _weighted_cost(*_problem_arrays(problem), pose, problem.covariance_mode)[0]
 
 
 def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSolution:
@@ -216,19 +225,10 @@ def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSol
     exceeds the cost at the initial pose. Damping is multiplicative on
     the diagonal of the normal equations.
     """
-    p = np.stack([m.prev_world.position for m in problem.pairs])
-    q = np.stack([m.curr_camera.position for m in problem.pairs])
-    sp, sq = _stack_covariances(problem.pairs, problem.covariance_mode)
+    p, q, sp, sq = _problem_arrays(problem)
     mode = problem.covariance_mode
-
-    def true_cost(pose: PoseSE3) -> tuple[float, np.ndarray, np.ndarray, bool]:
-        s, flagged = _combined_covariances(sp, sq, pose.rotation, mode)
-        w = np.linalg.inv(s)
-        res = _residuals(p, q, pose)
-        return _cost(res, w), res, w, flagged
-
     pose = problem.initial_pose
-    cost, res, weights, regularized = true_cost(pose)
+    cost, res, weights, regularized = _weighted_cost(p, q, sp, sq, pose, mode)
     lam = cfg.lambda_init
     converged = False
     iterations = 0
@@ -238,15 +238,7 @@ def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSol
             converged = True
             iterations -= 1
             break
-        # J_i = [-R | R [q_i]_x], assembled batched
-        jac = np.empty((len(problem.pairs), 3, 6))
-        jac[:, :, :3] = -pose.rotation
-        qx = np.zeros((len(problem.pairs), 3, 3))
-        qx[:, 0, 1], qx[:, 0, 2] = -q[:, 2], q[:, 1]
-        qx[:, 1, 0], qx[:, 1, 2] = q[:, 2], -q[:, 0]
-        qx[:, 2, 0], qx[:, 2, 1] = -q[:, 1], q[:, 0]
-        jac[:, :, 3:] = pose.rotation @ qx
-
+        jac = residual_jacobian(pose, q)
         jtw = np.einsum("nij,nik->njk", jac, weights)
         h = np.einsum("nij,njk->ik", jtw, jac)
         g = np.einsum("nij,nj->i", jtw, res)
@@ -261,7 +253,7 @@ def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSol
                 lam *= cfg.lambda_up
                 continue
             candidate = pose.compose(se3_exp(step))
-            new_cost, new_res, new_w, flagged = true_cost(candidate)
+            new_cost, new_res, new_w, flagged = _weighted_cost(p, q, sp, sq, candidate, mode)
             if new_cost < cost:
                 pose, res, weights = candidate, new_res, new_w
                 prev_cost, cost = cost, new_cost

@@ -7,8 +7,11 @@ earlier frame (the flow source) and matched into the later frame by the
 flow field. The earlier frame's landmark keeps zero matching variance
 (its pixel is chosen, not matched) and only carries depth uncertainty;
 the matched point carries the flow variance plus a patch-corrected depth
-variance. A frame whose selection or optimization fails falls back to
-the constant-velocity motion model instead of aborting the run.
+variance. Each two-frame problem is solved in the previous camera's
+frame, so it depends on the two frames alone, not on the trajectory or
+the world frame; ``run`` chains the solved motions into the trajectory.
+A frame whose selection or optimization fails falls back to the
+constant-velocity motion model instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError, DataFormatError, NumericalError
+from .errors import ConfigError, DataFormatError, NumericalError, config_field
 from .evaluation import Trajectory, t_rel, r_rel, write_tum
 from .frontend import (
     FrameObservation,
@@ -31,7 +34,7 @@ from .frontend import (
     ingest_observations,
     scene_config_from_dict,
 )
-from .geometry import PoseSE3, StereoCamera, transform_landmark
+from .geometry import PoseSE3, StereoCamera
 from .optimizer import (
     CovarianceMode,
     FramePairProblem,
@@ -124,10 +127,10 @@ def build_matched_pairs(
     src: FrameObservation,
     dst: FrameObservation,
     keypoints: list[KeypointCandidate],
-    src_world_pose: PoseSE3,
     patch_kernel: int = DEFAULT_PATCH_KERNEL,
 ) -> list[MatchedPair]:
-    """Matched landmark pairs for one frame pair.
+    """Matched landmark pairs for one frame pair, both landmarks in
+    their own camera's frame.
 
     Keypoints whose match leaves the image or lands on invalid depth are
     dropped silently (the selector oversamples for this reason).
@@ -150,7 +153,6 @@ def build_matched_pairs(
             d=d_src,
             sigma_d2=float(src.depth_var[vi, ui]),
         )
-        prev_world = transform_landmark(src_world_pose, project_covariance(cam, prev_obs))
 
         su2, sv2 = (float(x) for x in src.flow_var[vi, ui])
         patch = _clip_patch(dst.depth, dst.valid, mu, mv, patch_kernel)
@@ -161,7 +163,7 @@ def build_matched_pairs(
         if mu_d <= 0:
             continue
         curr_obs = PixelObservation(u=mu, v=mv, sigma_u2=su2, sigma_v2=sv2, d=mu_d, sigma_d2=var_d)
-        pairs.append(MatchedPair(prev_world, project_covariance(cam, curr_obs)))
+        pairs.append(MatchedPair(project_covariance(cam, prev_obs), project_covariance(cam, curr_obs)))
     return pairs
 
 
@@ -176,30 +178,29 @@ def run(cfg: RunConfig, frames: list[FrameObservation] | None = None) -> RunResu
     if len(frames) < 2:
         raise ConfigError("input: need at least 2 frames")
     cam = cfg.resolved_camera()
-    sel_cfg = replace(cfg.selector, random=cfg.keypoint_mode is KeypointMode.RANDOM)
 
     est_poses = [frames[0].pose]
     diagnostics: list[FrameDiagnostics] = []
-    delta_prev = PoseSE3.identity()
+    # motion of the current camera in the previous camera's frame: the
+    # constant-velocity initial guess, replaced by each solve and kept
+    # as it is when a frame falls back
+    delta = PoseSE3.identity()
 
     for t in range(1, len(frames)):
         src, dst = frames[t - 1], frames[t]
-        init = est_poses[-1].compose(delta_prev)
         flags: list[str] = []
         keypoints_used = 0
         cost = float("nan")
         iterations = 0
         try:
-            rng = np.random.default_rng([cfg.seed, t]) if sel_cfg.random else None
+            rng = np.random.default_rng([cfg.seed, t]) if cfg.keypoint_mode is KeypointMode.RANDOM else None
             keypoints = select(
-                DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid), cam, sel_cfg, rng
+                DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid), cam, cfg.selector, rng
             )
-            pairs = build_matched_pairs(cam, src, dst, keypoints, est_poses[-1], cfg.patch_kernel)
-            problem = FramePairProblem(pairs, init, cfg.covariance_mode)
+            pairs = build_matched_pairs(cam, src, dst, keypoints, cfg.patch_kernel)
+            problem = FramePairProblem(pairs, delta, cfg.covariance_mode)
             solution = solve_pose(problem, cfg.lm)
-            # the estimate chains through every later frame; keep the
-            # rotation exactly on SO(3) so drift cannot compound
-            pose = solution.pose.orthonormalized()
+            delta = solution.pose
             keypoints_used = len(pairs)
             cost = solution.cost
             iterations = solution.iterations
@@ -208,11 +209,11 @@ def run(cfg: RunConfig, frames: list[FrameObservation] | None = None) -> RunResu
             if solution.cov_regularized:
                 flags.append("cov_regularized")
         except NumericalError as exc:
-            pose = init
             flags.append("fallback_motion_model")
             flags.append(type(exc).__name__)
-        delta_prev = est_poses[-1].inverse().compose(pose)
-        est_poses.append(pose)
+        # the estimate chains through every later frame; keep the
+        # rotation exactly on SO(3) so drift cannot compound
+        est_poses.append(est_poses[-1].compose(delta).orthonormalized())
         diagnostics.append(FrameDiagnostics(t, keypoints_used, cost, iterations, flags))
 
     times = np.array([f.timestamp for f in frames])
@@ -280,14 +281,10 @@ def run_config_from_dict(d: dict) -> RunConfig:
     depth_range = sel_d.pop("depth_range", None)
     if depth_range is not None:
         sel_d["depth_min"], sel_d["depth_max"] = (float(x) for x in depth_range)
-    try:
+    with config_field("selector"):
         selector = SelectorConfig(**sel_d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"selector: {exc}") from exc
-    try:
+    with config_field("lm"):
         lm = LMConfig(**dict(d.get("lm", {})))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"lm: {exc}") from exc
 
     camera = None
     if "camera" in d:

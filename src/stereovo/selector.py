@@ -42,7 +42,6 @@ class SelectorConfig:
     depth_max: float = 100.0
     unc_multiplier: float = 1.5
     max_keypoints: int = 200
-    random: bool = False  # ablation hook: sample from geometry-filter survivors
 
     def __post_init__(self):
         if self.nms_radius < 1:
@@ -204,10 +203,9 @@ def select(
     """Full selection pipeline on dense maps: NMS -> geometry ->
     uncertainty, then truncation to max_keypoints by ascending score.
 
-    With cfg.random the NMS and uncertainty stages are bypassed and the
+    Given an rng, the NMS and uncertainty stages are bypassed and the
     survivors are drawn uniformly without replacement from the
-    geometry-filter output (the random-selector ablation); rng is
-    required in that mode.
+    geometry-filter output (the random-selector ablation).
     """
     h, w = maps.depth.shape
     if (h, w) != (cam.height, cam.width):
@@ -219,12 +217,7 @@ def select(
     scores = np.full((h, w), np.inf)
     scores[valid] = combined_scores(flow_unc[valid], maps.depth_var[valid])
 
-    if cfg.random:
-        if rng is None:
-            raise ValueError("random selection requires a seeded rng")
-        keep = valid
-    else:
-        keep = _nms_grid_mask(scores, valid, cfg.nms_radius)
+    keep = valid if rng is not None else _nms_grid_mask(scores, valid, cfg.nms_radius)
 
     # geometry predicate applied on the dense grid before any python
     # objects exist (the random path otherwise touches every pixel)
@@ -239,7 +232,7 @@ def select(
         & (maps.depth[vv, uu] <= cfg.depth_max)
     )
     vv, uu = vv[in_geom], uu[in_geom]
-    if cfg.random:
+    if rng is not None:
         if vv.size < MIN_KEYPOINTS:
             raise InsufficientKeypointsError(
                 f"insufficient keypoints: {vv.size} < {MIN_KEYPOINTS}"
@@ -259,7 +252,7 @@ def select(
         )
         for v, u in zip(vv, uu)
     ]
-    if cfg.random:
+    if rng is not None:
         return candidates
 
     if candidates:

@@ -97,7 +97,7 @@ class DepthPatch:
 
     depths: np.ndarray
     center: tuple[float, float]
-    origin: tuple[float, float] | None = None
+    origin: tuple[float, float]
     valid: np.ndarray | None = None
 
     def __post_init__(self):
@@ -105,14 +105,6 @@ class DepthPatch:
         if d.ndim != 2:
             raise ValueError(f"depths must be a 2D grid, got shape {d.shape}")
         object.__setattr__(self, "depths", d)
-        if self.origin is None:
-            # center the grid on the rounded center pixel
-            cu, cv = self.center
-            object.__setattr__(
-                self,
-                "origin",
-                (round(cu) - (d.shape[1] - 1) // 2, round(cv) - (d.shape[0] - 1) // 2),
-            )
         ok = np.isfinite(d) & (d > 0)
         if self.valid is not None:
             ok &= np.asarray(self.valid, dtype=bool)

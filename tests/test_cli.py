@@ -81,11 +81,25 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert "scale" in metrics.read_text()
 
-    def test_config_error_exit_1(self, workspace):
+    def test_config_error_exit_1(self, workspace, capsys):
         tmp, _ = workspace
         bad = tmp / "bad.cfg"
         bad.write_text("seed: 1\noutput_dir: /tmp/x\n")  # no input section
         assert main(["run", str(bad)]) == EXIT_CONFIG
+        cases = [
+            (["simulate", SCENE_YAML + "anomaly_regions: [{multiplier: 5.0}]\n"], "anomaly_regions"),
+            (["simulate", SCENE_YAML.replace("[0.04, 0.02, 0.06]", "[a, 0, 0]")], "motion"),
+            (["run", RUN_YAML.format(out=tmp / "o", obs=tmp / "obs").replace("80}", "80, random: true}")], "selector"),
+        ]
+        for i, ((command, text), field) in enumerate(cases):
+            cfg = tmp / f"bad_{i}.cfg"
+            cfg.write_text(text)
+            argv = [command, str(cfg)] + (["-o", str(tmp / "sim")] if command == "simulate" else [])
+            assert main(argv) == EXIT_CONFIG, text
+            assert field in capsys.readouterr().err
+        for which, samples in (("depth", "5000"), ("projection", "50000")):
+            assert main(["mc-verify", "--which", which, "--samples", samples]) == EXIT_CONFIG
+            assert "--samples" in capsys.readouterr().err
 
     def test_io_error_exit_2(self, workspace):
         tmp, _ = workspace

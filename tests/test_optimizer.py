@@ -3,7 +3,15 @@ import pytest
 
 from conftest import random_rotation, random_spd
 from stereovo.errors import DegenerateGeometryError
-from stereovo.geometry import Landmark3D, PoseSE3, rotation_angle, se3_exp, so3_exp
+from stereovo.geometry import (
+    Landmark3D,
+    PoseSE3,
+    StereoCamera,
+    rotation_angle,
+    se3_exp,
+    so3_exp,
+    transform_landmark,
+)
 from stereovo.optimizer import (
     CovarianceMode,
     FramePairProblem,
@@ -15,6 +23,7 @@ from stereovo.optimizer import (
     scale_agnostic_normalizers,
     solve_pose,
 )
+from stereovo.uncertainty import PixelObservation, project_covariance
 
 
 def make_pair(p, q, cov_p, cov_q):
@@ -54,8 +63,6 @@ class TestPairCovariance:
         assert abs(s[1, 1] - 1.0) < 1e-9
         assert s[0, 0] < 1e-8 and s[2, 2] < 1e-8
         # cross-check against the landmark transform
-        from stereovo.geometry import transform_landmark
-
         moved = transform_landmark(
             PoseSE3(rot_z, np.zeros(3)), Landmark3D([0, 0, 1], np.diag([1.0, 1e-9, 1e-9]))
         )
@@ -122,6 +129,24 @@ class TestPairCovariance:
         ]
         sol = solve_pose(FramePairProblem(q_pairs, PoseSE3.identity(), CovarianceMode.SCALE_AGNOSTIC))
         assert np.linalg.norm(sol.pose.translation - t_gt.translation) < 1e-8
+
+        # pipeline-scale rank-1 covariances (a selected pixel carries only
+        # depth variance) in rotated frames: their computed determinants
+        # are rounding noise of either sign and must still count as zero
+        cam = StereoCamera(fx=64.0, fy=64.0, cx=64.0, cy=64.0, baseline=0.25, width=128, height=128)
+        covs = []
+        for _ in range(50):
+            d = rng.uniform(2.0, 20.0)
+            obs = PixelObservation(
+                u=rng.uniform(0, 127), v=rng.uniform(0, 127), sigma_u2=0.0, sigma_v2=0.0,
+                d=d, sigma_d2=(0.05 * d) ** 2,
+            )
+            pose = PoseSE3(random_rotation(rng), np.zeros(3))
+            covs.append(transform_landmark(pose, project_covariance(cam, obs)).covariance)
+        pairs = [make_pair(rng.normal(size=3), rng.normal(size=3) + [0, 0, 5], c, 2.0 * np.eye(3)) for c in covs]
+        prev, _ = scale_agnostic_normalizers(pairs)
+        want = float(np.mean([np.trace(c) / 3.0 for c in covs]))
+        assert abs(prev - want) < 1e-12 * want
 
 
 class TestMahalanobis:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from stereovo.frontend import (
     generate_sequence,
     write_observations,
 )
-from stereovo.geometry import StereoCamera
+from stereovo.geometry import PoseSE3, StereoCamera, so3_exp
 from stereovo.optimizer import CovarianceMode
 from stereovo.pipeline import (
     KeypointMode,
@@ -82,6 +84,23 @@ class TestRun:
             result = run(cfg)
             assert len(result.est) == 8
             assert all("fallback_motion_model" not in d.flags for d in result.diagnostics)
+
+    def test_world_frame_changes_no_mode(self):
+        # moving every ground-truth pose by one rigid transform keeps the
+        # maps, so no frame pair's problem and no relative error may change
+        scene = plane_scene(noise=NoiseModel(sigma_flow=0.3, gamma_disp=0.1))
+        frames = generate_sequence(scene)
+        g = PoseSE3(so3_exp([0.4, -0.9, 0.3]), np.array([3.0, -1.0, 2.0]))
+        moved = [replace(f, pose=g.compose(f.pose)) for f in frames]
+        for mode in CovarianceMode:
+            cfg = RunConfig(
+                seed=5, output_dir="/tmp/unused", simulate=scene,
+                selector=small_selector(), covariance_mode=mode,
+            )
+            a, b = run(cfg, frames), run(cfg, moved)
+            for metric in (t_rel, r_rel):
+                want = metric(a.gt, a.est)
+                assert abs(metric(b.gt, b.est) - want) <= 1e-9 * want, (mode, metric.__name__)
 
     def test_random_keypoint_mode_runs(self):
         scene = plane_scene(noise=NoiseModel(sigma_flow=0.2, gamma_disp=0.04))
@@ -201,13 +220,14 @@ patch_kernel: 16
             run_config_from_dict({"output_dir": "/tmp/x", "input": {"ingest": "/tmp/y"}})
 
     def test_bad_selector_field(self):
-        with pytest.raises(ConfigError, match="selector"):
-            run_config_from_dict(
-                {
-                    "seed": 1,
-                    "output_dir": "/tmp/x",
-                    "input": {"ingest": "/tmp/y"},
-                    "camera": dict(fx=90, fy=90, cx=48, cy=48, baseline=0.2, width=96, height=96),
-                    "selector": {"nms_radius": 0},
-                }
-            )
+        for selector in ({"nms_radius": 0}, {"random": True}):
+            with pytest.raises(ConfigError, match="selector"):
+                run_config_from_dict(
+                    {
+                        "seed": 1,
+                        "output_dir": "/tmp/x",
+                        "input": {"ingest": "/tmp/y"},
+                        "camera": dict(fx=90, fy=90, cx=48, cy=48, baseline=0.2, width=96, height=96),
+                        "selector": selector,
+                    }
+                )

@@ -225,7 +225,7 @@ class TestSelect:
 
     def test_random_mode_reproducible(self):
         cam = self._cam()
-        cfg = SelectorConfig(nms_radius=4, border_margin=4, max_keypoints=30, random=True)
+        cfg = SelectorConfig(nms_radius=4, border_margin=4, max_keypoints=30)
         maps = _uniform_maps(64, 64)
         a = select(maps, cam, cfg, rng=np.random.default_rng(9))
         b = select(maps, cam, cfg, rng=np.random.default_rng(9))
@@ -233,12 +233,6 @@ class TestSelect:
         assert a == b
         assert len(a) == 30
         assert a != c
-
-    def test_random_mode_requires_rng(self):
-        cam = self._cam()
-        cfg = SelectorConfig(random=True)
-        with pytest.raises(ValueError):
-            select(_uniform_maps(64, 64), cam, cfg)
 
     def test_filters_shrink(self):
         cam = self._cam()
