@@ -17,7 +17,6 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,27 +230,40 @@ def rotation_angle(rotation) -> float:
     return float(np.arctan2(s, c))
 
 
-def psd_within_sym3(c: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when a symmetric 3x3 matrix has no eigenvalue below -tol.
+def psd_within_sym3(c: np.ndarray, tol: float = 1e-10):
+    """True where a symmetric 3x3 matrix has no eigenvalue below -tol:
+    a bool for one matrix (3, 3), a bool array for a stack (..., 3, 3).
 
-    Hand-rolled Cholesky of C + ridge*I (succeeds iff PD); orders of
-    magnitude cheaper than a LAPACK call for the hot per-landmark path.
+    Closed-form Cholesky of C + ridge*I (succeeds iff PD); orders of
+    magnitude cheaper than a LAPACK eigendecomposition per matrix.
     """
-    flat = c.ravel()
-    a00, a11, a22 = float(flat[0]), float(flat[4]), float(flat[8])
-    a01, a02, a12 = float(flat[1]), float(flat[2]), float(flat[5])
-    ridge = tol + 1e-14 * max(abs(a00), abs(a11), abs(a22))
-    d0 = a00 + ridge
-    if d0 <= 0.0:
-        return False
-    l10 = a01 / math.sqrt(d0)
-    l20 = a02 / math.sqrt(d0)
-    d1 = a11 + ridge - l10 * l10
-    if d1 <= 0.0:
-        return False
-    l21 = (a12 - l20 * l10) / math.sqrt(d1)
-    d2 = a22 + ridge - l20 * l20 - l21 * l21
-    return d2 > 0.0
+    c = np.asarray(c, dtype=float)
+    a00, a11, a22 = c[..., 0, 0], c[..., 1, 1], c[..., 2, 2]
+    a01, a02, a12 = c[..., 0, 1], c[..., 0, 2], c[..., 1, 2]
+    ridge = tol + 1e-14 * np.maximum(np.maximum(np.abs(a00), np.abs(a11)), np.abs(a22))
+    # a non-positive pivot makes the later terms nan or inf; the pivot
+    # test below rejects those matrices anyway
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d0 = a00 + ridge
+        l10 = a01 / np.sqrt(d0)
+        l20 = a02 / np.sqrt(d0)
+        d1 = a11 + ridge - l10 * l10
+        l21 = (a12 - l20 * l10) / np.sqrt(d1)
+        d2 = a22 + ridge - l20 * l20 - l21 * l21
+    ok = (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def _check_covariances(c: np.ndarray, frame: str) -> None:
+    """Landmark3D's checks on one covariance (3, 3) or a stack (N, 3, 3)."""
+    if c.shape[-2:] != (3, 3) or c.ndim not in (2, 3):
+        raise ValueError(f"covariance must be 3x3, got {c.shape}")
+    if c.size and np.max(np.abs(c - np.swapaxes(c, -1, -2))) > 1e-12:
+        raise ValueError("covariance is not symmetric within 1e-12")
+    if not np.all(psd_within_sym3(c)):
+        raise ValueError("covariance has an eigenvalue below -1e-10")
+    if frame not in ("camera", "world"):
+        raise ValueError(f"frame must be 'camera' or 'world', got {frame!r}")
 
 
 @dataclass(frozen=True)
@@ -269,23 +281,36 @@ class Landmark3D:
     def __post_init__(self):
         p = np.asarray(self.position, dtype=float).reshape(3)
         c = np.asarray(self.covariance, dtype=float)
-        if c.shape != (3, 3):
-            raise ValueError(f"covariance must be 3x3, got {c.shape}")
-        if np.max(np.abs(c - c.T)) > 1e-12:
-            raise ValueError("covariance is not symmetric within 1e-12")
-        if not psd_within_sym3(c):
-            raise ValueError("covariance has an eigenvalue below -1e-10")
-        if self.frame not in ("camera", "world"):
-            raise ValueError(f"frame must be 'camera' or 'world', got {self.frame!r}")
+        _check_covariances(c, self.frame)
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "covariance", c)
 
+    @classmethod
+    def stack(cls, positions, covariances, frame: str = "camera") -> list[Landmark3D]:
+        """One landmark per row of positions (N, 3) and covariances
+        (N, 3, 3), with the checks of the constructor run once over the
+        whole stack instead of once per landmark."""
+        p = np.asarray(positions, dtype=float).reshape(-1, 3)
+        c = np.asarray(covariances, dtype=float)
+        _check_covariances(c, frame)
+        if c.ndim != 3 or len(c) != len(p):
+            raise ValueError(f"{len(p)} positions but covariances of shape {c.shape}")
+        out = []
+        for pi, ci in zip(p, c):
+            lm = object.__new__(cls)
+            object.__setattr__(lm, "position", pi)
+            object.__setattr__(lm, "covariance", ci)
+            object.__setattr__(lm, "frame", frame)
+            out.append(lm)
+        return out
 
-def backproject(cam: StereoCamera, u: float, v: float, d: float) -> np.ndarray:
-    """Pixel (u, v) with depth d to a camera-frame point [x, y, z]."""
-    if not d > 0:
+
+def backproject(cam: StereoCamera, u, v, d) -> np.ndarray:
+    """Pixel (u, v) with depth d to a camera-frame point [x, y, z];
+    arrays of pixels of shape (...) give points of shape (..., 3)."""
+    if not np.all(np.greater(d, 0)):
         raise ValueError(f"depth must be positive, got {d}")
-    return np.array([(u - cam.cx) * d / cam.fx, (v - cam.cy) * d / cam.fy, d])
+    return np.stack(np.broadcast_arrays((u - cam.cx) * d / cam.fx, (v - cam.cy) * d / cam.fy, d), axis=-1)
 
 
 def project(cam: StereoCamera, point) -> tuple[float, float, float]:

@@ -43,7 +43,7 @@ from .optimizer import (
     solve_pose,
 )
 from .selector import DenseMaps, KeypointCandidate, SelectorConfig, select
-from .uncertainty import DepthPatch, PixelObservation, correct_depth_uncertainty, project_covariance
+from .uncertainty import project_covariances, windowed_depth_moments
 
 DEFAULT_PATCH_KERNEL = 32
 
@@ -103,25 +103,6 @@ def load_frames(cfg: RunConfig) -> list[FrameObservation]:
     return ingest_observations(cfg.ingest)
 
 
-def _clip_patch(
-    depth: np.ndarray, valid: np.ndarray, mu: float, mv: float, kernel: int
-) -> DepthPatch:
-    """Kernel-sized window around the matched location, clipped at the
-    image borders (the weights renormalize over what remains)."""
-    h, w = depth.shape
-    cu, cv = int(round(mu)), int(round(mv))
-    u0 = max(0, cu - kernel // 2)
-    v0 = max(0, cv - kernel // 2)
-    u1 = min(w, u0 + kernel)
-    v1 = min(h, v0 + kernel)
-    return DepthPatch(
-        depths=depth[v0:v1, u0:u1],
-        center=(mu, mv),
-        origin=(u0, v0),
-        valid=valid[v0:v1, u0:u1],
-    )
-
-
 def build_matched_pairs(
     cam: StereoCamera,
     src: FrameObservation,
@@ -135,36 +116,27 @@ def build_matched_pairs(
     Keypoints whose match leaves the image or lands on invalid depth are
     dropped silently (the selector oversamples for this reason).
     """
-    pairs = []
-    for kp in keypoints:
-        ui, vi = int(kp.u), int(kp.v)
-        du, dv = src.flow[vi, ui]
-        mu, mv = kp.u + du, kp.v + dv
-        if not (0 <= mu <= cam.width - 1 and 0 <= mv <= cam.height - 1):
-            continue
-        d_src = float(src.depth[vi, ui])
-        if d_src <= 0:
-            continue
-        prev_obs = PixelObservation(
-            u=kp.u,
-            v=kp.v,
-            sigma_u2=0.0,
-            sigma_v2=0.0,
-            d=d_src,
-            sigma_d2=float(src.depth_var[vi, ui]),
-        )
+    if not keypoints:
+        return []
+    u = np.array([kp.u for kp in keypoints])
+    v = np.array([kp.v for kp in keypoints])
+    ui, vi = u.astype(int), v.astype(int)
+    mu, mv = u + src.flow[vi, ui, 0], v + src.flow[vi, ui, 1]
+    d_src = src.depth[vi, ui]
+    keep = (0 <= mu) & (mu <= cam.width - 1) & (0 <= mv) & (mv <= cam.height - 1) & (d_src > 0)
+    u, v, ui, vi, mu, mv, d_src = (x[keep] for x in (u, v, ui, vi, mu, mv, d_src))
+    su2, sv2 = src.flow_var[vi, ui, 0], src.flow_var[vi, ui, 1]
 
-        su2, sv2 = (float(x) for x in src.flow_var[vi, ui])
-        patch = _clip_patch(dst.depth, dst.valid, mu, mv, patch_kernel)
-        try:
-            mu_d, var_d = correct_depth_uncertainty(patch, su2, sv2)
-        except ValueError:
-            continue  # no depth support at the matched location
-        if mu_d <= 0:
-            continue
-        curr_obs = PixelObservation(u=mu, v=mv, sigma_u2=su2, sigma_v2=sv2, d=mu_d, sigma_d2=var_d)
-        pairs.append(MatchedPair(project_covariance(cam, prev_obs), project_covariance(cam, curr_obs)))
-    return pairs
+    # the matched location is only known up to the flow variance, so its
+    # depth comes from the patch statistics around it
+    mu_d, var_d, supported = windowed_depth_moments(dst.depth, dst.valid, mu, mv, su2, sv2, patch_kernel)
+    keep = supported & (mu_d > 0)
+    if not keep.any():
+        return []
+    # the earlier frame's pixel is chosen, not matched: zero matching variance
+    prev = project_covariances(cam, u[keep], v[keep], 0.0, 0.0, d_src[keep], src.depth_var[vi, ui][keep])
+    curr = project_covariances(cam, mu[keep], mv[keep], su2[keep], sv2[keep], mu_d[keep], var_d[keep])
+    return [MatchedPair(p, c) for p, c in zip(prev, curr)]
 
 
 def run(cfg: RunConfig, frames: list[FrameObservation] | None = None) -> RunResult:

@@ -19,12 +19,15 @@ from stereovo.pipeline import (
     KeypointMode,
     RunConfig,
     ablate,
+    build_matched_pairs,
     load_run_config,
     run,
     run_config_from_dict,
     write_run_outputs,
 )
-from stereovo.selector import SelectorConfig
+from stereovo.selector import DenseMaps, SelectorConfig, select
+from stereovo.uncertainty import PixelObservation, correct_depth_uncertainty, project_covariance
+from test_uncertainty import clipped_patch
 
 
 def small_cam(w=96, h=96, f=90.0, baseline=0.2):
@@ -148,6 +151,54 @@ class TestRun:
         )
         result = run(cfg)
         assert t_rel(result.gt, result.est) < 0.05
+
+
+def matched_pairs_one_by_one(cam, src, dst, keypoints, kernel):
+    """Reference for build_matched_pairs: each keypoint on its own, through
+    the single-observation API."""
+    pairs = []
+    for kp in keypoints:
+        ui, vi = int(kp.u), int(kp.v)
+        mu, mv = kp.u + src.flow[vi, ui, 0], kp.v + src.flow[vi, ui, 1]
+        if not (0 <= mu <= cam.width - 1 and 0 <= mv <= cam.height - 1) or src.depth[vi, ui] <= 0:
+            continue
+        su2, sv2 = src.flow_var[vi, ui]
+        try:
+            mu_d, var_d = correct_depth_uncertainty(clipped_patch(dst.depth, dst.valid, mu, mv, kernel), su2, sv2)
+        except ValueError:
+            continue
+        if mu_d <= 0:
+            continue
+        prev = PixelObservation(kp.u, kp.v, 0.0, 0.0, src.depth[vi, ui], src.depth_var[vi, ui])
+        pairs.append((project_covariance(cam, prev), project_covariance(cam, PixelObservation(mu, mv, su2, sv2, mu_d, var_d))))
+    return pairs
+
+
+class TestBuildMatchedPairs:
+    def test_matches_keypoints_one_by_one(self):
+        noise = NoiseModel(sigma_flow=0.3, gamma_disp=0.05, heteroscedastic=True)
+        scene = plane_scene(seed=4, num_frames=3, noise=noise)
+        frames = generate_sequence(scene)
+        cam = scene.camera
+        for src, dst in zip(frames, frames[1:]):
+            kps = select(DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid), cam, small_selector())
+            # dropped: a keypoint whose flow leaves the image, one without depth
+            flow = src.flow.copy()
+            flow[int(kps[1].v), int(kps[1].u)] = (1000.0, 0.0)
+            src = replace(src, flow=flow)
+            kps = kps + [replace(kps[0], u=float(cam.width - 1), v=0.0)]
+            assert src.depth[0, cam.width - 1] <= 0
+            got = build_matched_pairs(cam, src, dst, kps, patch_kernel=9)
+            want = matched_pairs_one_by_one(cam, src, dst, kps, 9)
+            assert 0 < len(got) == len(want) <= len(kps) - 2
+            for pair, (prev, curr) in zip(got, want):
+                for a, b in ((pair.prev_world, prev), (pair.curr_camera, curr)):
+                    assert np.allclose(a.position, b.position, rtol=1e-12, atol=0)
+                    assert np.allclose(a.covariance, b.covariance, rtol=1e-9, atol=1e-18)
+
+    def test_no_keypoints_no_pairs(self):
+        frames = generate_sequence(plane_scene(num_frames=2))
+        assert build_matched_pairs(small_cam(), frames[0], frames[1], []) == []
 
 
 class TestScaleConsistency:

@@ -12,6 +12,8 @@ from stereovo.uncertainty import (
     ensure_psd,
     patch_weights,
     project_covariance,
+    project_covariances,
+    windowed_depth_moments,
 )
 
 
@@ -110,6 +112,45 @@ class TestDepthCorrection:
         assert w[2, 3] > 0.0
 
 
+def clipped_patch(depth, valid, u, v, kernel):
+    """The kernel-sized window around round(u, v), clipped at the image
+    borders, as one DepthPatch."""
+    h, w = depth.shape
+    u0 = max(0, int(round(u)) - kernel // 2)
+    v0 = max(0, int(round(v)) - kernel // 2)
+    u1, v1 = min(w, u0 + kernel), min(h, v0 + kernel)
+    return DepthPatch(depth[v0:v1, u0:u1], center=(u, v), origin=(u0, v0), valid=valid[v0:v1, u0:u1])
+
+
+class TestWindowedDepthMoments:
+    def test_matches_single_patches_up_to_the_borders(self):
+        rng = np.random.default_rng(12)
+        depth = rng.uniform(1.0, 9.0, size=(40, 50))
+        depth[rng.random(depth.shape) < 0.1] = np.nan
+        valid = rng.random(depth.shape) > 0.2
+        n = 200
+        u = rng.uniform(0.0, 49.0, size=n)
+        v = rng.uniform(0.0, 39.0, size=n)
+        u[:4], v[:4] = [0.0, 49.0, 0.0, 49.0], [0.0, 39.0, 39.0, 0.0]
+        su2, sv2 = rng.uniform(0.0, 9.0, size=n), rng.uniform(0.0, 9.0, size=n)
+        for kernel in (5, 8):
+            mean, var, supported = windowed_depth_moments(depth, valid, u, v, su2, sv2, kernel)
+            assert supported.all()
+            for i in range(n):
+                mu, sd2 = correct_depth_uncertainty(clipped_patch(depth, valid, u[i], v[i], kernel), su2[i], sv2[i])
+                assert abs(mean[i] - mu) < 1e-12
+                assert abs(var[i] - sd2) < 1e-12
+
+    def test_window_without_support_is_flagged(self):
+        depth = np.ones((20, 20))
+        valid = np.ones((20, 20), dtype=bool)
+        valid[:8, :8] = False
+        _, _, supported = windowed_depth_moments(
+            depth, valid, np.array([2.0, 15.0]), np.array([2.0, 15.0]), np.ones(2), np.ones(2), 4
+        )
+        assert supported.tolist() == [False, True]
+
+
 class TestProjectCovariance:
     def test_optical_center_symmetry(self, cam100):
         obs = PixelObservation(u=50, v=50, sigma_u2=1.3, sigma_v2=0.8, d=2.0, sigma_d2=0.04)
@@ -188,3 +229,29 @@ class TestProjectCovariance:
             PixelObservation(u=0, v=0, sigma_u2=-1.0, sigma_v2=0, d=1.0, sigma_d2=0)
         with pytest.raises(ValueError):
             PixelObservation(u=0, v=0, sigma_u2=0, sigma_v2=0, d=0.0, sigma_d2=0)
+
+    def test_ensure_psd_on_a_stack_clamps_only_the_bad_members(self):
+        good = np.diag([1.0, 2.0, 3.0])
+        fixed = ensure_psd(np.stack([good, np.diag([1.0, 1.0, -1e-6]), good]))
+        assert np.array_equal(fixed[0], good) and np.array_equal(fixed[2], good)
+        assert np.linalg.eigvalsh(fixed[1])[0] >= -1e-16
+
+    def test_batch_matches_single_observations(self, cam_vga):
+        rng = np.random.default_rng(3)
+        n = 50
+        u, v = rng.uniform(0, 640, size=n), rng.uniform(0, 480, size=n)
+        su2, sd2 = rng.uniform(0, 9, size=n), rng.uniform(0, 4, size=n)
+        d = rng.uniform(0.1, 50, size=n)
+        batch = project_covariances(cam_vga, u, v, su2, 0.5, d, sd2)
+        for i, lm in enumerate(batch):
+            one = project_covariance(cam_vga, PixelObservation(u[i], v[i], su2[i], 0.5, d[i], sd2[i]))
+            assert np.allclose(lm.position, one.position, rtol=1e-15, atol=0)
+            assert np.allclose(lm.covariance, one.covariance, rtol=1e-15, atol=0)
+            assert lm.frame == "camera"
+
+    def test_batch_checks_like_an_observation(self, cam_vga):
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="non-negative"):
+            project_covariances(cam_vga, ones, ones, ones, np.array([1.0, -1.0, 1.0]), ones, ones)
+        with pytest.raises(ValueError, match="depth must be positive"):
+            project_covariances(cam_vga, ones, ones, ones, ones, np.array([1.0, 0.0, 1.0]), ones)
