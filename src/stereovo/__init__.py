@@ -49,7 +49,7 @@ from .optimizer import (
     pair_covariance,
     solve_pose,
 )
-from .pipeline import KeypointMode, RunConfig, RunResult, ablate, run
+from .pipeline import KeypointMode, MatchedSequence, RunConfig, RunResult, ablate, match_sequence, run
 from .selector import (
     DenseMaps,
     KeypointCandidate,

@@ -11,7 +11,7 @@ import logging
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DataFormatError, NumericalError
+from .errors import ConfigError, DataFormatError, NumericalError, config_field
 from .evaluation import per_frame_errors, read_tum, scale_align, write_metrics_csv, write_per_frame_csv
 from .frontend import generate_sequence, load_scene_config, write_observations
 from .mc import MIN_SAMPLES, mc_depth_distribution, mc_projection_covariance, summarize_report, write_report_csv
@@ -94,17 +94,19 @@ def _cmd_mc_verify(args) -> int:
     if args.samples < MIN_SAMPLES[args.which]:
         raise ConfigError(f"--samples: {args.which} needs at least {MIN_SAMPLES[args.which]}, got {args.samples}")
     if args.which == "depth":
-        disp = DisparityEstimate(mu=args.disparity, gamma=args.gamma)
+        with config_field("--disparity" if not args.disparity > 0 else "--gamma"):
+            disp = DisparityEstimate(mu=args.disparity, gamma=args.gamma)
         report = mc_depth_distribution(cam, disp, n=args.samples, seed=seed)
     else:
-        obs = PixelObservation(
-            u=args.u if args.u is not None else cam.cx + 100.0,
-            v=args.v if args.v is not None else cam.cy + 60.0,
-            sigma_u2=1.0,
-            sigma_v2=1.0,
-            d=args.depth,
-            sigma_d2=(args.gamma * args.depth) ** 2,
-        )
+        with config_field("--depth"):
+            obs = PixelObservation(
+                u=args.u if args.u is not None else cam.cx + 100.0,
+                v=args.v if args.v is not None else cam.cy + 60.0,
+                sigma_u2=1.0,
+                sigma_v2=1.0,
+                d=args.depth,
+                sigma_d2=(args.gamma * args.depth) ** 2,
+            )
         report = mc_projection_covariance(cam, obs, n=args.samples, seed=seed)
     if args.output:
         write_report_csv(report, args.output)

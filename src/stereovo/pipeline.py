@@ -12,11 +12,20 @@ frame, so it depends on the two frames alone, not on the trajectory or
 the world frame; ``run`` chains the solved motions into the trajectory.
 A frame whose selection or optimization fails falls back to the
 constant-velocity motion model instead of aborting the run.
+
+A run has two stages. The front half selects and matches each frame
+pair; it depends on the camera, the selector, the keypoint mode, the
+seed and the patch kernel, not on the covariance mode or the running
+pose. The back half solves each pair in one covariance mode. ``run``
+on frames streams a pair through both stages at a time;
+``match_sequence`` keeps the front half of a whole sequence, so that
+``ablate`` selects and matches once and solves once per mode.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -139,39 +148,119 @@ def build_matched_pairs(
     return [MatchedPair(p, c) for p, c in zip(prev, curr)]
 
 
-def run(cfg: RunConfig, frames: list[FrameObservation] | None = None) -> RunResult:
-    """Process the whole sequence; deterministic given cfg and its seed.
+@dataclass(frozen=True)
+class MatchSettings:
+    """The settings a frame pair's matched landmarks depend on; the
+    covariance mode, the LM settings and the running pose play no part."""
 
-    frames may be supplied to reuse an already loaded/generated sequence
-    (the ablation driver does this); they must match the config.
-    """
-    if frames is None:
-        frames = load_frames(cfg)
+    camera: StereoCamera
+    selector: SelectorConfig
+    keypoint_mode: KeypointMode
+    seed: int
+    patch_kernel: int
+
+    @classmethod
+    def of(cls, cfg: RunConfig) -> MatchSettings:
+        return cls(cfg.resolved_camera(), cfg.selector, cfg.keypoint_mode, cfg.seed, cfg.patch_kernel)
+
+
+@dataclass
+class MatchedSequence:
+    """The mode-independent front half of a run: each frame pair's
+    matched landmarks, or the NumericalError that stopped them, in frame
+    order, plus the ground truth and the settings they were built with."""
+
+    settings: MatchSettings
+    gt: Trajectory
+    pairs: list[list[MatchedPair] | NumericalError]
+
+
+def _ground_truth(cam: StereoCamera, frames: list[FrameObservation]) -> Trajectory:
+    """The ground truth of a sequence of at least two frames whose maps
+    all fit the camera."""
     if len(frames) < 2:
         raise ConfigError("input: need at least 2 frames")
-    cam = cfg.resolved_camera()
+    for t, f in enumerate(frames):
+        if f.depth.shape != (cam.height, cam.width):
+            h, w = f.depth.shape
+            raise ConfigError(f"camera: frame {t} maps are {w}x{h} but camera expects {cam.width}x{cam.height}")
+    return Trajectory(np.array([f.timestamp for f in frames]), [f.pose for f in frames])
 
-    est_poses = [frames[0].pose]
+
+def _matched_pairs(
+    settings: MatchSettings, frames: list[FrameObservation]
+) -> Iterator[list[MatchedPair] | NumericalError]:
+    """Select and match each frame pair in turn; a pair whose selection
+    fails yields its NumericalError instead."""
+    cam = settings.camera
+    for t in range(1, len(frames)):
+        src, dst = frames[t - 1], frames[t]
+        rng = np.random.default_rng([settings.seed, t]) if settings.keypoint_mode is KeypointMode.RANDOM else None
+        maps = DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid)
+        try:
+            keypoints = select(maps, cam, settings.selector, rng)
+            pairs = build_matched_pairs(cam, src, dst, keypoints, settings.patch_kernel)
+        except NumericalError as exc:
+            # without its traceback, which would keep every frame alive
+            yield exc.with_traceback(None)
+        else:
+            yield pairs
+
+
+def match_sequence(cfg: RunConfig, frames: list[FrameObservation] | None = None) -> MatchedSequence:
+    """Select and match every frame pair once, for ``run`` to solve in
+    any number of covariance modes; frames default to the config's."""
+    if frames is None:
+        frames = load_frames(cfg)
+    settings = MatchSettings.of(cfg)
+    gt = _ground_truth(settings.camera, frames)
+    return MatchedSequence(settings, gt, list(_matched_pairs(settings, frames)))
+
+
+def run(cfg: RunConfig, frames: list[FrameObservation] | MatchedSequence | None = None) -> RunResult:
+    """Process the whole sequence; deterministic given cfg and its seed.
+
+    frames may be supplied to reuse an already loaded/generated
+    sequence, or as a ``match_sequence`` built with the same camera,
+    selector, keypoint mode, seed and patch kernel (a ConfigError
+    otherwise); the ablation driver passes one to each mode. Given
+    frames, each frame pair is selected and matched just before it is
+    solved, so only one pair's landmarks are held at a time.
+    """
+    settings = MatchSettings.of(cfg)
+    if isinstance(frames, MatchedSequence):
+        if frames.settings != settings:
+            raise ConfigError(
+                "matched sequence: built with another camera, selector, keypoint mode, seed or patch kernel"
+            )
+        gt, matched = frames.gt, frames.pairs
+    else:
+        if frames is None:
+            frames = load_frames(cfg)
+        gt = _ground_truth(settings.camera, frames)
+        matched = _matched_pairs(settings, frames)
+
+    est_poses = [gt.poses[0]]
     diagnostics: list[FrameDiagnostics] = []
     # motion of the current camera in the previous camera's frame: the
     # constant-velocity initial guess, replaced by each solve and kept
     # as it is when a frame falls back
     delta = PoseSE3.identity()
 
-    for t in range(1, len(frames)):
-        src, dst = frames[t - 1], frames[t]
+    for t, pairs in enumerate(matched, start=1):
         flags: list[str] = []
         keypoints_used = 0
         cost = float("nan")
         iterations = 0
-        try:
-            rng = np.random.default_rng([cfg.seed, t]) if cfg.keypoint_mode is KeypointMode.RANDOM else None
-            keypoints = select(
-                DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid), cam, cfg.selector, rng
-            )
-            pairs = build_matched_pairs(cam, src, dst, keypoints, cfg.patch_kernel)
-            problem = FramePairProblem(pairs, delta, cfg.covariance_mode)
-            solution = solve_pose(problem, cfg.lm)
+        failure = type(pairs).__name__ if isinstance(pairs, NumericalError) else None
+        if failure is None:
+            try:
+                solution = solve_pose(FramePairProblem(pairs, delta, cfg.covariance_mode), cfg.lm)
+            except NumericalError as exc:
+                failure = type(exc).__name__
+        if failure is not None:
+            flags += ["fallback_motion_model", failure]
+        else:
             delta = solution.pose
             keypoints_used = len(pairs)
             cost = solution.cost
@@ -180,20 +269,12 @@ def run(cfg: RunConfig, frames: list[FrameObservation] | None = None) -> RunResu
                 flags.append("lm_max_iters")
             if solution.cov_regularized:
                 flags.append("cov_regularized")
-        except NumericalError as exc:
-            flags.append("fallback_motion_model")
-            flags.append(type(exc).__name__)
         # the estimate chains through every later frame; keep the
         # rotation exactly on SO(3) so drift cannot compound
         est_poses.append(est_poses[-1].compose(delta).orthonormalized())
         diagnostics.append(FrameDiagnostics(t, keypoints_used, cost, iterations, flags))
 
-    times = np.array([f.timestamp for f in frames])
-    return RunResult(
-        est=Trajectory(times, est_poses),
-        gt=Trajectory(times, [f.pose for f in frames]),
-        diagnostics=diagnostics,
-    )
+    return RunResult(est=Trajectory(gt.timestamps, est_poses), gt=gt, diagnostics=diagnostics)
 
 
 def write_run_outputs(result: RunResult, output_dir) -> None:
@@ -211,15 +292,16 @@ def write_run_outputs(result: RunResult, output_dir) -> None:
 
 
 def ablate(cfg: RunConfig, modes: list[CovarianceMode]) -> list[tuple[str, float, float]]:
-    """Run the pipeline once per covariance mode on identical input and
-    report (mode, t_rel, r_rel) rows."""
+    """Select and match every frame pair once, solve the matched
+    sequence once per covariance mode and report (mode, t_rel, r_rel)
+    rows."""
     if len(modes) < 2:
         raise ConfigError("ablate: need at least 2 modes")
-    frames = load_frames(cfg)
+    matched = match_sequence(cfg)
     rows = []
     for mode in modes:
         mode_cfg = replace(cfg, covariance_mode=CovarianceMode(mode))
-        result = run(mode_cfg, frames)
+        result = run(mode_cfg, matched)
         rows.append((CovarianceMode(mode).value, t_rel(result.gt, result.est), r_rel(result.gt, result.est)))
     return rows
 

@@ -4,6 +4,7 @@ here and nowhere else."""
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from stereovo.optimizer import (
     residual_jacobian,
     solve_pose,
 )
-from stereovo.pipeline import KeypointMode, RunConfig, run
+from stereovo.pipeline import KeypointMode, RunConfig, match_sequence, run
 from stereovo.selector import DenseMaps, SelectorConfig, nms_filter, select, uncertainty_filter
 from stereovo.uncertainty import DisparityEstimate, PixelObservation
 
@@ -173,12 +174,11 @@ def test_criterion_5_ablation_ordering():
         for seed in range(20):
             scene = ablation_scene(seed)
             frames = generate_sequence(scene)
+            cfg = RunConfig(seed=100 + seed, output_dir="/tmp/unused", simulate=scene, selector=ABLATION_SELECTOR)
+            # the three modes solve the same selected and matched keypoints
+            matched = match_sequence(cfg, frames)
             for mode in ("full", "diagonal", "identity"):
-                cfg = RunConfig(
-                    seed=100 + seed, output_dir="/tmp/unused", simulate=scene,
-                    selector=ABLATION_SELECTOR, covariance_mode=mode,
-                )
-                res = run(cfg, frames)
+                res = run(replace(cfg, covariance_mode=mode), matched)
                 errs[mode].append(t_rel(res.gt, res.est))
             cfg = RunConfig(
                 seed=100 + seed, output_dir="/tmp/unused", simulate=scene,

@@ -82,14 +82,19 @@ class TestExitCodes:
         assert "scale" in metrics.read_text()
 
     def test_config_error_exit_1(self, workspace, capsys):
-        tmp, _ = workspace
+        tmp, scene = workspace
         bad = tmp / "bad.cfg"
         bad.write_text("seed: 1\noutput_dir: /tmp/x\n")  # no input section
         assert main(["run", str(bad)]) == EXIT_CONFIG
+        assert main(["simulate", str(scene), "-o", str(tmp / "obs")]) == EXIT_OK
+        run_yaml = RUN_YAML.format(out=tmp / "o", obs=tmp / "obs")
         cases = [
             (["simulate", SCENE_YAML + "anomaly_regions: [{multiplier: 5.0}]\n"], "anomaly_regions"),
             (["simulate", SCENE_YAML.replace("[0.04, 0.02, 0.06]", "[a, 0, 0]")], "motion"),
-            (["run", RUN_YAML.format(out=tmp / "o", obs=tmp / "obs").replace("80}", "80, random: true}")], "selector"),
+            (["run", run_yaml.replace("80}", "80, random: true}")], "selector"),
+            # 96x96 observations under a 120x96 camera
+            (["run", run_yaml.replace("width: 96", "width: 120")], "camera: frame 0"),
+            (["ablate", run_yaml.replace("width: 96", "width: 120")], "camera: frame 0"),
         ]
         for i, ((command, text), field) in enumerate(cases):
             cfg = tmp / f"bad_{i}.cfg"
@@ -100,6 +105,13 @@ class TestExitCodes:
         for which, samples in (("depth", "5000"), ("projection", "50000")):
             assert main(["mc-verify", "--which", which, "--samples", samples]) == EXIT_CONFIG
             assert "--samples" in capsys.readouterr().err
+        for flags, flag in (
+            (["--which", "depth", "--gamma", "2", "--samples", "10000"], "--gamma"),
+            (["--which", "depth", "--disparity", "-1", "--samples", "10000"], "--disparity"),
+            (["--which", "projection", "--depth", "-1", "--samples", "100000"], "--depth"),
+        ):
+            assert main(["mc-verify", *flags]) == EXIT_CONFIG, flags
+            assert flag in capsys.readouterr().err
 
     def test_io_error_exit_2(self, workspace):
         tmp, _ = workspace

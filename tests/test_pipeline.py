@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stereovo.pipeline as pipeline
 from stereovo.errors import ConfigError
 from stereovo.evaluation import r_rel, t_rel
 from stereovo.frontend import (
@@ -21,6 +22,7 @@ from stereovo.pipeline import (
     ablate,
     build_matched_pairs,
     load_run_config,
+    match_sequence,
     run,
     run_config_from_dict,
     write_run_outputs,
@@ -216,6 +218,63 @@ class TestScaleConsistency:
             assert np.linalg.norm(p_hi.translation - 10.0 * p_lo.translation) / denom < 1e-6
 
 
+def assert_same_run(a, b):
+    for pa, pb in zip(a.est.poses, b.est.poses, strict=True):
+        assert np.array_equal(pa.rotation, pb.rotation) and np.array_equal(pa.translation, pb.translation)
+    # repr keeps every bit of a float and lets nan costs compare equal
+    assert [repr(d) for d in a.diagnostics] == [repr(d) for d in b.diagnostics]
+
+
+class TestMatchSequence:
+    @pytest.mark.parametrize("keypoint_mode", list(KeypointMode))
+    def test_solves_like_a_streamed_run(self, keypoint_mode):
+        scene = plane_scene(num_frames=8, noise=NoiseModel(sigma_flow=0.3, gamma_disp=0.05))
+        frames = generate_sequence(scene)
+        # matching into frame 3 finds no depth, selection on it none at all
+        frames[3].valid[:] = False
+        cfg = RunConfig(
+            seed=6, output_dir="/tmp/unused", simulate=scene, selector=small_selector(),
+            keypoint_mode=keypoint_mode,
+        )
+        matched = match_sequence(cfg, frames)
+        for mode in CovarianceMode:
+            mode_cfg = replace(cfg, covariance_mode=mode)
+            streamed, shared = run(mode_cfg, frames), run(mode_cfg, matched)
+            assert_same_run(streamed, shared)
+            failed = {d.frame_index: d.flags for d in shared.diagnostics if "fallback_motion_model" in d.flags}
+            assert failed == {
+                3: ["fallback_motion_model", "DegenerateGeometryError"],
+                4: ["fallback_motion_model", "InsufficientKeypointsError"],
+            }, mode
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(selector=small_selector(nms_radius=6)),
+            dict(seed=7),
+            dict(patch_kernel=9),
+            dict(keypoint_mode=KeypointMode.RANDOM),
+            dict(simulate=plane_scene(cam=replace(small_cam(), fx=91.0))),
+        ],
+        ids=["selector", "seed", "patch_kernel", "keypoint_mode", "camera"],
+    )
+    def test_other_settings_rejected(self, change):
+        cfg = RunConfig(seed=6, output_dir="/tmp/unused", simulate=plane_scene(num_frames=3), selector=small_selector())
+        matched = match_sequence(cfg)
+        with pytest.raises(ConfigError, match="matched sequence"):
+            run(replace(cfg, **change), matched)
+        run(replace(cfg, covariance_mode=CovarianceMode.IDENTITY), matched)  # the mode is free
+
+    def test_frame_size_against_camera(self):
+        scene = plane_scene(num_frames=4)
+        frames = generate_sequence(scene)
+        frames[2] = generate_sequence(plane_scene(num_frames=2, cam=small_cam(w=80)))[0]
+        cfg = RunConfig(seed=6, output_dir="/tmp/unused", simulate=scene, selector=small_selector())
+        for build in (match_sequence, run):
+            with pytest.raises(ConfigError, match="camera: frame 2 maps are 80x96"):
+                build(cfg, frames)
+
+
 class TestAblate:
     def test_identical_modes_identical_rows(self):
         scene = plane_scene(seed=8, noise=NoiseModel(sigma_flow=0.2, gamma_disp=0.04))
@@ -229,6 +288,29 @@ class TestAblate:
         cfg = RunConfig(seed=9, output_dir="/tmp/u", simulate=scene, selector=small_selector())
         with pytest.raises(ConfigError):
             ablate(cfg, [CovarianceMode.FULL])
+
+    def test_needs_two_frames(self, tmp_path):
+        scene = plane_scene(num_frames=2)
+        write_observations(generate_sequence(scene)[:1], tmp_path / "obs")
+        cfg = RunConfig(
+            seed=9, output_dir=tmp_path, ingest=tmp_path / "obs", camera=scene.camera, selector=small_selector()
+        )
+        with pytest.raises(ConfigError, match="2 frames"):
+            ablate(cfg, list(CovarianceMode))
+
+    def test_selects_each_frame_pair_once(self, monkeypatch):
+        calls = []
+
+        def counting_select(*args, **kwargs):
+            calls.append(1)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "select", counting_select)
+        scene = plane_scene(seed=8, num_frames=6, noise=NoiseModel(sigma_flow=0.2, gamma_disp=0.04))
+        cfg = RunConfig(seed=9, output_dir="/tmp/u", simulate=scene, selector=small_selector())
+        rows = ablate(cfg, list(CovarianceMode))
+        assert len(rows) == 4
+        assert len(calls) == 5
 
 
 class TestRunConfigFile:
