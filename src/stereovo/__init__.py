@@ -43,10 +43,10 @@ from .optimizer import (
     CovarianceMode,
     FramePairProblem,
     LMConfig,
-    MatchedPair,
+    MatchedLandmarks,
     PoseSolution,
     mahalanobis_cost,
-    pair_covariance,
+    pair_covariances,
     solve_pose,
 )
 from .pipeline import KeypointMode, MatchedSequence, RunConfig, RunResult, ablate, match_sequence, run

@@ -145,7 +145,9 @@ class FrameObservation:
         )
         if not same:
             raise ValueError("observation maps do not share dimensions")
-        if (self.flow_var[self.valid] < 0).any() or (self.depth_var[self.valid] < 0).any():
+        # a NaN variance fails this too: it would make every uncertainty
+        # score of the frame non-finite
+        if not ((self.flow_var[self.valid] >= 0).all() and (self.depth_var[self.valid] >= 0).all()):
             raise ValueError("variance maps must be non-negative on valid pixels")
 
 
@@ -463,8 +465,8 @@ def ingest_observations(directory) -> list[FrameObservation]:
     frames = []
     for i, path in enumerate(frame_files):
         maps = _read_obs_file(path)
-        frames.append(
-            FrameObservation(
+        try:
+            frame = FrameObservation(
                 flow=maps["flow"],
                 flow_var=maps["flow_var"],
                 depth=maps["depth"],
@@ -473,7 +475,9 @@ def ingest_observations(directory) -> list[FrameObservation]:
                 pose=traj.poses[i],
                 timestamp=float(traj.timestamps[i]),
             )
-        )
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+        frames.append(frame)
     return frames
 
 

@@ -254,16 +254,15 @@ def psd_within_sym3(c: np.ndarray, tol: float = 1e-10):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _check_covariances(c: np.ndarray, frame: str) -> None:
-    """Landmark3D's checks on one covariance (3, 3) or a stack (N, 3, 3)."""
+def check_covariances(c: np.ndarray) -> None:
+    """Check one covariance (3, 3) or a stack (N, 3, 3): symmetric within
+    1e-12, no eigenvalue below -1e-10; ValueError otherwise."""
     if c.shape[-2:] != (3, 3) or c.ndim not in (2, 3):
         raise ValueError(f"covariance must be 3x3, got {c.shape}")
     if c.size and np.max(np.abs(c - np.swapaxes(c, -1, -2))) > 1e-12:
         raise ValueError("covariance is not symmetric within 1e-12")
     if not np.all(psd_within_sym3(c)):
         raise ValueError("covariance has an eigenvalue below -1e-10")
-    if frame not in ("camera", "world"):
-        raise ValueError(f"frame must be 'camera' or 'world', got {frame!r}")
 
 
 @dataclass(frozen=True)
@@ -281,28 +280,11 @@ class Landmark3D:
     def __post_init__(self):
         p = np.asarray(self.position, dtype=float).reshape(3)
         c = np.asarray(self.covariance, dtype=float)
-        _check_covariances(c, self.frame)
+        check_covariances(c)
+        if self.frame not in ("camera", "world"):
+            raise ValueError(f"frame must be 'camera' or 'world', got {self.frame!r}")
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "covariance", c)
-
-    @classmethod
-    def stack(cls, positions, covariances, frame: str = "camera") -> list[Landmark3D]:
-        """One landmark per row of positions (N, 3) and covariances
-        (N, 3, 3), with the checks of the constructor run once over the
-        whole stack instead of once per landmark."""
-        p = np.asarray(positions, dtype=float).reshape(-1, 3)
-        c = np.asarray(covariances, dtype=float)
-        _check_covariances(c, frame)
-        if c.ndim != 3 or len(c) != len(p):
-            raise ValueError(f"{len(p)} positions but covariances of shape {c.shape}")
-        out = []
-        for pi, ci in zip(p, c):
-            lm = object.__new__(cls)
-            object.__setattr__(lm, "position", pi)
-            object.__setattr__(lm, "covariance", ci)
-            object.__setattr__(lm, "frame", frame)
-            out.append(lm)
-        return out
 
 
 def backproject(cam: StereoCamera, u, v, d) -> np.ndarray:

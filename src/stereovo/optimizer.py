@@ -15,6 +15,9 @@ recomputed at every iterate and held fixed inside each linearization.
 The reference frame is the one the previous landmarks are given in. The
 pipeline uses the previous camera's, so T is the motion between the two
 frames and the problem depends on those two frames alone.
+
+A problem's N landmark pairs are one MatchedLandmarks record of stacked
+arrays, checked once when it is built; every step works on whole stacks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .geometry import Landmark3D, PoseSE3, se3_exp, skew
+from .geometry import PoseSE3, check_covariances, se3_exp, skew
 
 # Combined covariances worse-conditioned than this get a trace-scaled
 # ridge; an absolute floor covers the all-zero case (noiseless inputs).
@@ -48,16 +51,32 @@ class CovarianceMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class MatchedPair:
-    """A landmark seen in both frames: prev_world from the previous frame in
-    the problem's reference frame, curr_camera in the current camera's."""
+class MatchedLandmarks:
+    """The N landmarks of one frame pair seen in both frames, stacked:
+    positions p (N, 3) and covariances sp (N, 3, 3) of the previous frame
+    in the problem's reference frame, q and sq of the current camera in
+    its own frame. Meters and meters^2, ordered (x, y, z)."""
 
-    prev_world: Landmark3D
-    curr_camera: Landmark3D
+    p: np.ndarray
+    q: np.ndarray
+    sp: np.ndarray
+    sq: np.ndarray
 
     def __post_init__(self):
-        if self.curr_camera.frame != "camera":
-            raise ValueError("curr_camera must be a camera-frame landmark")
+        p, q, sp, sq = (np.asarray(x, dtype=float) for x in (self.p, self.q, self.sp, self.sq))
+        n = p.shape[:1]
+        if p.shape != n + (3,) or q.shape != n + (3,) or sp.shape != n + (3, 3) or sq.shape != n + (3, 3):
+            raise ValueError(
+                "need positions (N, 3) and covariances (N, 3, 3) of one N, got "
+                f"{p.shape}, {q.shape}, {sp.shape}, {sq.shape}"
+            )
+        check_covariances(sp)
+        check_covariances(sq)
+        for name, x in (("p", p), ("q", q), ("sp", sp), ("sq", sq)):
+            object.__setattr__(self, name, x)
+
+    def __len__(self) -> int:
+        return len(self.p)
 
 
 @dataclass(frozen=True)
@@ -77,7 +96,7 @@ class LMConfig:
 
 @dataclass
 class FramePairProblem:
-    pairs: list[MatchedPair]
+    pairs: MatchedLandmarks
     initial_pose: PoseSE3
     covariance_mode: CovarianceMode = CovarianceMode.FULL
 
@@ -85,7 +104,7 @@ class FramePairProblem:
         self.covariance_mode = CovarianceMode(self.covariance_mode)
         if len(self.pairs) < 3:
             raise DegenerateGeometryError(f"need at least 3 pairs, got {len(self.pairs)}")
-        p = np.stack([m.prev_world.position for m in self.pairs])
+        p = self.pairs.p
         # collinear points leave rotation about the line unobservable
         s = np.linalg.svd(p - p.mean(axis=0), compute_uv=False)
         if s[1] <= _COLLINEAR_TOL:
@@ -104,7 +123,7 @@ class PoseSolution:
     cov_regularized: bool  # some combined covariance needed a ridge
 
 
-def scale_agnostic_normalizers(pairs: list[MatchedPair]) -> tuple[float, float]:
+def scale_agnostic_normalizers(pairs: MatchedLandmarks) -> tuple[float, float]:
     """Per-frame normalizers for the scale-agnostic ablation: the mean of
     det(Sigma)^(1/3) over keypoints, one per frame.
 
@@ -124,20 +143,17 @@ def scale_agnostic_normalizers(pairs: list[MatchedPair]) -> tuple[float, float]:
         scale = float(np.mean(trace / 3.0))
         return scale if scale > _RIDGE_ABS else 1.0
 
-    return (
-        normalizer(np.stack([m.prev_world.covariance for m in pairs])),
-        normalizer(np.stack([m.curr_camera.covariance for m in pairs])),
-    )
+    return normalizer(pairs.sp), normalizer(pairs.sq)
 
 
-def _mode_adjusted(
-    sp: np.ndarray, sq: np.ndarray, mode: CovarianceMode, prev_scale: float, curr_scale: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _mode_adjusted(pairs: MatchedLandmarks, mode: CovarianceMode) -> tuple[np.ndarray, np.ndarray]:
     """Covariance stacks (N,3,3) of both frames as the mode weights them."""
+    sp, sq = pairs.sp, pairs.sq
     if mode is CovarianceMode.DIAGONAL:
         eye = np.eye(3, dtype=bool)
         return np.where(eye, sp, 0.0), np.where(eye, sq, 0.0)
     if mode is CovarianceMode.SCALE_AGNOSTIC:
+        prev_scale, curr_scale = scale_agnostic_normalizers(pairs)
         return sp / prev_scale, sq / curr_scale
     return sp, sq
 
@@ -161,25 +177,16 @@ def _combined_covariances(
     return s, True
 
 
-def pair_covariance(
-    pair: MatchedPair,
-    rotation: np.ndarray,
-    mode: CovarianceMode = CovarianceMode.FULL,
-    prev_scale: float = 1.0,
-    curr_scale: float = 1.0,
+def pair_covariances(
+    pairs: MatchedLandmarks, rotation: np.ndarray, mode: CovarianceMode = CovarianceMode.FULL
 ) -> tuple[np.ndarray, bool]:
-    """Combined covariance of a single pair at the given rotation.
+    """Combined covariances S (N, 3, 3) of every pair at the given
+    rotation, as the mode weights them, and whether any needed a ridge.
 
-    prev_scale/curr_scale are the per-frame scale-agnostic normalizers
-    (leave at 1 unless mode is SCALE_AGNOSTIC; they are problem-level
-    statistics, see scale_agnostic_normalizers). Returns (S, regularized).
-    """
+    SCALE_AGNOSTIC divides each frame by its scale_agnostic_normalizers,
+    which are statistics of all the pairs."""
     mode = CovarianceMode(mode)
-    sp, sq = _mode_adjusted(
-        pair.prev_world.covariance[None], pair.curr_camera.covariance[None], mode, prev_scale, curr_scale
-    )
-    s, flagged = _combined_covariances(sp, sq, np.asarray(rotation, float), mode)
-    return s[0], flagged
+    return _combined_covariances(*_mode_adjusted(pairs, mode), np.asarray(rotation, float), mode)
 
 
 def residual_jacobian(pose: PoseSE3, curr_position: np.ndarray) -> np.ndarray:
@@ -192,13 +199,8 @@ def residual_jacobian(pose: PoseSE3, curr_position: np.ndarray) -> np.ndarray:
 
 def _problem_arrays(problem: FramePairProblem) -> tuple[np.ndarray, ...]:
     """Positions p, q (N,3) and mode-adjusted covariances sp, sq (N,3,3)."""
-    pairs, mode = problem.pairs, problem.covariance_mode
-    p = np.stack([m.prev_world.position for m in pairs])
-    q = np.stack([m.curr_camera.position for m in pairs])
-    sp = np.stack([m.prev_world.covariance for m in pairs])
-    sq = np.stack([m.curr_camera.covariance for m in pairs])
-    scales = scale_agnostic_normalizers(pairs) if mode is CovarianceMode.SCALE_AGNOSTIC else (1.0, 1.0)
-    return (p, q) + _mode_adjusted(sp, sq, mode, *scales)
+    pairs = problem.pairs
+    return (pairs.p, pairs.q) + _mode_adjusted(pairs, problem.covariance_mode)
 
 
 def _weighted_cost(

@@ -7,7 +7,9 @@ earlier frame (the flow source) and matched into the later frame by the
 flow field. The earlier frame's landmark keeps zero matching variance
 (its pixel is chosen, not matched) and only carries depth uncertainty;
 the matched point carries the flow variance plus a patch-corrected depth
-variance. Each two-frame problem is solved in the previous camera's
+variance. A frame pair's matched landmarks are one ``MatchedLandmarks``
+record of stacked positions and covariances, from their projection to
+the solver. Each two-frame problem is solved in the previous camera's
 frame, so it depends on the two frames alone, not on the trajectory or
 the world frame; ``run`` chains the solved motions into the trajectory.
 A frame whose selection or optimization fails falls back to the
@@ -48,7 +50,7 @@ from .optimizer import (
     CovarianceMode,
     FramePairProblem,
     LMConfig,
-    MatchedPair,
+    MatchedLandmarks,
     solve_pose,
 )
 from .selector import DenseMaps, KeypointCandidate, SelectorConfig, select
@@ -118,17 +120,16 @@ def build_matched_pairs(
     dst: FrameObservation,
     keypoints: list[KeypointCandidate],
     patch_kernel: int = DEFAULT_PATCH_KERNEL,
-) -> list[MatchedPair]:
-    """Matched landmark pairs for one frame pair, both landmarks in
-    their own camera's frame.
+) -> MatchedLandmarks:
+    """The matched landmarks of one frame pair as one record, each
+    frame's positions and covariances in its own camera's frame.
 
     Keypoints whose match leaves the image or lands on invalid depth are
-    dropped silently (the selector oversamples for this reason).
+    dropped silently (the selector oversamples for this reason); with
+    none left the record is empty.
     """
-    if not keypoints:
-        return []
-    u = np.array([kp.u for kp in keypoints])
-    v = np.array([kp.v for kp in keypoints])
+    u = np.array([kp.u for kp in keypoints], dtype=float)
+    v = np.array([kp.v for kp in keypoints], dtype=float)
     ui, vi = u.astype(int), v.astype(int)
     mu, mv = u + src.flow[vi, ui, 0], v + src.flow[vi, ui, 1]
     d_src = src.depth[vi, ui]
@@ -140,12 +141,10 @@ def build_matched_pairs(
     # depth comes from the patch statistics around it
     mu_d, var_d, supported = windowed_depth_moments(dst.depth, dst.valid, mu, mv, su2, sv2, patch_kernel)
     keep = supported & (mu_d > 0)
-    if not keep.any():
-        return []
     # the earlier frame's pixel is chosen, not matched: zero matching variance
-    prev = project_covariances(cam, u[keep], v[keep], 0.0, 0.0, d_src[keep], src.depth_var[vi, ui][keep])
-    curr = project_covariances(cam, mu[keep], mv[keep], su2[keep], sv2[keep], mu_d[keep], var_d[keep])
-    return [MatchedPair(p, c) for p, c in zip(prev, curr)]
+    p, sp = project_covariances(cam, u[keep], v[keep], 0.0, 0.0, d_src[keep], src.depth_var[vi, ui][keep])
+    q, sq = project_covariances(cam, mu[keep], mv[keep], su2[keep], sv2[keep], mu_d[keep], var_d[keep])
+    return MatchedLandmarks(p, q, sp, sq)
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ class MatchedSequence:
 
     settings: MatchSettings
     gt: Trajectory
-    pairs: list[list[MatchedPair] | NumericalError]
+    pairs: list[MatchedLandmarks | NumericalError]
 
 
 def _ground_truth(cam: StereoCamera, frames: list[FrameObservation]) -> Trajectory:
@@ -189,7 +188,7 @@ def _ground_truth(cam: StereoCamera, frames: list[FrameObservation]) -> Trajecto
 
 def _matched_pairs(
     settings: MatchSettings, frames: list[FrameObservation]
-) -> Iterator[list[MatchedPair] | NumericalError]:
+) -> Iterator[MatchedLandmarks | NumericalError]:
     """Select and match each frame pair in turn; a pair whose selection
     fails yields its NumericalError instead."""
     cam = settings.camera
@@ -329,12 +328,15 @@ def run_config_from_dict(d: dict) -> RunConfig:
     if "simulate" in inp:
         simulate = scene_config_from_dict(inp["simulate"], "input.simulate.")
     if "ingest" in inp:
-        ingest = Path(inp["ingest"])
+        with config_field("input.ingest"):
+            ingest = Path(inp["ingest"])
 
-    sel_d = dict(d.get("selector", {}))
+    with config_field("selector"):
+        sel_d = dict(d.get("selector", {}))
     depth_range = sel_d.pop("depth_range", None)
     if depth_range is not None:
-        sel_d["depth_min"], sel_d["depth_max"] = (float(x) for x in depth_range)
+        with config_field("selector.depth_range"):
+            sel_d["depth_min"], sel_d["depth_max"] = (float(x) for x in depth_range)
     with config_field("selector"):
         selector = SelectorConfig(**sel_d)
     with config_field("lm"):
@@ -343,25 +345,28 @@ def run_config_from_dict(d: dict) -> RunConfig:
     camera = None
     if "camera" in d:
         camera = camera_from_dict(d["camera"], "camera.")
-    if "seed" not in d:
-        raise ConfigError("seed: missing required field")
-    if "output_dir" not in d:
-        raise ConfigError("output_dir: missing required field")
-    try:
-        return RunConfig(
-            seed=int(d["seed"]),
-            output_dir=Path(d["output_dir"]),
-            simulate=simulate,
-            ingest=ingest,
-            camera=camera,
-            selector=selector,
-            lm=lm,
-            covariance_mode=CovarianceMode(d.get("covariance_mode", "full")),
-            keypoint_mode=KeypointMode(d.get("keypoint_mode", "uncertainty")),
-            patch_kernel=int(d.get("patch_kernel", DEFAULT_PATCH_KERNEL)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with config_field("seed"):
+        seed = int(d["seed"])
+    with config_field("output_dir"):
+        output_dir = Path(d["output_dir"])
+    with config_field("covariance_mode"):
+        covariance_mode = CovarianceMode(d.get("covariance_mode", "full"))
+    with config_field("keypoint_mode"):
+        keypoint_mode = KeypointMode(d.get("keypoint_mode", "uncertainty"))
+    with config_field("patch_kernel"):
+        patch_kernel = int(d.get("patch_kernel", DEFAULT_PATCH_KERNEL))
+    return RunConfig(
+        seed=seed,
+        output_dir=output_dir,
+        simulate=simulate,
+        ingest=ingest,
+        camera=camera,
+        selector=selector,
+        lm=lm,
+        covariance_mode=covariance_mode,
+        keypoint_mode=keypoint_mode,
+        patch_kernel=patch_kernel,
+    )
 
 
 def load_run_config(path) -> RunConfig:

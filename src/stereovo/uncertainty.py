@@ -229,9 +229,12 @@ def ensure_psd(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return sym
 
 
-def project_covariances(cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, sigma_d2) -> list[Landmark3D]:
+def project_covariances(
+    cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, sigma_d2
+) -> tuple[np.ndarray, np.ndarray]:
     """project_covariance over arrays of observations (scalars broadcast),
-    with the variance and depth checks of PixelObservation."""
+    with the variance and depth checks of PixelObservation: camera-frame
+    positions (N, 3) and full covariances (N, 3, 3)."""
     u, v, sigma_u2, sigma_v2, d, sigma_d2 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (u, v, sigma_u2, sigma_v2, d, sigma_d2))
     )
@@ -239,10 +242,11 @@ def project_covariances(cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, sigma_d2
         raise ValueError("variances must be non-negative")
     positions = backproject(cam, u, v, d)
     covs = backprojection_covariances(cam, u, v, sigma_u2, sigma_v2, d, sigma_d2)
-    return Landmark3D.stack(positions, ensure_psd(covs), frame="camera")
+    return positions, ensure_psd(covs)
 
 
 def project_covariance(cam: StereoCamera, obs: PixelObservation) -> Landmark3D:
     """Backproject an observation into a camera-frame landmark with the
     full 3x3 covariance."""
-    return project_covariances(cam, obs.u, obs.v, obs.sigma_u2, obs.sigma_v2, obs.d, obs.sigma_d2)[0]
+    positions, covs = project_covariances(cam, obs.u, obs.v, obs.sigma_u2, obs.sigma_v2, obs.d, obs.sigma_d2)
+    return Landmark3D(positions[0], covs[0], frame="camera")

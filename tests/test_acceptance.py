@@ -22,12 +22,12 @@ from stereovo.frontend import (
     Wall,
     generate_sequence,
 )
-from stereovo.geometry import Landmark3D, PoseSE3, StereoCamera, rotation_angle, se3_exp, so3_exp
+from stereovo.geometry import PoseSE3, StereoCamera, rotation_angle, se3_exp, so3_exp
 from stereovo.mc import mc_depth_distribution, mc_projection_covariance
 from stereovo.optimizer import (
     CovarianceMode,
     FramePairProblem,
-    MatchedPair,
+    MatchedLandmarks,
     residual_jacobian,
     solve_pose,
 )
@@ -101,13 +101,8 @@ def test_criterion_3_optimizer_exactness():
             n = int(rng.integers(10, 25))
             p = rng.uniform(-3, 3, size=(n, 3)) + [0, 0, 6]
             q = t_gt.inverse().apply(p)
-            pairs = [
-                MatchedPair(
-                    Landmark3D(p[i], random_spd(rng, 0.3), "world"),
-                    Landmark3D(q[i], random_spd(rng, 0.3), "camera"),
-                )
-                for i in range(n)
-            ]
+            covs = np.array([[random_spd(rng, 0.3), random_spd(rng, 0.3)] for _ in range(n)])
+            pairs = MatchedLandmarks(p, q, covs[:, 0], covs[:, 1])
             for mode in CovarianceMode:
                 sol = solve_pose(FramePairProblem(pairs, PoseSE3.identity(), mode))
                 t_err = np.linalg.norm(sol.pose.translation - t_gt.translation)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stereovo.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from test_frontend import overwrite_at_first_valid_pixel
 
 SCENE_YAML = """
 seed: 3
@@ -92,6 +93,11 @@ class TestExitCodes:
             (["simulate", SCENE_YAML + "anomaly_regions: [{multiplier: 5.0}]\n"], "anomaly_regions"),
             (["simulate", SCENE_YAML.replace("[0.04, 0.02, 0.06]", "[a, 0, 0]")], "motion"),
             (["run", run_yaml.replace("80}", "80, random: true}")], "selector"),
+            (["run", run_yaml.replace(f"ingest: {tmp / 'obs'}", "ingest: 5")], "input.ingest"),
+            (["run", run_yaml.replace("seed: 5", "seed: abc")], "seed"),
+            (["run", run_yaml + "patch_kernel: abc\n"], "patch_kernel"),
+            (["run", run_yaml + "covariance_mode: sparse\n"], "covariance_mode"),
+            (["run", run_yaml + "keypoint_mode: corners\n"], "keypoint_mode"),
             # 96x96 observations under a 120x96 camera
             (["run", run_yaml.replace("width: 96", "width: 120")], "camera: frame 0"),
             (["ablate", run_yaml.replace("width: 96", "width: 120")], "camera: frame 0"),
@@ -113,10 +119,19 @@ class TestExitCodes:
             assert main(["mc-verify", *flags]) == EXIT_CONFIG, flags
             assert flag in capsys.readouterr().err
 
-    def test_io_error_exit_2(self, workspace):
-        tmp, _ = workspace
+    def test_io_error_exit_2(self, workspace, capsys):
+        tmp, scene = workspace
         assert main(["run", str(tmp / "missing.cfg")]) == EXIT_IO
         assert main(["eval", "--gt", str(tmp / "a.txt"), "--est", str(tmp / "b.txt"), "-o", str(tmp / "m.csv")]) == EXIT_IO
+        # a NaN variance on a valid pixel of an ingested frame
+        obs = tmp / "obs"
+        assert main(["simulate", str(scene), "-o", str(obs)]) == EXIT_OK
+        overwrite_at_first_valid_pixel(obs / "frame_000001.obs", "flow_var", np.nan)
+        cfg = tmp / "run.cfg"
+        cfg.write_text(RUN_YAML.format(out=tmp / "o", obs=obs))
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == EXIT_IO
+        assert "frame_000001.obs" in capsys.readouterr().err
 
     def test_numerical_error_exit_3(self, workspace):
         tmp, scene = workspace

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from stereovo.errors import ConfigError, DataFormatError
 from stereovo.frontend import (
+    OBS_CHANNELS,
+    OBS_MAGIC,
     AnomalyRegion,
     MotionSpec,
     NoiseModel,
@@ -162,7 +166,45 @@ class TestGeneration:
             SceneConfig(seed=0, num_frames=5, camera=small_cam(), landmark_count=10)
 
 
+def overwrite_at_first_valid_pixel(path, channel, value):
+    """Set the first component of one map of an .obs file (a name in
+    OBS_CHANNELS) to value at the file's first valid pixel."""
+    data = path.read_bytes()
+    head = len(OBS_MAGIC) + 4 * (2 + len(OBS_CHANNELS))
+    w, h = (int(x) for x in np.frombuffer(data, "<u4", count=2, offset=len(OBS_MAGIC)))
+    maps = np.frombuffer(data, "<f4", offset=head).copy()
+    starts = dict(zip((n for n, _ in OBS_CHANNELS), np.cumsum([0] + [h * w * c for _, c in OBS_CHANNELS])))
+    pixel = int(np.flatnonzero(maps[starts["mask"] :] > 0.5)[0])
+    maps[starts[channel] + dict(OBS_CHANNELS)[channel] * pixel] = value
+    path.write_bytes(data[:head] + maps.astype("<f4").tobytes())
+
+
 class TestObservationIO:
+    def test_variance_must_be_non_negative_on_valid_pixels(self):
+        frame = generate_sequence(plane_scene(seed=1, num_frames=2))[0]
+        (v, u), (iv, iu) = np.argwhere(frame.valid)[0], np.argwhere(~frame.valid)[0]
+        for name in ("flow_var", "depth_var"):
+            for value in (np.nan, -1e-3):
+                bad = getattr(frame, name).copy()
+                bad[v, u] = value
+                with pytest.raises(ValueError, match="non-negative"):
+                    replace(frame, **{name: bad})
+                # an invalid pixel's variance is never read
+                ignored = getattr(frame, name).copy()
+                ignored[iv, iu] = value
+                replace(frame, **{name: ignored})
+
+    def test_bad_ingested_variance_names_the_file(self, tmp_path):
+        write_observations(generate_sequence(plane_scene(seed=1)), tmp_path)
+        victim = tmp_path / "frame_000002.obs"
+        original = victim.read_bytes()
+        for channel, value in (("flow_var", np.nan), ("depth_var", -1.0)):
+            overwrite_at_first_valid_pixel(victim, channel, value)
+            with pytest.raises(DataFormatError, match="frame_000002.obs: variance maps must be non-negative"):
+                ingest_observations(tmp_path)
+            victim.write_bytes(original)
+        assert len(ingest_observations(tmp_path)) == 6
+
     def test_roundtrip_within_float32(self, tmp_path):
         noise = NoiseModel(sigma_flow=0.3, gamma_disp=0.05)
         frames = generate_sequence(plane_scene(seed=6, noise=noise))

@@ -189,31 +189,6 @@ class TestLandmark:
         with pytest.raises(ValueError):
             Landmark3D(np.zeros(3), np.eye(3), frame="robot")
 
-    def test_stack_matches_constructor(self):
-        rng = np.random.default_rng(5)
-        pos = rng.normal(size=(6, 3))
-        covs = np.stack([random_spd(rng) for _ in range(6)])
-        for lm, p, c in zip(Landmark3D.stack(pos, covs, frame="world"), pos, covs):
-            one = Landmark3D(p, c, frame="world")
-            assert np.array_equal(lm.position, one.position)
-            assert np.array_equal(lm.covariance, one.covariance)
-            assert lm.frame == "world"
-
-    def test_stack_checks_every_member(self):
-        covs = np.stack([np.eye(3)] * 4)
-        asym = covs.copy()
-        asym[2, 0, 1] = 1e-6
-        with pytest.raises(ValueError, match="symmetric"):
-            Landmark3D.stack(np.zeros((4, 3)), asym)
-        indefinite = covs.copy()
-        indefinite[3] = -1e-6 * np.eye(3)
-        with pytest.raises(ValueError, match="eigenvalue"):
-            Landmark3D.stack(np.zeros((4, 3)), indefinite)
-        with pytest.raises(ValueError):
-            Landmark3D.stack(np.zeros((3, 3)), covs)
-        with pytest.raises(ValueError):
-            Landmark3D.stack(np.zeros((4, 3)), covs, frame="robot")
-
 
 class TestPsdCheck:
     def test_matches_eigvalsh_on_stress_matrices(self):

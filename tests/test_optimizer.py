@@ -16,9 +16,9 @@ from stereovo.optimizer import (
     CovarianceMode,
     FramePairProblem,
     LMConfig,
-    MatchedPair,
+    MatchedLandmarks,
     mahalanobis_cost,
-    pair_covariance,
+    pair_covariances,
     residual_jacobian,
     scale_agnostic_normalizers,
     solve_pose,
@@ -26,8 +26,18 @@ from stereovo.optimizer import (
 from stereovo.uncertainty import PixelObservation, project_covariance
 
 
-def make_pair(p, q, cov_p, cov_q):
-    return MatchedPair(Landmark3D(p, cov_p, "world"), Landmark3D(q, cov_q, "camera"))
+def make_pairs(p, q, cov_p, cov_q):
+    """A record of the pairs with positions (N, 3) and covariances
+    (N, 3, 3); one pair's (3,) and (3, 3) make a record of one."""
+    return MatchedLandmarks(
+        np.reshape(p, (-1, 3)), np.reshape(q, (-1, 3)),
+        np.reshape(cov_p, (-1, 3, 3)), np.reshape(cov_q, (-1, 3, 3)),
+    )
+
+
+def one_pair_covariance(p, q, cov_p, cov_q, rotation, mode=CovarianceMode.FULL):
+    s, flagged = pair_covariances(make_pairs(p, q, cov_p, cov_q), rotation, mode)
+    return s[0], flagged
 
 
 def noiseless_problem(rng, n=12, max_angle_deg=60.0, mode=CovarianceMode.FULL, cov_scale=0.3):
@@ -37,18 +47,54 @@ def noiseless_problem(rng, n=12, max_angle_deg=60.0, mode=CovarianceMode.FULL, c
     t_gt = se3_exp(xi)
     p = rng.uniform(-3, 3, size=(n, 3)) + [0, 0, 6]
     q = t_gt.inverse().apply(p)
-    pairs = [
-        make_pair(p[i], q[i], random_spd(rng, cov_scale), random_spd(rng, cov_scale))
-        for i in range(n)
-    ]
-    return FramePairProblem(pairs, PoseSE3.identity(), mode), t_gt
+    covs = np.array([[random_spd(rng, cov_scale), random_spd(rng, cov_scale)] for _ in range(n)])
+    return FramePairProblem(make_pairs(p, q, covs[:, 0], covs[:, 1]), PoseSE3.identity(), mode), t_gt
+
+
+class TestMatchedLandmarks:
+    def test_holds_the_stacks(self):
+        rng = np.random.default_rng(15)
+        p, q = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        sp, sq = (np.stack([random_spd(rng) for _ in range(6)]) for _ in range(2))
+        pairs = MatchedLandmarks(p, q, sp, sq)
+        assert len(pairs) == 6
+        for got, want in ((pairs.p, p), (pairs.q, q), (pairs.sp, sp), (pairs.sq, sq)):
+            assert np.array_equal(got, want) and got.dtype == float
+        empty = MatchedLandmarks(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3, 3)), np.empty((0, 3, 3)))
+        assert len(empty) == 0
+
+    def test_checks_every_member_of_either_stack(self):
+        covs = np.stack([np.eye(3)] * 4)
+        asym = covs.copy()
+        asym[2, 0, 1] = 1e-6
+        indefinite = covs.copy()
+        indefinite[3] = -1e-6 * np.eye(3)
+        points = np.zeros((4, 3))
+        for bad, match in ((asym, "symmetric"), (indefinite, "eigenvalue")):
+            with pytest.raises(ValueError, match=match):
+                MatchedLandmarks(points, points, bad, covs)
+            with pytest.raises(ValueError, match=match):
+                MatchedLandmarks(points, points, covs, bad)
+
+    def test_rejects_mismatched_shapes(self):
+        covs = np.stack([np.eye(3)] * 4)
+        points = np.zeros((4, 3))
+        for args in (
+            (np.zeros((3, 3)), points, covs, covs),
+            (points, np.zeros((5, 3)), covs, covs),
+            (points, points, covs[:3], covs),
+            (points, points, covs, covs[:3]),
+            (np.zeros(3), np.zeros(3), np.eye(3), np.eye(3)),
+            (np.zeros((4, 2)), np.zeros((4, 2)), covs, covs),
+        ):
+            with pytest.raises(ValueError, match="one N"):
+                MatchedLandmarks(*args)
 
 
 class TestPairCovariance:
     def test_isotropic_sum(self):
         rng = np.random.default_rng(0)
-        pair = make_pair([1, 2, 3], [0, 0, 1], np.eye(3), np.eye(3))
-        s, flagged = pair_covariance(pair, random_rotation(rng))
+        s, flagged = one_pair_covariance([1, 2, 3], [0, 0, 1], np.eye(3), np.eye(3), random_rotation(rng))
         assert np.allclose(s, 2 * np.eye(3))
         assert not flagged
 
@@ -56,10 +102,7 @@ class TestPairCovariance:
         # zero prev covariance; rank-padded x-variance rotated 90 deg
         # about z should land on the y axis
         rot_z = so3_exp([0, 0, np.pi / 2])
-        pair = make_pair(
-            [0, 0, 0], [0, 0, 1], np.zeros((3, 3)), np.diag([1.0, 1e-9, 1e-9])
-        )
-        s, _ = pair_covariance(pair, rot_z)
+        s, _ = one_pair_covariance([0, 0, 0], [0, 0, 1], np.zeros((3, 3)), np.diag([1.0, 1e-9, 1e-9]), rot_z)
         assert abs(s[1, 1] - 1.0) < 1e-9
         assert s[0, 0] < 1e-8 and s[2, 2] < 1e-8
         # cross-check against the landmark transform
@@ -70,38 +113,50 @@ class TestPairCovariance:
 
     def test_identity_mode_ignores_inputs(self):
         rng = np.random.default_rng(1)
-        pair = make_pair([1, 2, 3], [0, 0, 1], random_spd(rng, 10), random_spd(rng, 10))
-        s, _ = pair_covariance(pair, random_rotation(rng), CovarianceMode.IDENTITY)
+        cov_p, cov_q = random_spd(rng, 10), random_spd(rng, 10)
+        r = random_rotation(rng)
+        s, _ = one_pair_covariance([1, 2, 3], [0, 0, 1], cov_p, cov_q, r, CovarianceMode.IDENTITY)
         assert np.array_equal(s, np.eye(3))
 
     def test_diagonal_mode_zeroes_before_conjugation(self):
         rng = np.random.default_rng(2)
         cov_q = random_spd(rng)
-        pair = make_pair([0, 0, 0], [0, 0, 1], np.zeros((3, 3)) + 1e-6 * np.eye(3), cov_q)
         r = random_rotation(rng)
-        s, _ = pair_covariance(pair, r, CovarianceMode.DIAGONAL)
+        s, _ = one_pair_covariance(
+            [0, 0, 0], [0, 0, 1], np.zeros((3, 3)) + 1e-6 * np.eye(3), cov_q, r, CovarianceMode.DIAGONAL
+        )
         want = 1e-6 * np.eye(3) + r @ np.diag(np.diag(cov_q)) @ r.T
         assert np.allclose(s, want)
 
     def test_singular_regularized_and_flagged(self):
-        pair = make_pair([0, 0, 0], [0, 0, 1], np.zeros((3, 3)), np.zeros((3, 3)))
-        s, flagged = pair_covariance(pair, np.eye(3))
+        s, flagged = one_pair_covariance([0, 0, 0], [0, 0, 1], np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3))
         assert flagged
         assert np.linalg.cond(s) < 1e6
 
     def test_scale_agnostic_normalizers(self):
         rng = np.random.default_rng(3)
-        pairs = [
-            make_pair(rng.normal(size=3), rng.normal(size=3) + [0, 0, 5],
-                      4.0 * np.eye(3), 9.0 * np.eye(3))
-            for _ in range(5)
-        ]
+        p, q = rng.normal(size=(5, 3)), rng.normal(size=(5, 3)) + [0, 0, 5]
+        pairs = make_pairs(p, q, [4.0 * np.eye(3)] * 5, [9.0 * np.eye(3)] * 5)
         prev, curr = scale_agnostic_normalizers(pairs)
         # det(c I)^(1/3) = c
         assert abs(prev - 4.0) < 1e-12
         assert abs(curr - 9.0) < 1e-12
-        s, _ = pair_covariance(pairs[0], np.eye(3), CovarianceMode.SCALE_AGNOSTIC, prev, curr)
+        s, _ = pair_covariances(pairs, np.eye(3), CovarianceMode.SCALE_AGNOSTIC)
         assert np.allclose(s, 2.0 * np.eye(3))
+
+    def test_scale_agnostic_divides_by_the_normalizers(self):
+        rng = np.random.default_rng(16)
+        covs = np.array([[random_spd(rng, 0.2), random_spd(rng, 3.0)] for _ in range(7)])
+        pairs = make_pairs(rng.normal(size=(7, 3)), rng.normal(size=(7, 3)), covs[:, 0], covs[:, 1])
+        prev, curr = scale_agnostic_normalizers(pairs)
+        assert abs(prev - curr) > 1.0
+        divided = make_pairs(pairs.p, pairs.q, pairs.sp / prev, pairs.sq / curr)
+        r = random_rotation(rng)
+        s, flagged = pair_covariances(pairs, r, CovarianceMode.SCALE_AGNOSTIC)
+        want, want_flagged = pair_covariances(divided, r, CovarianceMode.FULL)
+        assert np.array_equal(s, want) and flagged == want_flagged
+        # the raw covariances are not what the mode weights
+        assert not np.allclose(s, pair_covariances(pairs, r)[0])
 
     def test_scale_agnostic_rank_deficient_frame(self):
         # rank-1 covariances have zero determinant; the normalizer must
@@ -109,24 +164,17 @@ class TestPairCovariance:
         # (almost) zero or taking a cube root of a tiny negative det
         rng = np.random.default_rng(4)
         rays = rng.normal(size=(5, 3))
-        pairs = [
-            make_pair(
-                rng.normal(size=3) + [0, 0, 5], rng.normal(size=3) + [0, 0, 5],
-                0.3 * np.outer(r, r), 2.0 * np.eye(3),
-            )
-            for r in rays
-        ]
+        points = rng.normal(size=(5, 2, 3)) + [0, 0, 5]
+        pairs = make_pairs(
+            points[:, 0], points[:, 1], [0.3 * np.outer(r, r) for r in rays], [2.0 * np.eye(3)] * 5
+        )
         prev, curr = scale_agnostic_normalizers(pairs)
         want = float(np.mean([np.trace(0.3 * np.outer(r, r)) / 3.0 for r in rays]))
         assert abs(prev - want) < 1e-12
         assert abs(curr - 2.0) < 1e-12
         assert np.isfinite(prev) and prev > 1e-6
         t_gt = se3_exp(np.array([0.1, 0, 0.05, 0.02, 0, 0]))
-        q_pairs = [
-            make_pair(pair.prev_world.position, t_gt.inverse().apply(pair.prev_world.position),
-                      pair.prev_world.covariance, pair.curr_camera.covariance)
-            for pair in pairs
-        ]
+        q_pairs = make_pairs(pairs.p, t_gt.inverse().apply(pairs.p), pairs.sp, pairs.sq)
         sol = solve_pose(FramePairProblem(q_pairs, PoseSE3.identity(), CovarianceMode.SCALE_AGNOSTIC))
         assert np.linalg.norm(sol.pose.translation - t_gt.translation) < 1e-8
 
@@ -143,7 +191,8 @@ class TestPairCovariance:
             )
             pose = PoseSE3(random_rotation(rng), np.zeros(3))
             covs.append(transform_landmark(pose, project_covariance(cam, obs)).covariance)
-        pairs = [make_pair(rng.normal(size=3), rng.normal(size=3) + [0, 0, 5], c, 2.0 * np.eye(3)) for c in covs]
+        points = rng.normal(size=(50, 2, 3)) + [0, 0, 5]
+        pairs = make_pairs(points[:, 0], points[:, 1], covs, [2.0 * np.eye(3)] * 50)
         prev, _ = scale_agnostic_normalizers(pairs)
         want = float(np.mean([np.trace(c) / 3.0 for c in covs]))
         assert abs(prev - want) < 1e-12 * want
@@ -157,11 +206,10 @@ class TestMahalanobis:
 
     def test_single_axis_weighting(self):
         # residual [1,0,0] against Sigma = diag(4,1,1) -> 0.25
-        pairs = [
-            make_pair([1, 0, 0], [0, 0, 0 + 1e-9], np.diag([2.0, 0.5, 0.5]), np.diag([2.0, 0.5, 0.5])),
-            make_pair([0, 5, 0], [0, 5, 1e-9], np.diag([2.0, 0.5, 0.5]), np.diag([2.0, 0.5, 0.5])),
-            make_pair([5, 0, 0], [5, 0, 1e-9], np.diag([2.0, 0.5, 0.5]), np.diag([2.0, 0.5, 0.5])),
-        ]
+        cov = np.diag([2.0, 0.5, 0.5])
+        pairs = make_pairs(
+            [[1, 0, 0], [0, 5, 0], [5, 0, 0]], [[0, 0, 0 + 1e-9], [0, 5, 1e-9], [5, 0, 1e-9]], [cov] * 3, [cov] * 3
+        )
         problem = FramePairProblem(pairs, PoseSE3.identity())
         # at identity, pair 0 residual is [1,0,0] - [0,0,1e-9]; others ~0
         cost = mahalanobis_cost(problem, PoseSE3.identity())
@@ -173,9 +221,10 @@ class TestMahalanobis:
         pose = PoseSE3(random_rotation(rng, 1.0), rng.normal(size=3))
         got = mahalanobis_cost(problem, pose)
         naive = 0.0
-        for pair in problem.pairs:
-            s = pair.prev_world.covariance + pose.rotation @ pair.curr_camera.covariance @ pose.rotation.T
-            r = pair.prev_world.position - pose.apply(pair.curr_camera.position)
+        pairs = problem.pairs
+        for p, q, sp, sq in zip(pairs.p, pairs.q, pairs.sp, pairs.sq):
+            s = sp + pose.rotation @ sq @ pose.rotation.T
+            r = p - pose.apply(q)
             naive += float(r @ np.linalg.solve(s, r))
         assert abs(got - naive) < 1e-12 * max(1.0, naive)
 
@@ -225,8 +274,7 @@ class TestSolvePose:
         for _ in range(20):
             problem, t_gt = noiseless_problem(rng)
             # corrupt the points so the problem is noisy
-            for pair in problem.pairs:
-                pair.prev_world.position[:] += rng.normal(size=3) * 0.05
+            problem.pairs.p[:] += rng.normal(size=problem.pairs.p.shape) * 0.05
             c0 = mahalanobis_cost(problem, problem.initial_pose)
             sol = solve_pose(problem)
             assert sol.cost <= c0 + 1e-12
@@ -245,7 +293,7 @@ class TestSolvePose:
         delta = 0.5
 
         def solve(points_prev, mode):
-            pairs = [make_pair(points_prev[i], q[i], covs[i], small) for i in range(3)]
+            pairs = make_pairs(points_prev, q, covs, [small] * 3)
             return solve_pose(FramePairProblem(pairs, PoseSE3.identity(), mode)).pose
 
         bumped = p + delta * np.eye(3)  # point i moved along axis i
@@ -262,8 +310,7 @@ class TestSolvePose:
         # over a coarse 6-D lattice around it
         rng = np.random.default_rng(11)
         problem, t_gt = noiseless_problem(rng, n=8)
-        for pair in problem.pairs:
-            pair.prev_world.position[:] += rng.normal(size=3) * 0.02
+        problem.pairs.p[:] += rng.normal(size=problem.pairs.p.shape) * 0.02
         sol = solve_pose(problem)
         base = mahalanobis_cost(problem, sol.pose)
         offsets = [-0.02, -0.005, 0.005, 0.02]
@@ -279,19 +326,11 @@ class TestSolvePose:
         # the rotation unchanged and scales the translation by s
         rng = np.random.default_rng(12)
         problem, _ = noiseless_problem(rng, n=10)
-        for pair in problem.pairs:
-            pair.prev_world.position[:] += rng.normal(size=3) * 0.03
+        problem.pairs.p[:] += rng.normal(size=problem.pairs.p.shape) * 0.03
         sol = solve_pose(problem)
         s = 10.0
-        scaled_pairs = [
-            make_pair(
-                pair.prev_world.position * s,
-                pair.curr_camera.position * s,
-                pair.prev_world.covariance * s**2,
-                pair.curr_camera.covariance * s**2,
-            )
-            for pair in problem.pairs
-        ]
+        pairs = problem.pairs
+        scaled_pairs = make_pairs(pairs.p * s, pairs.q * s, pairs.sp * s**2, pairs.sq * s**2)
         scaled = solve_pose(FramePairProblem(scaled_pairs, PoseSE3.identity()))
         assert rotation_angle(scaled.pose.rotation.T @ sol.pose.rotation) < 1e-8
         assert np.linalg.norm(scaled.pose.translation - s * sol.pose.translation) < 1e-8 * s
@@ -299,30 +338,22 @@ class TestSolvePose:
     def test_argmin_invariant_to_global_cov_scale(self):
         rng = np.random.default_rng(13)
         problem, _ = noiseless_problem(rng, n=9)
-        for pair in problem.pairs:
-            pair.prev_world.position[:] += rng.normal(size=3) * 0.03
+        problem.pairs.p[:] += rng.normal(size=problem.pairs.p.shape) * 0.03
         sol = solve_pose(problem)
-        scaled_pairs = [
-            make_pair(
-                pair.prev_world.position,
-                pair.curr_camera.position,
-                pair.prev_world.covariance * 37.0,
-                pair.curr_camera.covariance * 37.0,
-            )
-            for pair in problem.pairs
-        ]
+        pairs = problem.pairs
+        scaled_pairs = make_pairs(pairs.p, pairs.q, pairs.sp * 37.0, pairs.sq * 37.0)
         scaled = solve_pose(FramePairProblem(scaled_pairs, PoseSE3.identity()))
         assert rotation_angle(scaled.pose.rotation.T @ sol.pose.rotation) < 1e-9
         assert np.linalg.norm(scaled.pose.translation - sol.pose.translation) < 1e-9
 
     def test_degenerate_collinear_rejected(self):
-        pts = [np.array([0.0, 0.0, float(i)]) for i in range(5)]
-        pairs = [make_pair(p, p, np.eye(3), np.eye(3)) for p in pts]
+        pts = [[0.0, 0.0, float(i)] for i in range(5)]
+        pairs = make_pairs(pts, pts, [np.eye(3)] * 5, [np.eye(3)] * 5)
         with pytest.raises(DegenerateGeometryError):
             FramePairProblem(pairs, PoseSE3.identity())
 
     def test_too_few_pairs_rejected(self):
-        pairs = [make_pair([0, 0, 1], [0, 0, 1], np.eye(3), np.eye(3))] * 2
+        pairs = make_pairs([[0, 0, 1]] * 2, [[0, 0, 1]] * 2, [np.eye(3)] * 2, [np.eye(3)] * 2)
         with pytest.raises(DegenerateGeometryError):
             FramePairProblem(pairs, PoseSE3.identity())
 
@@ -336,13 +367,13 @@ class TestSolvePose:
             n = 25
             p = rng.uniform(-3, 3, size=(n, 3)) + [0, 0, 6]
             q = t_gt.inverse().apply(p)
-            pairs = []
+            noisy, covs = p.copy(), np.zeros((n, 3, 3))
             for i in range(n):
                 axis = rng.normal(size=3)
                 axis /= np.linalg.norm(axis)
-                cov = 0.25 * np.outer(axis, axis) + 1e-4 * np.eye(3)
-                noise = rng.multivariate_normal(np.zeros(3), cov)
-                pairs.append(make_pair(p[i] + noise, q[i], cov, 1e-6 * np.eye(3)))
+                covs[i] = 0.25 * np.outer(axis, axis) + 1e-4 * np.eye(3)
+                noisy[i] += rng.multivariate_normal(np.zeros(3), covs[i])
+            pairs = make_pairs(noisy, q, covs, [1e-6 * np.eye(3)] * n)
             for mode in errs:
                 sol = solve_pose(FramePairProblem(pairs, PoseSE3.identity(), mode))
                 errs[mode].append(np.linalg.norm(sol.pose.translation - t_gt.translation))

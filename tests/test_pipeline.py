@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stereovo.pipeline as pipeline
-from stereovo.errors import ConfigError
+from stereovo.errors import ConfigError, DegenerateGeometryError
 from stereovo.evaluation import r_rel, t_rel
 from stereovo.frontend import (
     MotionSpec,
@@ -15,7 +15,7 @@ from stereovo.frontend import (
     write_observations,
 )
 from stereovo.geometry import PoseSE3, StereoCamera, so3_exp
-from stereovo.optimizer import CovarianceMode
+from stereovo.optimizer import CovarianceMode, FramePairProblem
 from stereovo.pipeline import (
     KeypointMode,
     RunConfig,
@@ -193,14 +193,18 @@ class TestBuildMatchedPairs:
             got = build_matched_pairs(cam, src, dst, kps, patch_kernel=9)
             want = matched_pairs_one_by_one(cam, src, dst, kps, 9)
             assert 0 < len(got) == len(want) <= len(kps) - 2
-            for pair, (prev, curr) in zip(got, want):
-                for a, b in ((pair.prev_world, prev), (pair.curr_camera, curr)):
-                    assert np.allclose(a.position, b.position, rtol=1e-12, atol=0)
-                    assert np.allclose(a.covariance, b.covariance, rtol=1e-9, atol=1e-18)
+            for i, (prev, curr) in enumerate(want):
+                for position, cov, b in ((got.p[i], got.sp[i], prev), (got.q[i], got.sq[i], curr)):
+                    assert np.allclose(position, b.position, rtol=1e-12, atol=0)
+                    assert np.allclose(cov, b.covariance, rtol=1e-9, atol=1e-18)
 
     def test_no_keypoints_no_pairs(self):
         frames = generate_sequence(plane_scene(num_frames=2))
-        assert build_matched_pairs(small_cam(), frames[0], frames[1], []) == []
+        pairs = build_matched_pairs(small_cam(), frames[0], frames[1], [])
+        assert len(pairs) == 0
+        assert pairs.p.shape == (0, 3) and pairs.sq.shape == (0, 3, 3)
+        with pytest.raises(DegenerateGeometryError, match="got 0"):
+            FramePairProblem(pairs, PoseSE3.identity())
 
 
 class TestScaleConsistency:
@@ -353,7 +357,13 @@ patch_kernel: 16
             run_config_from_dict({"output_dir": "/tmp/x", "input": {"ingest": "/tmp/y"}})
 
     def test_bad_selector_field(self):
-        for selector in ({"nms_radius": 0}, {"random": True}):
+        for selector in (
+            {"nms_radius": 0},
+            {"random": True},
+            5,
+            {"depth_range": 5},
+            {"depth_range": [1]},
+        ):
             with pytest.raises(ConfigError, match="selector"):
                 run_config_from_dict(
                     {

@@ -242,12 +242,13 @@ class TestProjectCovariance:
         u, v = rng.uniform(0, 640, size=n), rng.uniform(0, 480, size=n)
         su2, sd2 = rng.uniform(0, 9, size=n), rng.uniform(0, 4, size=n)
         d = rng.uniform(0.1, 50, size=n)
-        batch = project_covariances(cam_vga, u, v, su2, 0.5, d, sd2)
-        for i, lm in enumerate(batch):
+        positions, covs = project_covariances(cam_vga, u, v, su2, 0.5, d, sd2)
+        assert positions.shape == (n, 3) and covs.shape == (n, 3, 3)
+        for i in range(n):
             one = project_covariance(cam_vga, PixelObservation(u[i], v[i], su2[i], 0.5, d[i], sd2[i]))
-            assert np.allclose(lm.position, one.position, rtol=1e-15, atol=0)
-            assert np.allclose(lm.covariance, one.covariance, rtol=1e-15, atol=0)
-            assert lm.frame == "camera"
+            assert np.allclose(positions[i], one.position, rtol=1e-15, atol=0)
+            assert np.allclose(covs[i], one.covariance, rtol=1e-15, atol=0)
+            assert one.frame == "camera"
 
     def test_batch_checks_like_an_observation(self, cam_vga):
         ones = np.ones(3)
