@@ -53,6 +53,7 @@ from .pipeline import KeypointMode, MatchedSequence, RunConfig, RunResult, ablat
 from .selector import (
     DenseMaps,
     KeypointCandidate,
+    Keypoints,
     SelectorConfig,
     geometry_filter,
     nms_filter,

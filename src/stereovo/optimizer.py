@@ -89,6 +89,8 @@ class LMConfig:
     step_tol: float = 1e-10  # twist update norm
 
     def __post_init__(self):
+        if not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         for name in ("max_iters", "lambda_init", "lambda_up", "lambda_down", "cost_tol", "step_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

@@ -53,7 +53,7 @@ from .optimizer import (
     MatchedLandmarks,
     solve_pose,
 )
-from .selector import DenseMaps, KeypointCandidate, SelectorConfig, select
+from .selector import DenseMaps, Keypoints, SelectorConfig, select
 from .uncertainty import project_covariances, windowed_depth_moments
 
 DEFAULT_PATCH_KERNEL = 32
@@ -85,8 +85,8 @@ class RunConfig:
             raise ConfigError("input: exactly one of input.simulate / input.ingest is required")
         if self.ingest is not None and self.camera is None:
             raise ConfigError("camera: required when input.ingest is used")
-        if self.patch_kernel < 1:
-            raise ConfigError(f"patch_kernel: must be >= 1, got {self.patch_kernel}")
+        if not isinstance(self.patch_kernel, (int, np.integer)) or self.patch_kernel < 1:
+            raise ConfigError(f"patch_kernel: must be an integer >= 1, got {self.patch_kernel!r}")
 
     def resolved_camera(self) -> StereoCamera:
         return self.simulate.camera if self.simulate is not None else self.camera
@@ -118,18 +118,18 @@ def build_matched_pairs(
     cam: StereoCamera,
     src: FrameObservation,
     dst: FrameObservation,
-    keypoints: list[KeypointCandidate],
+    keypoints: Keypoints,
     patch_kernel: int = DEFAULT_PATCH_KERNEL,
 ) -> MatchedLandmarks:
-    """The matched landmarks of one frame pair as one record, each
-    frame's positions and covariances in its own camera's frame.
+    """The matched landmarks of ``select``'s keypoints on src, matched
+    into dst by src's flow, as one record: each frame's positions and
+    covariances in its own camera's frame.
 
     Keypoints whose match leaves the image or lands on invalid depth are
     dropped silently (the selector oversamples for this reason); with
     none left the record is empty.
     """
-    u = np.array([kp.u for kp in keypoints], dtype=float)
-    v = np.array([kp.v for kp in keypoints], dtype=float)
+    u, v = keypoints.u, keypoints.v
     ui, vi = u.astype(int), v.astype(int)
     mu, mv = u + src.flow[vi, ui, 0], v + src.flow[vi, ui, 1]
     d_src = src.depth[vi, ui]
@@ -353,8 +353,6 @@ def run_config_from_dict(d: dict) -> RunConfig:
         covariance_mode = CovarianceMode(d.get("covariance_mode", "full"))
     with config_field("keypoint_mode"):
         keypoint_mode = KeypointMode(d.get("keypoint_mode", "uncertainty"))
-    with config_field("patch_kernel"):
-        patch_kernel = int(d.get("patch_kernel", DEFAULT_PATCH_KERNEL))
     return RunConfig(
         seed=seed,
         output_dir=output_dir,
@@ -365,7 +363,7 @@ def run_config_from_dict(d: dict) -> RunConfig:
         lm=lm,
         covariance_mode=covariance_mode,
         keypoint_mode=keypoint_mode,
-        patch_kernel=patch_kernel,
+        patch_kernel=d.get("patch_kernel", DEFAULT_PATCH_KERNEL),
     )
 
 

@@ -4,6 +4,12 @@ filters, composed in that order.
 Scores are "lower is better" throughout (they are uncertainty-derived).
 NMS uses Chebyshev (square window) distance and a canonical tie-break of
 (score, u, v) so the survivor set is independent of input order.
+
+``select`` works on the dense maps and returns one ``Keypoints`` record
+of arrays. Its NMS is a greedy walk: the valid pixels are sorted once,
+then the Python work is per survivor, not per pixel. The list-based
+filters (``nms_filter``, ``geometry_filter``, ``uncertainty_filter``
+over ``KeypointCandidate``) are the reference the tests compare it to.
 """
 
 from __future__ import annotations
@@ -11,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InsufficientKeypointsError
 from .geometry import StereoCamera
 
 # The optimizer needs at least 3 non-degenerate matches.
 MIN_KEYPOINTS = 3
+# positions of the NMS order screened against the suppression map at once
+_NMS_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,19 @@ class KeypointCandidate:
     def __post_init__(self):
         if self.flow_unc < 0 or self.depth_unc < 0:
             raise ValueError("uncertainty fields must be non-negative")
+
+
+@dataclass(frozen=True)
+class Keypoints:
+    """Selected keypoints as parallel arrays: pixel column, pixel row and
+    score (lower is better)."""
+
+    u: np.ndarray
+    v: np.ndarray
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return self.u.size
 
 
 @dataclass(frozen=True)
@@ -54,8 +74,8 @@ class SelectorConfig:
             raise ValueError("depth_max must exceed depth_min")
         if not self.unc_multiplier > 0:
             raise ValueError(f"unc_multiplier must be positive, got {self.unc_multiplier}")
-        if self.max_keypoints < 1:
-            raise ValueError(f"max_keypoints must be >= 1, got {self.max_keypoints}")
+        if not isinstance(self.max_keypoints, (int, np.integer)) or self.max_keypoints < 1:
+            raise ValueError(f"max_keypoints must be an integer >= 1, got {self.max_keypoints!r}")
 
 
 @dataclass(frozen=True)
@@ -135,33 +155,34 @@ def nms_filter(candidates: list[KeypointCandidate], radius: float) -> list[Keypo
     return [candidates[i] for i in kept]
 
 
-def _nms_grid_mask(score: np.ndarray, valid: np.ndarray, radius: float) -> np.ndarray:
-    """Greedy NMS on a dense integer pixel grid; returns the survivor mask.
+def _greedy_nms(score: np.ndarray, u: np.ndarray, v: np.ndarray, shape: tuple, radius: float) -> np.ndarray:
+    """Greedy NMS over candidates at the pixel centers (u, v) of an image
+    of the given shape; returns the survivors' indices in canonical
+    order.
 
-    Exact equivalent of nms_filter for candidates at pixel centers: each
-    round accepts every still-alive cell that is the unique rank minimum
-    of its Chebyshev window, then suppresses the windows around the
-    freshly accepted cells. No two accepted cells can share a window, so
-    this reproduces the sequential greedy result.
+    Exact equivalent of nms_filter at pixel centers: the candidates are
+    sorted once, then walked in that order over a suppression map, each
+    survivor stamping its Chebyshev window. Each block of the order is
+    screened with one gather, so the Python work follows the survivors
+    rather than the candidates.
     """
-    half = int(np.ceil(radius)) - 1  # integer offsets with |d| < radius
-    size = 2 * half + 1
-    h, w = score.shape
-    vv, uu = np.mgrid[0:h, 0:w]
-    flat_order = _canonical_order(score[valid], uu[valid], vv[valid])
-    ranks = np.full((h, w), np.inf)
-    sel_v, sel_u = vv[valid][flat_order], uu[valid][flat_order]
-    ranks[sel_v, sel_u] = np.arange(flat_order.size, dtype=float)
-
-    accepted = np.zeros((h, w), dtype=bool)
-    alive = ranks.copy()
-    while np.isfinite(alive).any():
-        local_min = ndimage.minimum_filter(alive, size=size, mode="constant", cval=np.inf)
-        winners = np.isfinite(alive) & (alive == local_min)
-        accepted |= winners
-        suppressed = ndimage.maximum_filter(winners, size=size, mode="constant", cval=False)
-        alive[suppressed] = np.inf
-    return accepted
+    # integer offsets with |d| < radius; wider ones leave the image
+    half = int(min(np.ceil(radius) - 1, max(shape)))
+    order = _canonical_order(score, u, v)
+    # padded by half on each side, so that every window is one slice
+    suppressed = np.zeros(np.add(shape, 2 * half), dtype=np.uint8)
+    flat_suppressed = suppressed.reshape(-1)
+    flat = ((v + half) * suppressed.shape[1] + (u + half))[order]
+    kept = []
+    for start in range(0, flat.size, _NMS_BLOCK):
+        screened = np.flatnonzero(flat_suppressed[flat[start : start + _NMS_BLOCK]] == 0) + start
+        # an accept earlier in the block may suppress a screened candidate
+        for i, f in zip(screened.tolist(), flat[screened].tolist()):
+            if not flat_suppressed[f]:
+                kept.append(i)
+                r, c = divmod(f, suppressed.shape[1])
+                suppressed[r - half : r + half + 1, c - half : c + half + 1] = 1
+    return order[kept]
 
 
 def geometry_filter(
@@ -199,30 +220,26 @@ def select(
     cam: StereoCamera,
     cfg: SelectorConfig,
     rng: np.random.Generator | None = None,
-) -> list[KeypointCandidate]:
+) -> Keypoints:
     """Full selection pipeline on dense maps: NMS -> geometry ->
-    uncertainty, then truncation to max_keypoints by ascending score.
+    uncertainty, then truncation to max_keypoints by ascending score;
+    the survivors come back in canonical (score, u, v) order.
 
     Given an rng, the NMS and uncertainty stages are bypassed and the
     survivors are drawn uniformly without replacement from the
-    geometry-filter output (the random-selector ablation).
+    geometry-filter output (the random-selector ablation), in row-major
+    order.
     """
     h, w = maps.depth.shape
     if (h, w) != (cam.height, cam.width):
         raise ValueError(f"maps are {w}x{h} but camera expects {cam.width}x{cam.height}")
-    valid = maps.valid & np.isfinite(maps.depth)
+    vv, uu = np.nonzero(maps.valid & np.isfinite(maps.depth))
     flow_unc = maps.flow_var[..., 0] + maps.flow_var[..., 1]
-    if not valid.any():
-        raise InsufficientKeypointsError("no valid pixels to select from")
-    scores = np.full((h, w), np.inf)
-    scores[valid] = combined_scores(flow_unc[valid], maps.depth_var[valid])
-
-    keep = valid if rng is not None else _nms_grid_mask(scores, valid, cfg.nms_radius)
-
-    # geometry predicate applied on the dense grid before any python
-    # objects exist (the random path otherwise touches every pixel)
+    score = combined_scores(flow_unc[vv, uu], maps.depth_var[vv, uu])
+    if rng is None:
+        keep = _greedy_nms(score, uu, vv, (h, w), cfg.nms_radius)
+        vv, uu, score = vv[keep], uu[keep], score[keep]
     m = cfg.border_margin
-    vv, uu = np.nonzero(keep)
     in_geom = (
         (uu >= m)
         & (uu < cam.width - m)
@@ -231,35 +248,16 @@ def select(
         & (maps.depth[vv, uu] >= cfg.depth_min)
         & (maps.depth[vv, uu] <= cfg.depth_max)
     )
-    vv, uu = vv[in_geom], uu[in_geom]
+    vv, uu, score = vv[in_geom], uu[in_geom], score[in_geom]
+    if rng is None and vv.size:
+        f_unc, d_unc = flow_unc[vv, uu], maps.depth_var[vv, uu]
+        mult = cfg.unc_multiplier
+        confident = (f_unc <= mult * np.median(f_unc)) & (d_unc <= mult * np.median(d_unc))
+        vv, uu, score = vv[confident], uu[confident], score[confident]
+    if vv.size < MIN_KEYPOINTS:
+        raise InsufficientKeypointsError(f"insufficient keypoints: {vv.size} < {MIN_KEYPOINTS}")
     if rng is not None:
-        if vv.size < MIN_KEYPOINTS:
-            raise InsufficientKeypointsError(
-                f"insufficient keypoints: {vv.size} < {MIN_KEYPOINTS}"
-            )
-        take = min(cfg.max_keypoints, vv.size)
-        picked = np.sort(rng.choice(vv.size, size=take, replace=False))
-        vv, uu = vv[picked], uu[picked]
-
-    candidates = [
-        KeypointCandidate(
-            u=float(u),
-            v=float(v),
-            score=float(scores[v, u]),
-            flow_unc=float(flow_unc[v, u]),
-            depth_unc=float(maps.depth_var[v, u]),
-            depth=float(maps.depth[v, u]),
-        )
-        for v, u in zip(vv, uu)
-    ]
-    if rng is not None:
-        return candidates
-
-    if candidates:
-        candidates = uncertainty_filter(candidates, cfg.unc_multiplier)
-    if len(candidates) < MIN_KEYPOINTS:
-        raise InsufficientKeypointsError(
-            f"insufficient keypoints: {len(candidates)} < {MIN_KEYPOINTS}"
-        )
-    candidates.sort(key=lambda c: (c.score, c.u, c.v))
-    return candidates[: cfg.max_keypoints]
+        take = np.sort(rng.choice(vv.size, size=min(cfg.max_keypoints, vv.size), replace=False))
+    else:
+        take = slice(cfg.max_keypoints)
+    return Keypoints(uu[take].astype(float), vv[take].astype(float), score[take])

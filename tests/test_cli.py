@@ -96,6 +96,10 @@ class TestExitCodes:
             (["run", run_yaml.replace(f"ingest: {tmp / 'obs'}", "ingest: 5")], "input.ingest"),
             (["run", run_yaml.replace("seed: 5", "seed: abc")], "seed"),
             (["run", run_yaml + "patch_kernel: abc\n"], "patch_kernel"),
+            # non-integral values of integer fields
+            (["run", run_yaml + "patch_kernel: 2.5\n"], "patch_kernel"),
+            (["run", run_yaml + "lm: {max_iters: 2.5}\n"], "max_iters"),
+            (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 80.5}")], "max_keypoints"),
             (["run", run_yaml + "covariance_mode: sparse\n"], "covariance_mode"),
             (["run", run_yaml + "keypoint_mode: corners\n"], "keypoint_mode"),
             # 96x96 observations under a 120x96 camera

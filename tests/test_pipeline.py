@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stereovo.pipeline as pipeline
+import stereovo.selector as selector
 from stereovo.errors import ConfigError, DegenerateGeometryError
 from stereovo.evaluation import r_rel, t_rel
 from stereovo.frontend import (
@@ -27,7 +28,7 @@ from stereovo.pipeline import (
     run_config_from_dict,
     write_run_outputs,
 )
-from stereovo.selector import DenseMaps, SelectorConfig, select
+from stereovo.selector import DenseMaps, Keypoints, SelectorConfig, select
 from stereovo.uncertainty import PixelObservation, correct_depth_uncertainty, project_covariance
 from test_uncertainty import clipped_patch
 
@@ -159,9 +160,9 @@ def matched_pairs_one_by_one(cam, src, dst, keypoints, kernel):
     """Reference for build_matched_pairs: each keypoint on its own, through
     the single-observation API."""
     pairs = []
-    for kp in keypoints:
-        ui, vi = int(kp.u), int(kp.v)
-        mu, mv = kp.u + src.flow[vi, ui, 0], kp.v + src.flow[vi, ui, 1]
+    for u, v in zip(keypoints.u.tolist(), keypoints.v.tolist()):
+        ui, vi = int(u), int(v)
+        mu, mv = u + src.flow[vi, ui, 0], v + src.flow[vi, ui, 1]
         if not (0 <= mu <= cam.width - 1 and 0 <= mv <= cam.height - 1) or src.depth[vi, ui] <= 0:
             continue
         su2, sv2 = src.flow_var[vi, ui]
@@ -171,7 +172,7 @@ def matched_pairs_one_by_one(cam, src, dst, keypoints, kernel):
             continue
         if mu_d <= 0:
             continue
-        prev = PixelObservation(kp.u, kp.v, 0.0, 0.0, src.depth[vi, ui], src.depth_var[vi, ui])
+        prev = PixelObservation(u, v, 0.0, 0.0, src.depth[vi, ui], src.depth_var[vi, ui])
         pairs.append((project_covariance(cam, prev), project_covariance(cam, PixelObservation(mu, mv, su2, sv2, mu_d, var_d))))
     return pairs
 
@@ -186,9 +187,11 @@ class TestBuildMatchedPairs:
             kps = select(DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid), cam, small_selector())
             # dropped: a keypoint whose flow leaves the image, one without depth
             flow = src.flow.copy()
-            flow[int(kps[1].v), int(kps[1].u)] = (1000.0, 0.0)
+            flow[int(kps.v[1]), int(kps.u[1])] = (1000.0, 0.0)
             src = replace(src, flow=flow)
-            kps = kps + [replace(kps[0], u=float(cam.width - 1), v=0.0)]
+            kps = Keypoints(
+                np.append(kps.u, cam.width - 1.0), np.append(kps.v, 0.0), np.append(kps.score, kps.score[0])
+            )
             assert src.depth[0, cam.width - 1] <= 0
             got = build_matched_pairs(cam, src, dst, kps, patch_kernel=9)
             want = matched_pairs_one_by_one(cam, src, dst, kps, 9)
@@ -200,11 +203,27 @@ class TestBuildMatchedPairs:
 
     def test_no_keypoints_no_pairs(self):
         frames = generate_sequence(plane_scene(num_frames=2))
-        pairs = build_matched_pairs(small_cam(), frames[0], frames[1], [])
+        pairs = build_matched_pairs(small_cam(), frames[0], frames[1], Keypoints(*np.empty((3, 0))))
         assert len(pairs) == 0
         assert pairs.p.shape == (0, 3) and pairs.sq.shape == (0, 3, 3)
         with pytest.raises(DegenerateGeometryError, match="got 0"):
             FramePairProblem(pairs, PoseSE3.identity())
+
+
+class TestBenchmarkEntryPoints:
+    """The benchmark traces selection and pair building by rebinding
+    ``pipeline.select`` and ``pipeline.build_matched_pairs`` and counts
+    their results with ``len``; a rename would zero those counts."""
+
+    def test_select_and_build_matched_pairs_are_counted_by_len(self):
+        assert pipeline.select is selector.select
+        frames = generate_sequence(plane_scene(num_frames=2, noise=NoiseModel(sigma_flow=0.2, gamma_disp=0.04)))
+        src, dst = frames
+        cam = small_cam()
+        kps = pipeline.select(DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid), cam, small_selector())
+        assert len(kps) == kps.u.size == kps.v.size == kps.score.size > 0
+        pairs = pipeline.build_matched_pairs(cam, src, dst, kps)
+        assert 0 < len(pairs) == pairs.p.shape[0] <= len(kps)
 
 
 class TestScaleConsistency:

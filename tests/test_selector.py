@@ -1,12 +1,17 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereovo.errors import InsufficientKeypointsError
 from stereovo.geometry import StereoCamera
 from stereovo.selector import (
+    MIN_KEYPOINTS,
     DenseMaps,
     KeypointCandidate,
     SelectorConfig,
+    _greedy_nms,
     combined_scores,
     geometry_filter,
     nms_filter,
@@ -17,6 +22,10 @@ from stereovo.selector import (
 
 def kp(u, v, score=0.0, flow_unc=0.0, depth_unc=0.0, depth=5.0):
     return KeypointCandidate(u=u, v=v, score=score, flow_unc=flow_unc, depth_unc=depth_unc, depth=depth)
+
+
+def as_tuples(keypoints):
+    return list(zip(keypoints.u, keypoints.v, keypoints.score))
 
 
 def brute_force_nms(candidates, radius):
@@ -160,14 +169,14 @@ class TestSelect:
         cam = self._cam()
         cfg = SelectorConfig(nms_radius=6, border_margin=2, max_keypoints=500)
         out = select(_uniform_maps(64, 64), cam, cfg)
-        us = sorted(set(c.u for c in out))
-        vs = sorted(set(c.v for c in out))
+        us = sorted(set(out.u))
+        vs = sorted(set(out.v))
         # survivors form an even grid at the NMS spacing
         assert np.allclose(np.diff(us), 6)
         assert np.allclose(np.diff(vs), 6)
         for i in range(len(out)):
             for j in range(i + 1, len(out)):
-                assert max(abs(out[i].u - out[j].u), abs(out[i].v - out[j].v)) >= 6
+                assert max(abs(out.u[i] - out.u[j]), abs(out.v[i] - out.v[j])) >= 6
 
     def test_grid_nms_matches_list_nms(self):
         rng = np.random.default_rng(77)
@@ -186,15 +195,8 @@ class TestSelect:
             )
             got = select(maps, cam, cfg)
             # same thing through the list API
-            flow_unc = maps.flow_var[..., 0] + maps.flow_var[..., 1]
-            vv, uu = np.nonzero(maps.valid)
-            scores = combined_scores(flow_unc[maps.valid], maps.depth_var[maps.valid])
-            cands = [
-                kp(float(u), float(v), float(s), float(flow_unc[v, u]), float(maps.depth_var[v, u]), float(maps.depth[v, u]))
-                for u, v, s in zip(uu, vv, scores)
-            ]
-            want = nms_filter(cands, 4)
-            got_set = {(c.u, c.v) for c in got}
+            want = nms_filter(candidates_of(maps), 4)
+            got_set = set(zip(got.u, got.v))
             want_set = {(c.u, c.v) for c in want}
             assert got_set == want_set
 
@@ -209,7 +211,7 @@ class TestSelect:
         maps = DenseMaps(fv, dv, maps.depth, maps.valid)
         cfg = SelectorConfig(nms_radius=4, border_margin=2, max_keypoints=500)
         out = select(maps, cam, cfg)
-        assert out and all(not (20 <= c.v < 40) for c in out)
+        assert len(out) and not np.any((20 <= out.v) & (out.v < 40))
 
     def test_all_border_is_an_error(self):
         cam = self._cam()
@@ -230,9 +232,9 @@ class TestSelect:
         a = select(maps, cam, cfg, rng=np.random.default_rng(9))
         b = select(maps, cam, cfg, rng=np.random.default_rng(9))
         c = select(maps, cam, cfg, rng=np.random.default_rng(10))
-        assert a == b
+        assert as_tuples(a) == as_tuples(b)
         assert len(a) == 30
-        assert a != c
+        assert as_tuples(a) != as_tuples(c)
 
     def test_filters_shrink(self):
         cam = self._cam()
@@ -258,15 +260,101 @@ class TestSelect:
         )
         got = select(maps, cam, cfg)
         # reference: NMS over all valid pixels, then the list filter
-        flow_unc = maps.flow_var[..., 0] + maps.flow_var[..., 1]
-        vv, uu = np.nonzero(maps.valid)
-        scores = combined_scores(flow_unc[maps.valid], maps.depth_var[maps.valid])
-        cands = [
-            kp(float(u), float(v), float(s), float(flow_unc[v, u]), float(maps.depth_var[v, u]), float(maps.depth[v, u]))
-            for u, v, s in zip(uu, vv, scores)
-        ]
-        want = geometry_filter(nms_filter(cands, 3), cam, cfg)
-        assert {(c.u, c.v) for c in got} == {(c.u, c.v) for c in want}
+        want = geometry_filter(nms_filter(candidates_of(maps), 3), cam, cfg)
+        assert set(zip(got.u, got.v)) == {(c.u, c.v) for c in want}
+
+
+def candidates_of(maps):
+    """Every selectable pixel of the maps as a KeypointCandidate, in
+    row-major order, scored as select scores it."""
+    valid = maps.valid & np.isfinite(maps.depth)
+    flow_unc = maps.flow_var[..., 0] + maps.flow_var[..., 1]
+    vv, uu = np.nonzero(valid)
+    scores = combined_scores(flow_unc[valid], maps.depth_var[valid])
+    return [
+        kp(float(u), float(v), float(s), float(flow_unc[v, u]), float(maps.depth_var[v, u]), float(maps.depth[v, u]))
+        for u, v, s in zip(uu, vv, scores)
+    ]
+
+
+def composed_oracles(maps, cam, cfg):
+    """select through the list filters, before truncation: NMS ->
+    geometry -> uncertainty, in canonical (score, u, v) order."""
+    survivors = geometry_filter(nms_filter(candidates_of(maps), cfg.nms_radius), cam, cfg)
+    if survivors:
+        survivors = uncertainty_filter(survivors, cfg.unc_multiplier)
+    return sorted(survivors, key=lambda c: (c.score, c.u, c.v))
+
+
+def oracle_maps(seed, h, w, variances="uniform", invalid_row=None):
+    rng = np.random.default_rng(seed)
+    if variances == "uniform":
+        flow_var, depth_var = rng.uniform(0.1, 2.0, size=(h, w, 2)), rng.uniform(0.01, 0.5, size=(h, w))
+    else:  # small integers: scores tie; with "zeros", a zero median makes some scores inf
+        low = 0 if variances == "zeros" else 1
+        flow_var = rng.integers(low, 3, size=(h, w, 2)).astype(float)
+        depth_var = rng.integers(low, 3, size=(h, w)).astype(float)
+        if variances == "zeros":
+            flow_var[rng.random((h, w)) < 0.6] = 0.0
+    valid = rng.random((h, w)) > 0.15
+    if invalid_row is not None:
+        valid[invalid_row] = False
+    return DenseMaps(flow_var, depth_var, rng.uniform(0.2, 30.0, size=(h, w)), valid)
+
+
+class TestSelectAgainstComposedOracles:
+    @pytest.mark.parametrize(
+        "h, w, variances, invalid_row, sel",
+        [
+            (40, 40, "integers", None, dict(nms_radius=4, unc_multiplier=1.0, max_keypoints=15)),
+            (40, 40, "zeros", None, dict(nms_radius=3, unc_multiplier=1.5, max_keypoints=30)),
+            (48, 36, "uniform", None, dict(nms_radius=3.5, border_margin=2.5, unc_multiplier=1.2, max_keypoints=8)),
+            (12, 10, "uniform", None, dict(nms_radius=1e9, border_margin=0, max_keypoints=5)),
+            (60, 1, "uniform", None, dict(nms_radius=2, border_margin=0, unc_multiplier=1.3, max_keypoints=6)),
+            (32, 32, "integers", 16, dict(nms_radius=2.5, border_margin=1, unc_multiplier=1.1, max_keypoints=18)),
+        ],
+        ids=["tied_scores", "inf_scores", "non_integer_radius", "radius_beyond_image", "one_pixel_wide", "invalid_row"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_keypoints_in_order(self, h, w, variances, invalid_row, sel, seed):
+        cam = StereoCamera(fx=50, fy=50, cx=w / 2, cy=h / 2, baseline=0.1, width=w, height=h)
+        cfg = SelectorConfig(**{"border_margin": 2, "depth_min": 1.0, "depth_max": 20.0, **sel})
+        maps = oracle_maps(seed, h, w, variances, invalid_row)
+        want = composed_oracles(maps, cam, cfg)
+        if len(want) < MIN_KEYPOINTS:
+            with pytest.raises(InsufficientKeypointsError):
+                select(maps, cam, cfg)
+            return
+        assert len(want) > cfg.max_keypoints  # the truncation binds
+        got = select(maps, cam, cfg)
+        assert as_tuples(got) == [(c.u, c.v, c.score) for c in want[: cfg.max_keypoints]]
+
+    def test_finite_multiplier_drops_keypoints(self):
+        cam = StereoCamera(fx=50, fy=50, cx=20, cy=20, baseline=0.1, width=40, height=40)
+        cfg = SelectorConfig(nms_radius=3, border_margin=2, depth_min=1.0, depth_max=20.0, unc_multiplier=1.0)
+        maps = oracle_maps(0, 40, 40)
+        before = geometry_filter(nms_filter(candidates_of(maps), 3), cam, cfg)
+        assert len(before) > len(composed_oracles(maps, cam, cfg)) == len(select(maps, cam, cfg))
+
+
+@st.composite
+def score_maps(draw):
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    elements = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
+    score = draw(hnp.arrays(np.float64, (h, w), elements=elements))
+    valid = draw(hnp.arrays(np.bool_, (h, w)))
+    return score, valid, draw(st.floats(1.0, 30.0))
+
+
+@given(score_maps())
+@settings(max_examples=150, deadline=None)
+def test_greedy_nms_matches_nms_filter(case):
+    score, valid, radius = case
+    vv, uu = np.nonzero(valid)
+    keep = _greedy_nms(score[vv, uu], uu, vv, valid.shape, radius)
+    cands = [kp(float(u), float(v), float(score[v, u])) for v, u in zip(vv, uu)]
+    want = sorted(nms_filter(cands, radius), key=lambda c: (c.score, c.u, c.v))
+    assert list(zip(uu[keep].tolist(), vv[keep].tolist())) == [(c.u, c.v) for c in want]
 
 
 class TestCombinedScores:
