@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import replace
 
@@ -98,14 +99,12 @@ def _cmd_mc_verify(args) -> int:
             disp = DisparityEstimate(mu=args.disparity, gamma=args.gamma)
         report = mc_depth_distribution(cam, disp, n=args.samples, seed=seed)
     else:
-        with config_field("--depth"):
+        u = args.u if args.u is not None else cam.cx + 100.0
+        v = args.v if args.v is not None else cam.cy + 60.0
+        checks = (("--u", math.isfinite(u)), ("--v", math.isfinite(v)), ("--depth", args.depth > 0))
+        with config_field(next((flag for flag, ok in checks if not ok), "--gamma")):
             obs = PixelObservation(
-                u=args.u if args.u is not None else cam.cx + 100.0,
-                v=args.v if args.v is not None else cam.cy + 60.0,
-                sigma_u2=1.0,
-                sigma_v2=1.0,
-                d=args.depth,
-                sigma_d2=(args.gamma * args.depth) ** 2,
+                u=u, v=v, sigma_u2=1.0, sigma_v2=1.0, d=args.depth, sigma_d2=(args.gamma * args.depth) ** 2
             )
         report = mc_projection_covariance(cam, obs, n=args.samples, seed=seed)
     if args.output:

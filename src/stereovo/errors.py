@@ -34,11 +34,9 @@ class InsufficientKeypointsError(NumericalError):
 
 @contextmanager
 def config_field(path: str):
-    """Re-raise a missing key or a malformed value met while reading a
-    config field as a ConfigError naming the field path."""
+    """Re-raise a malformed value met while reading or checking a config
+    field as a ConfigError naming the field path."""
     try:
         yield
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc

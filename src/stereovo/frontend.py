@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 from scipy.spatial.transform import Rotation
 
-from .errors import ConfigError, DataFormatError, config_field
+from .config import from_dict, load_yaml
+from .errors import ConfigError, DataFormatError
 from .evaluation import Trajectory, read_tum, write_tum
 from .geometry import PoseSE3, StereoCamera, se3_exp
 
@@ -92,6 +92,11 @@ class MotionSpec:
             raise ConfigError(f"motion.kind: unknown kind {self.kind!r}")
         if self.kind == "orbit" and not self.orbit_radius > 0:
             raise ConfigError(f"motion.orbit_radius: must be positive, got {self.orbit_radius}")
+        for i, row in enumerate(self.waypoints):
+            if len(row) != 7:
+                raise ConfigError(f"motion.waypoints[{i}]: expected 7 values tx..qw, got {len(row)}")
+            if not np.linalg.norm(row[3:]) > 0:
+                raise ConfigError(f"motion.waypoints[{i}]: the quaternion qx..qw must have a positive norm")
 
 
 @dataclass(frozen=True)
@@ -187,9 +192,7 @@ def motion_poses(motion: MotionSpec, num_frames: int) -> list[PoseSE3]:
             f"motion.waypoints: need {num_frames} rows, got {len(motion.waypoints)}"
         )
     poses = []
-    for i, row in enumerate(motion.waypoints):
-        if len(row) != 7:
-            raise ConfigError(f"motion.waypoints[{i}]: expected 7 values tx..qw")
+    for row in motion.waypoints:
         quat = np.asarray(row[3:], dtype=float)
         poses.append(PoseSE3(Rotation.from_quat(quat / np.linalg.norm(quat)).as_matrix(), row[:3]))
     return poses
@@ -485,84 +488,5 @@ def ingest_observations(directory) -> list[FrameObservation]:
 # scene config files
 
 
-def _need(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}{key}: missing required field")
-    return d[key]
-
-
-def camera_from_dict(d: dict, path: str = "camera.") -> StereoCamera:
-    with config_field(path.rstrip(".")):
-        return StereoCamera(
-            fx=float(_need(d, "fx", path)),
-            fy=float(_need(d, "fy", path)),
-            cx=float(_need(d, "cx", path)),
-            cy=float(_need(d, "cy", path)),
-            baseline=float(_need(d, "baseline", path)),
-            width=int(_need(d, "width", path)),
-            height=int(_need(d, "height", path)),
-        )
-
-
-def scene_config_from_dict(d: dict, path: str = "") -> SceneConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path or 'scene'}: expected a mapping")
-    with config_field(f"{path}motion"):
-        motion_d = dict(d.get("motion", {"kind": "static"}))
-        motion = MotionSpec(
-            kind=str(motion_d.get("kind", "static")),
-            velocity=tuple(float(x) for x in motion_d.get("velocity", (0.0, 0.0, 0.0))),
-            angular_velocity=tuple(float(x) for x in motion_d.get("angular_velocity", (0.0, 0.0, 0.0))),
-            orbit_radius=float(motion_d.get("orbit_radius", 5.0)),
-            orbit_rate=float(motion_d.get("orbit_rate", 0.02)),
-            waypoints=tuple(tuple(float(x) for x in row) for row in motion_d.get("waypoints", ())),
-        )
-    with config_field(f"{path}noise"):
-        noise_d = dict(d.get("noise", {}))
-        noise = NoiseModel(
-            sigma_flow=float(noise_d.get("sigma_flow", 0.0)),
-            gamma_disp=float(noise_d.get("gamma_disp", 0.0)),
-            heteroscedastic=bool(noise_d.get("heteroscedastic", False)),
-            lie_in_anomalies=bool(noise_d.get("lie_in_anomalies", False)),
-        )
-    with config_field(f"{path}anomaly_regions"):
-        regions = tuple(
-            AnomalyRegion(rect=tuple(float(x) for x in r["rect"]), multiplier=float(r["multiplier"]))
-            for r in d.get("anomaly_regions", ())
-        )
-    walls = d.get("walls")
-    if walls is not None:
-        with config_field(f"{path}walls"):
-            walls = tuple(
-                Wall(
-                    z=float(_need(w, "z", f"{path}walls[{i}].")),
-                    x_range=tuple(float(x) for x in _need(w, "x_range", f"{path}walls[{i}].")),
-                    y_range=tuple(float(x) for x in _need(w, "y_range", f"{path}walls[{i}].")),
-                )
-                for i, w in enumerate(walls)
-            )
-    with config_field(path or "scene"):
-        return SceneConfig(
-            seed=int(_need(d, "seed", path)),
-            num_frames=int(_need(d, "num_frames", path)),
-            camera=camera_from_dict(_need(d, "camera", path), f"{path}camera."),
-            motion=motion,
-            landmark_count=int(d.get("landmark_count", 100)),
-            depth_range=tuple(float(x) for x in d.get("depth_range", (1.0, 20.0))),
-            noise=noise,
-            anomaly_regions=regions,
-            walls=walls,
-            wall_count=int(d.get("wall_count", 3)),
-            render_landmarks=bool(d.get("render_landmarks", True)),
-            frame_dt=float(d.get("frame_dt", DEFAULT_FRAME_DT)),
-        )
-
-
 def load_scene_config(path) -> SceneConfig:
-    try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except OSError as exc:
-        raise DataFormatError(f"cannot read scene config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    return scene_config_from_dict(raw or {})
+    return from_dict(SceneConfig, load_yaml(path, "scene config"))

@@ -33,17 +33,15 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .errors import ConfigError, DataFormatError, NumericalError, config_field
+from .config import from_dict, load_yaml, read
+from .errors import ConfigError, NumericalError
 from .evaluation import Trajectory, t_rel, r_rel, write_tum
 from .frontend import (
     FrameObservation,
     SceneConfig,
-    camera_from_dict,
     generate_sequence,
     ingest_observations,
-    scene_config_from_dict,
 )
 from .geometry import PoseSE3, StereoCamera
 from .optimizer import (
@@ -318,60 +316,28 @@ def write_ablation_csv(rows: list[tuple[str, float, float]], path) -> None:
 
 
 def run_config_from_dict(d: dict) -> RunConfig:
+    """A RunConfig read from a run file's mapping, whose layout differs
+    from RunConfig in two places: the input is one of
+    ``input: {simulate | ingest}``, and ``selector.depth_range: [lo, hi]``
+    stands for the selector's depth_min and depth_max."""
     if not isinstance(d, dict):
         raise ConfigError("run config: expected a mapping")
-    inp = d.get("input")
+    d = dict(d)
+    inp = d.pop("input", None)
     if not isinstance(inp, dict):
         raise ConfigError("input: missing or not a mapping")
-    simulate = None
-    ingest = None
-    if "simulate" in inp:
-        simulate = scene_config_from_dict(inp["simulate"], "input.simulate.")
-    if "ingest" in inp:
-        with config_field("input.ingest"):
-            ingest = Path(inp["ingest"])
-
-    with config_field("selector"):
-        sel_d = dict(d.get("selector", {}))
-    depth_range = sel_d.pop("depth_range", None)
-    if depth_range is not None:
-        with config_field("selector.depth_range"):
-            sel_d["depth_min"], sel_d["depth_max"] = (float(x) for x in depth_range)
-    with config_field("selector"):
-        selector = SelectorConfig(**sel_d)
-    with config_field("lm"):
-        lm = LMConfig(**dict(d.get("lm", {})))
-
-    camera = None
-    if "camera" in d:
-        camera = camera_from_dict(d["camera"], "camera.")
-    with config_field("seed"):
-        seed = int(d["seed"])
-    with config_field("output_dir"):
-        output_dir = Path(d["output_dir"])
-    with config_field("covariance_mode"):
-        covariance_mode = CovarianceMode(d.get("covariance_mode", "full"))
-    with config_field("keypoint_mode"):
-        keypoint_mode = KeypointMode(d.get("keypoint_mode", "uncertainty"))
-    return RunConfig(
-        seed=seed,
-        output_dir=output_dir,
-        simulate=simulate,
-        ingest=ingest,
-        camera=camera,
-        selector=selector,
-        lm=lm,
-        covariance_mode=covariance_mode,
-        keypoint_mode=keypoint_mode,
-        patch_kernel=d.get("patch_kernel", DEFAULT_PATCH_KERNEL),
-    )
+    unknown = [key for key in inp if key not in ("simulate", "ingest")]
+    if unknown:
+        raise ConfigError(f"input.{unknown[0]}: unknown key")
+    simulate = read(SceneConfig | None, inp.get("simulate"), "input.simulate")
+    ingest = read(Path | None, inp.get("ingest"), "input.ingest")
+    selector = d.get("selector")
+    if isinstance(selector, dict) and "depth_range" in selector:
+        selector = d["selector"] = dict(selector)
+        depth_range = read(tuple[float, float], selector.pop("depth_range"), "selector.depth_range")
+        selector["depth_min"], selector["depth_max"] = depth_range
+    return from_dict(RunConfig, d, simulate=simulate, ingest=ingest)
 
 
 def load_run_config(path) -> RunConfig:
-    try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except OSError as exc:
-        raise DataFormatError(f"cannot read run config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    return run_config_from_dict(raw or {})
+    return run_config_from_dict(load_yaml(path, "run config"))

@@ -46,10 +46,13 @@ class PixelObservation:
     sigma_d2: float
 
     def __post_init__(self):
-        if self.sigma_u2 < 0 or self.sigma_v2 < 0 or self.sigma_d2 < 0:
-            raise ValueError("variances must be non-negative")
+        if not (np.isfinite(self.u) and np.isfinite(self.v)):
+            raise ValueError(f"pixel must be finite, got ({self.u}, {self.v})")
         if not self.d > 0:
             raise ValueError(f"depth must be positive, got {self.d}")
+        # a NaN variance fails this too
+        if not (self.sigma_u2 >= 0 and self.sigma_v2 >= 0 and self.sigma_d2 >= 0):
+            raise ValueError("variances must be non-negative")
 
 
 @dataclass(frozen=True)

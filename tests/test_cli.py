@@ -26,6 +26,10 @@ selector: {{nms_radius: 5, border_margin: 4, depth_range: [0.5, 100.0], max_keyp
 """
 
 
+# the first five rows of a six-frame waypoint path
+WAYPOINTS = "kind: waypoints, waypoints: [" + ", ".join(f"[0, 0, {0.1 * i:.1f}, 0, 0, 0, 1]" for i in range(5))
+
+
 @pytest.fixture
 def workspace(tmp_path):
     scene = tmp_path / "scene.cfg"
@@ -102,6 +106,30 @@ class TestExitCodes:
             (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 80.5}")], "max_keypoints"),
             (["run", run_yaml + "covariance_mode: sparse\n"], "covariance_mode"),
             (["run", run_yaml + "keypoint_mode: corners\n"], "keypoint_mode"),
+            # unknown keys
+            (["run", run_yaml + "covariance: diagonal\n"], "covariance"),
+            (["run", run_yaml + "patch_kernal: 4\n"], "patch_kernal"),
+            (["simulate", SCENE_YAML.replace("landmark_count", "landmark_cout")], "landmark_cout"),
+            (["simulate", SCENE_YAML.replace("sigma_flow", "sigma_flw")], "noise.sigma_flw"),
+            (["simulate", SCENE_YAML.replace("0.06]}", "0.06], bogus: 1}")], "motion.bogus"),
+            # integers that are not, and booleans that are strings
+            (["run", run_yaml.replace("seed: 5", "seed: 2.5")], "seed"),
+            (["run", run_yaml.replace("seed: 5", "seed: true")], "seed"),
+            (["simulate", SCENE_YAML.replace("num_frames: 6", "num_frames: 3.5")], "num_frames"),
+            (["run", run_yaml.replace("width: 96", "width: 96.7")], "camera.width"),
+            (["simulate", SCENE_YAML.replace("0.02}", '0.02, heteroscedastic: "false"}')], "noise.heteroscedastic"),
+            # non-finite numbers
+            (["run", run_yaml.replace("nms_radius: 5", "nms_radius: .nan")], "selector.nms_radius"),
+            (["run", run_yaml.replace("[0.5, 100.0]", "[0.5, .nan]")], "selector.depth_range[1]"),
+            (["simulate", SCENE_YAML.replace("z: 10.0", "z: .nan")], "walls[0].z"),
+            (["simulate", SCENE_YAML.replace("sigma_flow: 0.1", "sigma_flow: .nan")], "noise.sigma_flow"),
+            (["simulate", SCENE_YAML.replace("kind: constant_velocity", "kind: orbit, orbit_rate: .nan")], "motion.orbit_rate"),
+            # wrong lengths
+            (["simulate", SCENE_YAML.replace("[0.04, 0.02, 0.06]", "[0.04, 0.02]")], "motion.velocity"),
+            (["simulate", SCENE_YAML.replace("x_range: [-40.0, 40.0]", "x_range: [-40.0, 40.0, 1.0]")], "walls[0].x_range"),
+            # a waypoint row that is short, and one whose quaternion has zero norm
+            (["simulate", SCENE_YAML.replace("kind: constant_velocity, velocity: [0.04, 0.02, 0.06]", WAYPOINTS + ", [0, 0, 0.6, 0, 0, 0]]")], "motion.waypoints[5]"),
+            (["simulate", SCENE_YAML.replace("kind: constant_velocity, velocity: [0.04, 0.02, 0.06]", WAYPOINTS + ", [0, 0, 0.6, 0, 0, 0, 0]]")], "motion.waypoints[5]"),
             # 96x96 observations under a 120x96 camera
             (["run", run_yaml.replace("width: 96", "width: 120")], "camera: frame 0"),
             (["ablate", run_yaml.replace("width: 96", "width: 120")], "camera: frame 0"),
@@ -119,6 +147,8 @@ class TestExitCodes:
             (["--which", "depth", "--gamma", "2", "--samples", "10000"], "--gamma"),
             (["--which", "depth", "--disparity", "-1", "--samples", "10000"], "--disparity"),
             (["--which", "projection", "--depth", "-1", "--samples", "100000"], "--depth"),
+            (["--which", "projection", "--u", "nan", "--samples", "100000"], "--u"),
+            (["--which", "projection", "--v", "nan", "--samples", "100000"], "--v"),
         ):
             assert main(["mc-verify", *flags]) == EXIT_CONFIG, flags
             assert flag in capsys.readouterr().err

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stereovo.config import from_dict
 from stereovo.errors import ConfigError, DataFormatError
 from stereovo.frontend import (
     OBS_CHANNELS,
@@ -16,7 +17,6 @@ from stereovo.frontend import (
     ingest_observations,
     load_scene_config,
     motion_poses,
-    scene_config_from_dict,
     write_observations,
 )
 from stereovo.geometry import StereoCamera, backproject, project
@@ -286,8 +286,8 @@ render_landmarks: false
 
     def test_missing_required_field(self):
         with pytest.raises(ConfigError, match="num_frames"):
-            scene_config_from_dict({"seed": 1, "camera": {}})
+            from_dict(SceneConfig, {"seed": 1, "camera": {}})
 
     def test_missing_camera_field(self):
         with pytest.raises(ConfigError, match="camera.fx"):
-            scene_config_from_dict({"seed": 1, "num_frames": 3, "camera": {"fy": 1.0}})
+            from_dict(SceneConfig, {"seed": 1, "num_frames": 3, "camera": {"fy": 1.0}})

@@ -1,11 +1,18 @@
-"""The README's library snippets run as written, so a renamed or removed
-export fails here instead of leaving the documentation stale."""
+"""The README's library snippets run as written, and its config examples
+load, so a renamed or removed export or config field fails here instead
+of leaving the documentation stale."""
 
 import re
+from functools import partial
 from pathlib import Path
 
-from stereovo.frontend import MotionSpec, NoiseModel, SceneConfig, Wall
+import yaml
+
+from stereovo.frontend import MotionSpec, NoiseModel, SceneConfig, Wall, load_scene_config
 from stereovo.geometry import StereoCamera
+from stereovo.optimizer import LMConfig
+from stereovo.pipeline import load_run_config
+from stereovo.selector import SelectorConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +43,32 @@ def test_library_use_snippets_run(tmp_path, monkeypatch):
     namespace = {"scene": scene}
     for snippet in snippets:
         exec(compile(snippet, str(README), "exec"), namespace)
+
+
+def config_blocks() -> list[str]:
+    """The fenced YAML blocks of the README's "## Configuration files"
+    section: a scene config, then a run config."""
+    text = README.read_text()
+    section = text.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^```yaml\n(.*?)^```$", section, flags=re.MULTILINE | re.DOTALL)
+
+
+def test_configuration_examples_load(tmp_path):
+    scene_text, run_text = config_blocks()
+    scene_path = tmp_path / "scene.yaml"
+    scene_path.write_text(scene_text)
+    scene = load_scene_config(scene_path)
+    assert scene.walls[0].x_range == (-60.0, 60.0)
+
+    # the run block abbreviates its inline scene and its camera
+    raw = yaml.safe_load(scene_text)
+    flow = partial(yaml.safe_dump, default_flow_style=True, width=float("inf"))
+    run_text = run_text.replace("{ ... scene config as above ... }", flow(raw).strip())
+    run_text = run_text.replace("camera: {...}", "camera: " + flow(raw["camera"]).strip())
+    run_path = tmp_path / "run.yaml"
+    run_path.write_text(run_text)
+    cfg = load_run_config(run_path)
+    assert cfg.simulate == scene
+    assert cfg.camera == scene.camera
+    assert cfg.selector == SelectorConfig()
+    assert cfg.lm == LMConfig()

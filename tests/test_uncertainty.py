@@ -229,6 +229,9 @@ class TestProjectCovariance:
             PixelObservation(u=0, v=0, sigma_u2=-1.0, sigma_v2=0, d=1.0, sigma_d2=0)
         with pytest.raises(ValueError):
             PixelObservation(u=0, v=0, sigma_u2=0, sigma_v2=0, d=0.0, sigma_d2=0)
+        for bad in (dict(u=np.nan), dict(v=np.inf), dict(sigma_v2=np.nan), dict(sigma_d2=np.nan)):
+            with pytest.raises(ValueError):
+                PixelObservation(**{**dict(u=0, v=0, sigma_u2=0, sigma_v2=0, d=1.0, sigma_d2=0), **bad})
 
     def test_ensure_psd_on_a_stack_clamps_only_the_bad_members(self):
         good = np.diag([1.0, 2.0, 3.0])
