@@ -18,6 +18,25 @@ frames and the problem depends on those two frames alone.
 
 A problem's N landmark pairs are one MatchedLandmarks record of stacked
 arrays, checked once when it is built; every step works on whole stacks.
+
+The inner loop's 3x3 algebra is closed-form. A symmetric covariance is
+held as its six unique entries, and _sym3_cofactors gives their cofactors
+and determinants. R Sigma R^T of a whole stack is one (N, 9) @ (9, 6)
+product with rows of kron(R, R), and J^T W J one (6, 3N) @ (3N, 6)
+product. The conditioning check screens S with a bound that holds
+exactly: for S positive definite (a00 > 0, a00 a11 - a01^2 > 0),
+det <= lambda_min lambda_max^2 and trace >= lambda_max, so
+det > 2 trace^3 / _COND_LIMIT gives lambda_min / lambda_max >
+2 / _COND_LIMIT; the 2 absorbs det's rounding error (~eps trace^3). Only
+members the screen does not certify reach eigvalsh, which decides the
+ridge as before, and np.linalg.inv: a cofactor inverse errs by
+~eps trace^3 / det, which is O(1) for a ridged rank-1 S.
+
+This is not bit-identical to the LAPACK evaluation (eigvalsh, inv,
+einsum) that tests/test_optimizer.py keeps as its reference: trial costs
+differ at rounding level, which can flip an accept/reject decision near
+the optimum. Final costs agree within 1e-9 relative, poses within 1e-6 m
+and 1e-6 rad, and cov_regularized flags are identical.
 """
 
 from __future__ import annotations
@@ -41,6 +60,17 @@ _DET_REL_TOL = 64 * np.finfo(float).eps
 # Collinearity threshold on the second singular value of the centered
 # previous-frame positions.
 _COLLINEAR_TOL = 1e-9
+# Damping above this means no step decreases the cost: LM stops there.
+_LAMBDA_MAX = 1e12
+
+# A symmetric 3x3 as its six entries a00 a01 a02 a11 a12 a22: their places
+# in the row-major 3x3, the 3x3 as indices into the six, the diagonal, and
+# each cofactor's factors, c = e[i] e[j] - e[k] e[l] for c00 c01 c02 c11 c12 c22.
+_UPPER = np.array([0, 1, 2, 4, 5, 8])
+_UPPER_ROWS, _UPPER_COLS = np.divmod(_UPPER, 3)
+_FULL = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+_DIAG = np.array([0, 3, 5])
+_COF = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3], [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]])
 
 
 class CovarianceMode(str, Enum):
@@ -94,6 +124,14 @@ class LMConfig:
         for name in ("max_iters", "lambda_init", "lambda_up", "lambda_down", "cost_tol", "step_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # lambda_up <= 1 never leaves a rejected trial's damping loop, and
+        # an initial damping above the cap returns the initial pose unflagged
+        if not self.lambda_up > 1:
+            raise ValueError(f"lambda_up must be greater than 1, got {self.lambda_up!r}")
+        if not self.lambda_down <= 1:
+            raise ValueError(f"lambda_down must be at most 1, got {self.lambda_down!r}")
+        if not self.lambda_init <= _LAMBDA_MAX:
+            raise ValueError(f"lambda_init must be at most {_LAMBDA_MAX:g}, got {self.lambda_init!r}")
 
 
 @dataclass
@@ -125,6 +163,20 @@ class PoseSolution:
     cov_regularized: bool  # some combined covariance needed a ridge
 
 
+def _sym3_cofactors(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cofactors (N, 6) and determinants (N,) of symmetric 3x3 matrices
+    given by their six unique entries (N, 6), both in the same order;
+    the inverse is cofactors / det."""
+    f = e[:, _COF]
+    cof = f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]
+    return cof, np.einsum("ni,ni->n", e[:, :3], cof[:, :3])
+
+
+def _sym_entries(c: np.ndarray) -> np.ndarray:
+    """A stack of 3x3 matrices (N, 3, 3), symmetrized, row-major (N, 9)."""
+    return (0.5 * (c + np.swapaxes(c, 1, 2))).reshape(-1, 9)
+
+
 def scale_agnostic_normalizers(pairs: MatchedLandmarks) -> tuple[float, float]:
     """Per-frame normalizers for the scale-agnostic ablation: the mean of
     det(Sigma)^(1/3) over keypoints, one per frame.
@@ -137,8 +189,9 @@ def scale_agnostic_normalizers(pairs: MatchedLandmarks) -> tuple[float, float]:
     which has the same units, and to 1 if even that is zero."""
 
     def normalizer(covs) -> float:
-        det = np.linalg.det(covs)
-        trace = np.trace(covs, axis1=1, axis2=2)
+        e = _sym_entries(covs)[:, _UPPER]
+        det = _sym3_cofactors(e)[1]
+        trace = e[:, 0] + e[:, 3] + e[:, 5]
         scale = float(np.mean(np.where(det > _DET_REL_TOL * trace**3, det, 0.0) ** (1.0 / 3.0)))
         if scale > _RIDGE_ABS:
             return scale
@@ -149,34 +202,44 @@ def scale_agnostic_normalizers(pairs: MatchedLandmarks) -> tuple[float, float]:
 
 
 def _mode_adjusted(pairs: MatchedLandmarks, mode: CovarianceMode) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance stacks (N,3,3) of both frames as the mode weights them."""
+    """Both frames' covariances as the mode weights them, symmetrized: the
+    previous frame's as six unique entries (N, 6), the current frame's
+    row-major (N, 9). IDENTITY weights the previous frame's by I and the
+    current frame's by 0, so that S = I exactly."""
     sp, sq = pairs.sp, pairs.sq
     if mode is CovarianceMode.DIAGONAL:
         eye = np.eye(3, dtype=bool)
-        return np.where(eye, sp, 0.0), np.where(eye, sq, 0.0)
-    if mode is CovarianceMode.SCALE_AGNOSTIC:
+        sp, sq = np.where(eye, sp, 0.0), np.where(eye, sq, 0.0)
+    elif mode is CovarianceMode.SCALE_AGNOSTIC:
         prev_scale, curr_scale = scale_agnostic_normalizers(pairs)
-        return sp / prev_scale, sq / curr_scale
-    return sp, sq
+        sp, sq = sp / prev_scale, sq / curr_scale
+    elif mode is CovarianceMode.IDENTITY:
+        sp, sq = np.broadcast_to(np.eye(3), sp.shape), np.zeros_like(sq)
+    return _sym_entries(sp)[:, _UPPER], _sym_entries(sq)
 
 
 def _combined_covariances(
-    sp: np.ndarray, sq: np.ndarray, rotation: np.ndarray, mode: CovarianceMode
-) -> tuple[np.ndarray, bool]:
-    """S_i = Sigma_prev + R Sigma_curr R^T, regularized where singular."""
-    n = sp.shape[0]
-    if mode is CovarianceMode.IDENTITY:
-        return np.broadcast_to(np.eye(3), (n, 3, 3)).copy(), False
-    s = sp + rotation @ sq @ rotation.T
-    s = 0.5 * (s + np.transpose(s, (0, 2, 1)))
-    vals = np.linalg.eigvalsh(s)
-    cond_bad = vals[:, 0] <= vals[:, 2] / _COND_LIMIT
-    if not cond_bad.any():
-        return s, False
-    trace = np.trace(s, axis1=1, axis2=2)
-    ridge = np.maximum(_RIDGE_REL * trace / 3.0, _RIDGE_ABS)
-    s[cond_bad] += ridge[cond_bad, None, None] * np.eye(3)
-    return s, True
+    sp: np.ndarray, sq: np.ndarray, rotation: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_i = Sigma_prev + R Sigma_curr R^T from _mode_adjusted's stacks, with
+    a trace-scaled ridge where eigvalsh finds S worse-conditioned than
+    _COND_LIMIT: (S (N, 6), S^-1 (N, 3, 3), mask of the ridged)."""
+    # rows of kron(R, R) for S's six entries: (R X R^T)_ij = sum_kl R_ik X_kl R_jl
+    s = sp + sq @ (rotation[_UPPER_ROWS, :, None] * rotation[_UPPER_COLS, None, :]).reshape(6, 9).T
+    cof, det = _sym3_cofactors(s)
+    trace = s[:, 0] + s[:, 3] + s[:, 5]
+    # the bound is at least 0, so det > 0: all three leading minors positive
+    certified = (s[:, 0] > 0) & (cof[:, 5] > 0) & (det > np.maximum(trace, 0.0) ** 3 * (2 / _COND_LIMIT))
+    w = cof[:, _FULL] / np.where(certified, det, 1.0)[:, None]
+    ridged = np.zeros(len(s), dtype=bool)
+    if not certified.all():
+        unsure = np.flatnonzero(~certified)
+        vals = np.linalg.eigvalsh(s[unsure][:, _FULL].reshape(-1, 3, 3))
+        bad = unsure[vals[:, 0] <= vals[:, 2] / _COND_LIMIT]
+        s[bad[:, None], _DIAG] += np.maximum(_RIDGE_REL * trace[bad] / 3.0, _RIDGE_ABS)[:, None]
+        ridged[bad] = True
+        w[unsure] = np.linalg.inv(s[unsure][:, _FULL].reshape(-1, 3, 3)).reshape(-1, 9)
+    return s, w.reshape(-1, 3, 3), ridged
 
 
 def pair_covariances(
@@ -187,8 +250,9 @@ def pair_covariances(
 
     SCALE_AGNOSTIC divides each frame by its scale_agnostic_normalizers,
     which are statistics of all the pairs."""
-    mode = CovarianceMode(mode)
-    return _combined_covariances(*_mode_adjusted(pairs, mode), np.asarray(rotation, float), mode)
+    sp, sq = _mode_adjusted(pairs, CovarianceMode(mode))
+    s, _, ridged = _combined_covariances(sp, sq, np.asarray(rotation, float))
+    return s[:, _FULL].reshape(-1, 3, 3), bool(ridged.any())
 
 
 def residual_jacobian(pose: PoseSE3, curr_position: np.ndarray) -> np.ndarray:
@@ -200,26 +264,25 @@ def residual_jacobian(pose: PoseSE3, curr_position: np.ndarray) -> np.ndarray:
 
 
 def _problem_arrays(problem: FramePairProblem) -> tuple[np.ndarray, ...]:
-    """Positions p, q (N,3) and mode-adjusted covariances sp, sq (N,3,3)."""
+    """Positions p, q (N,3) and _mode_adjusted's covariances sp, sq."""
     pairs = problem.pairs
     return (pairs.p, pairs.q) + _mode_adjusted(pairs, problem.covariance_mode)
 
 
 def _weighted_cost(
-    p: np.ndarray, q: np.ndarray, sp: np.ndarray, sq: np.ndarray, pose: PoseSE3, mode: CovarianceMode
+    p: np.ndarray, q: np.ndarray, sp: np.ndarray, sq: np.ndarray, pose: PoseSE3
 ) -> tuple[float, np.ndarray, np.ndarray, bool]:
     """(cost, residuals, weights S^-1, regularized) at a pose, with the
     combined covariances evaluated at its rotation."""
-    s, flagged = _combined_covariances(sp, sq, pose.rotation, mode)
-    w = np.linalg.inv(s)
+    _, w, ridged = _combined_covariances(sp, sq, pose.rotation)
     res = p - pose.apply(q)
-    return float(np.einsum("ni,nij,nj->", res, w, res)), res, w, flagged
+    return float(np.einsum("ni,nij,nj->", res, w, res)), res, w, bool(ridged.any())
 
 
 def mahalanobis_cost(problem: FramePairProblem, pose: PoseSE3) -> float:
     """Total squared Mahalanobis distance at the given pose, with the
     combined covariances evaluated at this pose's rotation."""
-    return _weighted_cost(*_problem_arrays(problem), pose, problem.covariance_mode)[0]
+    return _weighted_cost(*_problem_arrays(problem), pose)[0]
 
 
 def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSolution:
@@ -230,9 +293,8 @@ def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSol
     the diagonal of the normal equations.
     """
     p, q, sp, sq = _problem_arrays(problem)
-    mode = problem.covariance_mode
     pose = problem.initial_pose
-    cost, res, weights, regularized = _weighted_cost(p, q, sp, sq, pose, mode)
+    cost, res, weights, regularized = _weighted_cost(p, q, sp, sq, pose)
     lam = cfg.lambda_init
     converged = False
     iterations = 0
@@ -242,14 +304,15 @@ def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSol
             converged = True
             iterations -= 1
             break
+        # J^T W J and J^T W r as flat (6, 3N) @ (3N, .) products
         jac = residual_jacobian(pose, q)
-        jtw = np.einsum("nij,nik->njk", jac, weights)
-        h = np.einsum("nij,njk->ik", jtw, jac)
-        g = np.einsum("nij,nj->i", jtw, res)
+        wjac = (weights @ jac).reshape(-1, 6)
+        h = jac.reshape(-1, 6).T @ wjac
+        g = wjac.T @ res.reshape(-1)
 
         accepted = False
         step = np.zeros(6)
-        while lam <= 1e12:
+        while lam <= _LAMBDA_MAX:
             h_lm = h + lam * np.diag(np.diag(h))
             try:
                 step = np.linalg.solve(h_lm, -g)
@@ -257,7 +320,7 @@ def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSol
                 lam *= cfg.lambda_up
                 continue
             candidate = pose.compose(se3_exp(step))
-            new_cost, new_res, new_w, flagged = _weighted_cost(p, q, sp, sq, candidate, mode)
+            new_cost, new_res, new_w, flagged = _weighted_cost(p, q, sp, sq, candidate)
             if new_cost < cost:
                 pose, res, weights = candidate, new_res, new_w
                 prev_cost, cost = cost, new_cost

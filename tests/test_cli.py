@@ -103,6 +103,9 @@ class TestExitCodes:
             # non-integral values of integer fields
             (["run", run_yaml + "patch_kernel: 2.5\n"], "patch_kernel"),
             (["run", run_yaml + "lm: {max_iters: 2.5}\n"], "max_iters"),
+            # LM damping that never leaves a rejected trial, or never tries one
+            (["run", run_yaml + "lm: {lambda_up: 0.5}\n"], "lm: lambda_up"),
+            (["run", run_yaml + "lm: {lambda_init: 1.0e+13}\n"], "lm: lambda_init"),
             (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 80.5}")], "max_keypoints"),
             (["run", run_yaml + "covariance_mode: sparse\n"], "covariance_mode"),
             (["run", run_yaml + "keypoint_mode: corners\n"], "keypoint_mode"),

@@ -13,10 +13,19 @@ from stereovo.geometry import (
     transform_landmark,
 )
 from stereovo.optimizer import (
+    _COND_LIMIT,
+    _DET_REL_TOL,
+    _FULL,
+    _LAMBDA_MAX,
+    _RIDGE_ABS,
+    _RIDGE_REL,
+    _UPPER,
     CovarianceMode,
     FramePairProblem,
     LMConfig,
     MatchedLandmarks,
+    _combined_covariances,
+    _sym3_cofactors,
     mahalanobis_cost,
     pair_covariances,
     residual_jacobian,
@@ -49,6 +58,109 @@ def noiseless_problem(rng, n=12, max_angle_deg=60.0, mode=CovarianceMode.FULL, c
     q = t_gt.inverse().apply(p)
     covs = np.array([[random_spd(rng, cov_scale), random_spd(rng, cov_scale)] for _ in range(n)])
     return FramePairProblem(make_pairs(p, q, covs[:, 0], covs[:, 1]), PoseSE3.identity(), mode), t_gt
+
+
+# The LAPACK evaluation solve_pose used before its closed-form 3x3 algebra:
+# an eigvalsh conditioning check on every S, np.linalg.inv for the weights,
+# np.linalg.det for the scale-agnostic normalizers and einsum normal
+# equations. Kept as the reference the closed forms are compared against.
+
+
+def reference_regularized(s):
+    """(S with the ridge where eigvalsh finds it ill-conditioned, mask)."""
+    vals = np.linalg.eigvalsh(s)
+    bad = vals[:, 0] <= vals[:, 2] / _COND_LIMIT
+    ridge = np.maximum(_RIDGE_REL * np.trace(s, axis1=1, axis2=2) / 3.0, _RIDGE_ABS)
+    s = s.copy()
+    s[bad] += ridge[bad, None, None] * np.eye(3)
+    return s, bad
+
+
+def reference_mode_adjusted(pairs, mode):
+    sp, sq = pairs.sp, pairs.sq
+    if mode is CovarianceMode.DIAGONAL:
+        eye = np.eye(3, dtype=bool)
+        return np.where(eye, sp, 0.0), np.where(eye, sq, 0.0)
+    if mode is CovarianceMode.SCALE_AGNOSTIC:
+
+        def normalizer(covs):
+            det, trace = np.linalg.det(covs), np.trace(covs, axis1=1, axis2=2)
+            scale = float(np.mean(np.where(det > _DET_REL_TOL * trace**3, det, 0.0) ** (1.0 / 3.0)))
+            if scale > _RIDGE_ABS:
+                return scale
+            scale = float(np.mean(trace / 3.0))
+            return scale if scale > _RIDGE_ABS else 1.0
+
+        return sp / normalizer(sp), sq / normalizer(sq)
+    return sp, sq
+
+
+def reference_weighted_cost(p, q, sp, sq, pose, mode):
+    if mode is CovarianceMode.IDENTITY:
+        s, flagged = np.broadcast_to(np.eye(3), sp.shape), False
+    else:
+        s = sp + pose.rotation @ sq @ pose.rotation.T
+        s, bad = reference_regularized(0.5 * (s + np.transpose(s, (0, 2, 1))))
+        flagged = bool(bad.any())
+    w = np.linalg.inv(s)
+    res = p - pose.apply(q)
+    return float(np.einsum("ni,nij,nj->", res, w, res)), res, w, flagged
+
+
+def reference_solve_pose(problem, cfg=LMConfig()):
+    """solve_pose's LM loop over the reference evaluation."""
+    p, q = problem.pairs.p, problem.pairs.q
+    sp, sq = reference_mode_adjusted(problem.pairs, problem.covariance_mode)
+    mode, pose = problem.covariance_mode, problem.initial_pose
+    cost, res, weights, regularized = reference_weighted_cost(p, q, sp, sq, pose, mode)
+    lam = cfg.lambda_init
+    for _ in range(cfg.max_iters):
+        if cost == 0.0:
+            break
+        jac = residual_jacobian(pose, q)
+        jtw = np.einsum("nij,nik->njk", jac, weights)
+        h = np.einsum("nij,njk->ik", jtw, jac)
+        g = np.einsum("nij,nj->i", jtw, res)
+        accepted = False
+        while lam <= _LAMBDA_MAX:
+            try:
+                step = np.linalg.solve(h + lam * np.diag(np.diag(h)), -g)
+            except np.linalg.LinAlgError:
+                lam *= cfg.lambda_up
+                continue
+            candidate = pose.compose(se3_exp(step))
+            new_cost, new_res, new_w, flagged = reference_weighted_cost(p, q, sp, sq, candidate, mode)
+            if new_cost < cost:
+                pose, res, weights = candidate, new_res, new_w
+                prev_cost, cost = cost, new_cost
+                regularized |= flagged
+                lam = max(lam * cfg.lambda_down, 1e-15)
+                accepted = True
+                break
+            lam *= cfg.lambda_up
+        if not accepted or np.linalg.norm(step) < cfg.step_tol:
+            break
+        if prev_cost - cost < cfg.cost_tol * max(prev_cost, np.finfo(float).tiny):
+            break
+    return pose, cost, regularized
+
+
+def six(s):
+    """The six unique entries (N, 6) of an exactly symmetric stack."""
+    return s.reshape(-1, 9)[:, _UPPER]
+
+
+def regularized(s):
+    """_combined_covariances of the stack S (N, 3, 3) itself: S + R 0 R^T."""
+    return _combined_covariances(six(s), np.zeros((len(s), 9)), np.eye(3))
+
+
+def with_eigenvalues(rng, vals):
+    """Exactly symmetric stack (N, 3, 3) with the given eigenvalues (N, 3)
+    in random orientations."""
+    rot = np.stack([random_rotation(rng) for _ in range(len(vals))])
+    s = rot @ (vals[:, :, None] * np.transpose(rot, (0, 2, 1)))
+    return 0.5 * (s + np.transpose(s, (0, 2, 1)))
 
 
 class TestMatchedLandmarks:
@@ -384,3 +496,129 @@ class TestSolvePose:
             LMConfig(max_iters=0)
         with pytest.raises(ValueError):
             LMConfig(lambda_init=-1.0)
+        # a rejected trial's damping must grow to the cap, and the first
+        # trial must run
+        for kwargs, field in (
+            ({"lambda_up": 0.5}, "lambda_up"),
+            ({"lambda_up": 1.0}, "lambda_up"),
+            ({"lambda_down": 1.5}, "lambda_down"),
+            ({"lambda_init": 1e13}, "lambda_init"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                LMConfig(**kwargs)
+        LMConfig(lambda_down=1.0, lambda_init=_LAMBDA_MAX)
+
+
+class TestClosedFormAlgebra:
+    """The closed-form 3x3 algebra against the LAPACK reference above."""
+
+    def test_screen_matches_eigvalsh(self):
+        rng = np.random.default_rng(17)
+        n = 400
+        ratio = np.exp(rng.uniform(np.log(0.25), np.log(4.0), n)) / _COND_LIMIT
+        stacks = {
+            "rank-1": with_eigenvalues(rng, np.c_[np.zeros((n, 2)), rng.uniform(1e-4, 1e2, n)]),
+            "rank-2": with_eigenvalues(rng, np.c_[np.zeros(n), rng.uniform(1e-4, 1e2, (n, 2))]),
+            "zero": np.zeros((n, 3, 3)),
+            # lambda_min / lambda_max within 4x of 1 / _COND_LIMIT, either side
+            "near-threshold": with_eigenvalues(rng, np.c_[ratio, rng.uniform(ratio, 1.0), np.ones(n)]),
+            "indefinite": with_eigenvalues(rng, np.c_[rng.uniform(-1e-10, 1e-10, n), rng.uniform(-1e-10, 1.0, (n, 2))]),
+            "tiny-indefinite": with_eigenvalues(rng, rng.uniform(-1e-10, 1e-9, (n, 3))),
+            "well-conditioned": np.stack([random_spd(rng, 10.0 ** rng.uniform(-4, 2)) for _ in range(n)]),
+        }
+        counts = {}
+        for name, s in stacks.items():
+            got_s, _, got_bad = regularized(s)
+            want_s, want_bad = reference_regularized(s)
+            assert np.array_equal(got_bad, want_bad), name
+            assert np.array_equal(got_s[:, _FULL].reshape(-1, 3, 3), want_s), name
+            counts[name] = int(want_bad.sum())
+        # the stacks exercise both outcomes where they should
+        assert counts["rank-1"] == counts["rank-2"] == counts["zero"] == n
+        assert 0 < counts["near-threshold"] < n and 0 < counts["indefinite"] < n
+        assert counts["well-conditioned"] == 0
+
+    def test_cofactor_inverse_matches_inv(self):
+        # the cofactor inverse errs by ~eps * trace^3 / det relative to
+        # |S^-1|, which the screen keeps below ~eps * _COND_LIMIT
+        rng = np.random.default_rng(18)
+        n = 500
+        vals = np.exp(rng.uniform(np.log(1e-10), 0.0, (n, 3))) * 10.0 ** rng.uniform(-4, 2, (n, 1))
+        s = with_eigenvalues(rng, vals)
+        cof, det = _sym3_cofactors(six(s))
+        trace = np.trace(s, axis1=1, axis2=2)
+        assert np.all(np.abs(det - np.linalg.det(s)) <= 16 * np.finfo(float).eps * trace**3)
+        got_s, w, bad = regularized(s)
+        assert not bad.any() and np.array_equal(got_s, six(s))
+        want = np.linalg.inv(s)
+        scale = np.abs(want).max(axis=(1, 2)) * trace**3 / np.abs(det)
+        err = np.abs(w - want).max(axis=(1, 2))
+        assert np.all(err <= 64 * np.finfo(float).eps * scale)
+        certified = det > 2 * trace**3 / _COND_LIMIT
+        assert 0 < certified.sum() < n
+        # members the screen leaves to eigvalsh are inverted by LU,
+        # ridged or not, where cofactors would err by O(1)
+        rank1 = with_eigenvalues(rng, np.c_[np.zeros((50, 2)), rng.uniform(1e-4, 1e2, 50)])
+        ridged, w, bad = regularized(rank1)
+        assert bad.all()
+        assert np.allclose(w, np.linalg.inv(ridged[:, _FULL].reshape(-1, 3, 3)), rtol=1e-12, atol=0)
+
+    def test_well_conditioned_solve_skips_lapack(self, monkeypatch):
+        calls = {"eigvalsh": 0, "inv": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(19)
+        problem, t_gt = noiseless_problem(rng, n=40)
+        problem.pairs.p[:] += rng.normal(size=problem.pairs.p.shape) * 0.03
+        sol = solve_pose(problem)
+        assert sol.iterations > 1 and not sol.cov_regularized
+        assert calls == {"eigvalsh": 0, "inv": 0}
+        # the counters see a rank-deficient problem reach both
+        pairs = problem.pairs
+        zero = np.zeros_like(pairs.sp)
+        solve_pose(FramePairProblem(MatchedLandmarks(pairs.p, pairs.q, zero, zero), PoseSE3.identity()))
+        assert calls["eigvalsh"] > 0 and calls["inv"] > 0
+
+    def test_solve_pose_matches_reference_algebra(self):
+        # not bit-identical: trial costs differ at rounding level, which
+        # can flip an accept/reject decision near the optimum
+        cases = []
+        for seed in range(6):
+            rng = np.random.default_rng(300 + seed)
+            for mode in CovarianceMode:
+                problem, _ = noiseless_problem(rng, n=30, mode=mode)
+                problem.pairs.p[:] += rng.normal(size=problem.pairs.p.shape) * 0.05
+                cases.append(problem)
+            # rank-1 previous and zero current covariances: ridged everywhere
+            problem, _ = noiseless_problem(rng, n=20)
+            rays = rng.normal(size=(20, 3))
+            pairs = make_pairs(
+                problem.pairs.p + rng.normal(size=(20, 3)) * 0.05, problem.pairs.q,
+                0.1 * rays[:, :, None] * rays[:, None, :], np.zeros((20, 3, 3)),
+            )
+            cases.append(FramePairProblem(pairs, PoseSE3.identity()))
+        regularized = 0
+        for problem in cases:
+            sol = solve_pose(problem)
+            pose, cost, flagged = reference_solve_pose(problem)
+            assert abs(sol.cost - cost) <= 1e-9 * cost
+            assert np.linalg.norm(sol.pose.translation - pose.translation) < 1e-6
+            assert rotation_angle(sol.pose.rotation.T @ pose.rotation) < 1e-6
+            assert sol.cov_regularized == flagged
+            regularized += flagged
+        assert 0 < regularized < len(cases)
+        # noise-free: both reach zero cost at the same pose
+        for seed in range(5):
+            for mode in CovarianceMode:
+                problem, t_gt = noiseless_problem(np.random.default_rng(320 + seed), mode=mode)
+                sol = solve_pose(problem)
+                pose, cost, flagged = reference_solve_pose(problem)
+                assert sol.cost < 1e-16 and cost < 1e-16 and sol.cov_regularized == flagged
+                assert np.linalg.norm(sol.pose.translation - pose.translation) < 1e-8
+                assert rotation_angle(sol.pose.rotation.T @ pose.rotation) < 1e-8
