@@ -22,6 +22,7 @@ from .frontend import (
     NoiseModel,
     SceneConfig,
     Wall,
+    generate_frames,
     generate_sequence,
     ingest_observations,
     write_observations,
@@ -36,7 +37,6 @@ from .geometry import (
     se3_log,
     so3_exp,
     so3_log,
-    transform_landmark,
 )
 from .mc import McReport, mc_depth_distribution, mc_projection_covariance
 from .optimizer import (

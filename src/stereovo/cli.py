@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .errors import ConfigError, DataFormatError, NumericalError, config_field
 from .evaluation import per_frame_errors, read_tum, scale_align, write_metrics_csv, write_per_frame_csv
-from .frontend import generate_sequence, load_scene_config, write_observations
+from .frontend import generate_frames, load_scene_config, write_observations
 from .mc import MIN_SAMPLES, mc_depth_distribution, mc_projection_covariance, summarize_report, write_report_csv
 from .optimizer import CovarianceMode
 from .pipeline import ablate, load_run_config, run, write_ablation_csv, write_run_outputs
@@ -37,9 +37,8 @@ def _apply_seed_override(cfg, seed):
 
 def _cmd_simulate(args) -> int:
     cfg = _apply_seed_override(load_scene_config(args.scene), args.seed)
-    frames = generate_sequence(cfg)
-    write_observations(frames, args.output)
-    log.info("wrote %d frames to %s", len(frames), args.output)
+    write_observations(generate_frames(cfg), args.output)
+    log.info("wrote %d frames to %s", cfg.num_frames, args.output)
     return EXIT_OK
 
 

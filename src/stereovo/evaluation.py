@@ -46,7 +46,10 @@ class Trajectory:
 
 
 def read_tum(path) -> Trajectory:
-    """Parse a TUM trajectory file; '#' lines and blanks are skipped."""
+    """Parse a TUM trajectory file; '#' lines and blanks are skipped.
+    A line with a wrong field count, a non-finite value, a timestamp not
+    after the previous line's or a zero quaternion is a DataFormatError
+    naming ``path:line``."""
     times, poses = [], []
     path = Path(path)
     try:
@@ -64,9 +67,13 @@ def read_tum(path) -> Trajectory:
             vals = [float(x) for x in parts]
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: non-numeric field") from exc
+        if not np.isfinite(vals).all():
+            raise DataFormatError(f"{path}:{lineno}: non-finite field")
+        if times and not vals[0] > times[-1]:
+            raise DataFormatError(f"{path}:{lineno}: timestamp {parts[0]} does not increase")
         quat = np.array(vals[4:8])
         norm = np.linalg.norm(quat)
-        if not np.isfinite(norm) or norm < 1e-12:
+        if norm < 1e-12:
             raise DataFormatError(f"{path}:{lineno}: degenerate quaternion")
         times.append(vals[0])
         poses.append(PoseSE3(Rotation.from_quat(quat / norm).as_matrix(), np.array(vals[1:4])))

@@ -10,13 +10,18 @@ tested against both.
 
 A frame's flow maps pixel centers of frame t to their corresponding
 (float) locations in frame t+1; the last frame carries zero flow.
-All maps are float64 in memory; the on-disk format is float32.
+All maps are float64 in memory; the on-disk format is float32. Frames
+stream: ``generate_frames`` yields them one at a time, ``ingest_observations``
+reads a frame's file only when the frame is indexed, and
+``write_observations`` writes each frame as it arrives.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import struct
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -311,13 +316,15 @@ def _anomaly_multiplier(cam: StereoCamera, regions) -> np.ndarray:
     return mult
 
 
-def generate_sequence(cfg: SceneConfig) -> list[FrameObservation]:
-    """Render the scene along the scripted trajectory and add noise.
+def generate_frames(cfg: SceneConfig) -> Iterator[FrameObservation]:
+    """Render the scene along the scripted trajectory and add noise,
+    yielding one frame at a time.
 
     Deterministic given cfg.seed. The per-pixel variance maps equal the
     generating noise variances, except inside anomaly regions when
     cfg.noise.lie_in_anomalies is set, where the emitted variances stay
-    at the baseline level (an overconfident frontend).
+    at the baseline level (an overconfident frontend). Depth is rendered
+    one frame ahead, for the occlusion test against frame t+1.
     """
     cam = cfg.camera
     poses = motion_poses(cfg.motion, cfg.num_frames)
@@ -328,7 +335,6 @@ def generate_sequence(cfg: SceneConfig) -> list[FrameObservation]:
     landmarks = _sample_landmarks(cfg, poses[0], rng_world)
     rays = _pixel_rays(cam)
     splats = landmarks if cfg.render_landmarks else None
-    depth_true = [_render_depth(cam, p, rays, walls, splats) for p in poses]
 
     field = _noise_field(cam, cfg.noise.heteroscedastic, rng_field)
     mult = _anomaly_multiplier(cam, cfg.anomaly_regions)
@@ -340,13 +346,14 @@ def generate_sequence(cfg: SceneConfig) -> list[FrameObservation]:
     else:
         sigma_flow_emit, gamma_emit = sigma_flow_true, gamma_true
 
-    frames = []
+    dt_next = _render_depth(cam, poses[0], rays, walls, splats)
     for t in range(cfg.num_frames):
         rng_t = np.random.default_rng([cfg.seed, 2, t])
-        dt_map = depth_true[t]
+        dt_map = dt_next
         depth_ok = np.isfinite(dt_map)
 
         if t + 1 < cfg.num_frames:
+            dt_next = _render_depth(cam, poses[t + 1], rays, walls, splats)
             pts_world = poses[t].apply((rays * np.where(depth_ok, dt_map, 1.0)[..., None]).reshape(-1, 3))
             pts_next = poses[t + 1].inverse().apply(pts_world).reshape(cam.height, cam.width, 3)
             zb = pts_next[..., 2]
@@ -362,7 +369,7 @@ def generate_sequence(cfg: SceneConfig) -> list[FrameObservation]:
             )
             ui = np.clip(np.rint(np.where(in_view, mu, 0)).astype(int), 0, cam.width - 1)
             vi = np.clip(np.rint(np.where(in_view, mv, 0)).astype(int), 0, cam.height - 1)
-            seen = depth_true[t + 1][vi, ui]
+            seen = dt_next[vi, ui]
             not_occluded = seen >= zb * (1.0 - _OCCLUSION_REL_TOL)
             valid = depth_ok & in_view & not_occluded
             uu, vv = rays[..., 0] * cam.fx + cam.cx, rays[..., 1] * cam.fy + cam.cy
@@ -384,18 +391,20 @@ def generate_sequence(cfg: SceneConfig) -> list[FrameObservation]:
         depth = np.where(valid, depth, 0.0)
         depth_var = np.where(valid, depth_var, 0.0)
 
-        frames.append(
-            FrameObservation(
-                flow=flow,
-                flow_var=flow_var,
-                depth=depth,
-                depth_var=depth_var,
-                valid=valid,
-                pose=poses[t],
-                timestamp=t * cfg.frame_dt,
-            )
+        yield FrameObservation(
+            flow=flow,
+            flow_var=flow_var,
+            depth=depth,
+            depth_var=depth_var,
+            valid=valid,
+            pose=poses[t],
+            timestamp=t * cfg.frame_dt,
         )
-    return frames
+
+
+def generate_sequence(cfg: SceneConfig) -> list[FrameObservation]:
+    """Every frame of ``generate_frames``, in a list."""
+    return list(generate_frames(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -406,55 +415,91 @@ def _frame_path(directory: Path, index: int) -> Path:
     return directory / f"frame_{index:06d}.obs"
 
 
-def write_observations(frames: list[FrameObservation], directory) -> None:
-    """Write poses_gt.txt plus one binary .obs file per frame."""
+def write_observations(frames: Iterable[FrameObservation], directory) -> None:
+    """Write one binary .obs file per frame, then poses_gt.txt; frames
+    may be any iterable, such as ``generate_frames``, and are written as
+    they arrive."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    traj = Trajectory(np.array([f.timestamp for f in frames]), [f.pose for f in frames])
-    write_tum(traj, directory / "poses_gt.txt")
+    timestamps, poses = [], []
     for i, frame in enumerate(frames):
         h, w = frame.depth.shape
-        header = OBS_MAGIC + struct.pack(
-            "<II5I", w, h, *(c for _, c in OBS_CHANNELS)
-        )
-        blobs = [
-            frame.flow.astype("<f4").tobytes(),
-            frame.flow_var.astype("<f4").tobytes(),
-            frame.depth.astype("<f4").tobytes(),
-            frame.depth_var.astype("<f4").tobytes(),
-            frame.valid.astype("<f4").tobytes(),
-        ]
-        _frame_path(directory, i).write_bytes(header + b"".join(blobs))
+        header = OBS_MAGIC + struct.pack("<II5I", w, h, *(c for _, c in OBS_CHANNELS))
+        maps = (frame.flow, frame.flow_var, frame.depth, frame.depth_var, frame.valid)
+        _frame_path(directory, i).write_bytes(header + b"".join(m.astype("<f4").tobytes() for m in maps))
+        timestamps.append(frame.timestamp)
+        poses.append(frame.pose)
+    write_tum(Trajectory(np.array(timestamps), poses), directory / "poses_gt.txt")
 
 
-def _read_obs_file(path: Path) -> dict[str, np.ndarray]:
-    data = path.read_bytes()
-    head_len = len(OBS_MAGIC) + 4 * (2 + len(OBS_CHANNELS))
-    if len(data) < head_len:
+_HEAD_LEN = len(OBS_MAGIC) + 4 * (2 + len(OBS_CHANNELS))
+
+
+def _check_obs_header(path: Path, head: bytes, size: int) -> tuple[int, int]:
+    """The (width, height) in an .obs file's header, checked together
+    with the file's size in bytes."""
+    if size < _HEAD_LEN:
         raise DataFormatError(f"{path}: truncated header")
-    if data[: len(OBS_MAGIC)] != OBS_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {data[:len(OBS_MAGIC)]!r}")
-    w, h, *channels = struct.unpack("<II5I", data[len(OBS_MAGIC) : head_len])
+    if head[: len(OBS_MAGIC)] != OBS_MAGIC:
+        raise DataFormatError(f"{path}: bad magic {head[:len(OBS_MAGIC)]!r}")
+    w, h, *channels = struct.unpack("<II5I", head[len(OBS_MAGIC) : _HEAD_LEN])
     expected = tuple(c for _, c in OBS_CHANNELS)
     if tuple(channels) != expected:
         raise DataFormatError(f"{path}: channel layout {channels} != {list(expected)}")
-    need = head_len + 4 * h * w * sum(channels)
-    if len(data) != need:
-        kind = "truncated" if len(data) < need else "oversized"
-        raise DataFormatError(f"{path}: {kind} payload ({len(data)} bytes, expected {need})")
+    need = _HEAD_LEN + 4 * h * w * sum(channels)
+    if size != need:
+        kind = "truncated" if size < need else "oversized"
+        raise DataFormatError(f"{path}: {kind} payload ({size} bytes, expected {need})")
+    return w, h
+
+
+def _read_frame(path: Path, pose: PoseSE3, timestamp: float) -> FrameObservation:
+    data = path.read_bytes()
+    w, h = _check_obs_header(path, data[:_HEAD_LEN], len(data))
     maps: dict[str, np.ndarray] = {}
-    offset = head_len
+    offset = _HEAD_LEN
     for (name, c) in OBS_CHANNELS:
         count = h * w * c
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(float)
         offset += 4 * count
         maps[name] = arr.reshape((h, w, c)) if c > 1 else arr.reshape((h, w))
-    return maps
+    try:
+        return FrameObservation(
+            flow=maps["flow"],
+            flow_var=maps["flow_var"],
+            depth=maps["depth"],
+            depth_var=maps["depth_var"],
+            valid=maps["mask"] > 0.5,
+            pose=pose,
+            timestamp=timestamp,
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def ingest_observations(directory) -> list[FrameObservation]:
-    """Load a directory written by write_observations (or a compatible
-    producer): poses_gt.txt plus frame_NNNNNN.obs files."""
+class _IngestedFrames(Sequence):
+    """An observation directory's frames, each read from its file and
+    checked when it is indexed; nothing is cached."""
+
+    def __init__(self, files: list[Path], traj: Trajectory):
+        self._files = files
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+    def __getitem__(self, index: int) -> FrameObservation:
+        return _read_frame(self._files[index], self._traj.poses[index], float(self._traj.timestamps[index]))
+
+
+def ingest_observations(directory) -> Sequence[FrameObservation]:
+    """The frames of a directory written by write_observations (or a
+    compatible producer): poses_gt.txt plus frame_NNNNNN.obs files.
+
+    poses_gt.txt, the frame count and every file's header and size are
+    checked here; a frame's maps are read, and checked, each time the
+    frame is indexed or iterated over.
+    """
     directory = Path(directory)
     pose_file = directory / "poses_gt.txt"
     if not pose_file.exists():
@@ -465,23 +510,10 @@ def ingest_observations(directory) -> list[FrameObservation]:
         raise DataFormatError(
             f"frame/pose count mismatch: {len(frame_files)} frames vs {len(traj)} poses in {directory}"
         )
-    frames = []
-    for i, path in enumerate(frame_files):
-        maps = _read_obs_file(path)
-        try:
-            frame = FrameObservation(
-                flow=maps["flow"],
-                flow_var=maps["flow_var"],
-                depth=maps["depth"],
-                depth_var=maps["depth_var"],
-                valid=maps["mask"] > 0.5,
-                pose=traj.poses[i],
-                timestamp=float(traj.timestamps[i]),
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
-        frames.append(frame)
-    return frames
+    for path in frame_files:
+        with path.open("rb") as fh:
+            _check_obs_header(path, fh.read(_HEAD_LEN), os.fstat(fh.fileno()).st_size)
+    return _IngestedFrames(frame_files, traj)
 
 
 # ---------------------------------------------------------------------------

@@ -302,15 +302,3 @@ def project(cam: StereoCamera, point) -> tuple[float, float, float]:
         raise ValueError(f"point is not in front of the camera, z={z}")
     return (cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy, z)
 
-
-def transform_landmark(pose: PoseSE3, landmark: Landmark3D) -> Landmark3D:
-    """Move a camera-frame landmark into the world frame.
-
-    The covariance is conjugated by the rotation (a similarity transform,
-    so eigenvalues and PSD-ness are preserved).
-    """
-    if landmark.frame != "camera":
-        raise ValueError(f"expected a camera-frame landmark, got frame {landmark.frame!r}")
-    cov = pose.rotation @ landmark.covariance @ pose.rotation.T
-    cov = 0.5 * (cov + cov.T)
-    return Landmark3D(pose.apply(landmark.position), cov, frame="world")

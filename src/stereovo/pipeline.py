@@ -18,16 +18,18 @@ constant-velocity motion model instead of aborting the run.
 A run has two stages. The front half selects and matches each frame
 pair; it depends on the camera, the selector, the keypoint mode, the
 seed and the patch kernel, not on the covariance mode or the running
-pose. The back half solves each pair in one covariance mode. ``run``
-on frames streams a pair through both stages at a time;
-``match_sequence`` keeps the front half of a whole sequence, so that
-``ablate`` selects and matches once and solves once per mode.
+pose. The back half solves each pair in one covariance mode. Frames
+come from any iterable, one at a time, and the ground truth is gathered
+as they pass: ``run`` on frames holds at most two frames and streams a
+pair through both stages at a time; ``match_sequence`` keeps only the
+front half's landmarks of a whole sequence, so that ``ablate`` selects
+and matches once and solves once per mode.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -40,7 +42,7 @@ from .evaluation import Trajectory, t_rel, r_rel, write_tum
 from .frontend import (
     FrameObservation,
     SceneConfig,
-    generate_sequence,
+    generate_frames,
     ingest_observations,
 )
 from .geometry import PoseSE3, StereoCamera
@@ -106,9 +108,10 @@ class RunResult:
     diagnostics: list[FrameDiagnostics]
 
 
-def load_frames(cfg: RunConfig) -> list[FrameObservation]:
+def load_frames(cfg: RunConfig) -> Iterable[FrameObservation]:
+    """The config's frames, generated or read one at a time."""
     if cfg.simulate is not None:
-        return generate_sequence(cfg.simulate)
+        return generate_frames(cfg.simulate)
     return ingest_observations(cfg.ingest)
 
 
@@ -172,77 +175,87 @@ class MatchedSequence:
     pairs: list[MatchedLandmarks | NumericalError]
 
 
-def _ground_truth(cam: StereoCamera, frames: list[FrameObservation]) -> Trajectory:
-    """The ground truth of a sequence of at least two frames whose maps
-    all fit the camera."""
-    if len(frames) < 2:
-        raise ConfigError("input: need at least 2 frames")
-    for t, f in enumerate(frames):
-        if f.depth.shape != (cam.height, cam.width):
-            h, w = f.depth.shape
-            raise ConfigError(f"camera: frame {t} maps are {w}x{h} but camera expects {cam.width}x{cam.height}")
-    return Trajectory(np.array([f.timestamp for f in frames]), [f.pose for f in frames])
+def _match_pair(
+    settings: MatchSettings, t: int, src: FrameObservation, dst: FrameObservation
+) -> MatchedLandmarks | NumericalError:
+    """Frame pair t's matched landmarks, or the NumericalError that
+    stopped its selection."""
+    cam = settings.camera
+    rng = np.random.default_rng([settings.seed, t]) if settings.keypoint_mode is KeypointMode.RANDOM else None
+    maps = DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid)
+    try:
+        keypoints = select(maps, cam, settings.selector, rng)
+        return build_matched_pairs(cam, src, dst, keypoints, settings.patch_kernel)
+    except NumericalError as exc:
+        # without its traceback, which would keep both frames alive
+        return exc.with_traceback(None)
 
 
 def _matched_pairs(
-    settings: MatchSettings, frames: list[FrameObservation]
+    settings: MatchSettings, frames: Iterable[FrameObservation], passed: list[tuple[float, PoseSE3]]
 ) -> Iterator[MatchedLandmarks | NumericalError]:
-    """Select and match each frame pair in turn; a pair whose selection
-    fails yields its NumericalError instead."""
+    """Select and match each frame pair as its later frame arrives,
+    holding at most two frames. Each frame is checked against the camera
+    and its (timestamp, pose) appended to passed when it arrives; a
+    stream of fewer than two frames is a ConfigError when it ends."""
     cam = settings.camera
-    for t in range(1, len(frames)):
-        src, dst = frames[t - 1], frames[t]
-        rng = np.random.default_rng([settings.seed, t]) if settings.keypoint_mode is KeypointMode.RANDOM else None
-        maps = DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid)
-        try:
-            keypoints = select(maps, cam, settings.selector, rng)
-            pairs = build_matched_pairs(cam, src, dst, keypoints, settings.patch_kernel)
-        except NumericalError as exc:
-            # without its traceback, which would keep every frame alive
-            yield exc.with_traceback(None)
-        else:
-            yield pairs
+    src = None
+    for t, dst in enumerate(frames):
+        if dst.depth.shape != (cam.height, cam.width):
+            h, w = dst.depth.shape
+            raise ConfigError(f"camera: frame {t} maps are {w}x{h} but camera expects {cam.width}x{cam.height}")
+        passed.append((dst.timestamp, dst.pose))
+        if src is not None:
+            yield _match_pair(settings, t, src, dst)
+        src = dst
+    if len(passed) < 2:
+        raise ConfigError("input: need at least 2 frames")
 
 
-def match_sequence(cfg: RunConfig, frames: list[FrameObservation] | None = None) -> MatchedSequence:
+def _trajectory(passed: list[tuple[float, PoseSE3]]) -> Trajectory:
+    return Trajectory(np.array([ts for ts, _ in passed]), [pose for _, pose in passed])
+
+
+def match_sequence(cfg: RunConfig, frames: Iterable[FrameObservation] | None = None) -> MatchedSequence:
     """Select and match every frame pair once, for ``run`` to solve in
-    any number of covariance modes; frames default to the config's."""
+    any number of covariance modes; frames default to the config's.
+    Frames are read one at a time and only the landmarks are kept."""
     if frames is None:
         frames = load_frames(cfg)
     settings = MatchSettings.of(cfg)
-    gt = _ground_truth(settings.camera, frames)
-    return MatchedSequence(settings, gt, list(_matched_pairs(settings, frames)))
+    passed: list[tuple[float, PoseSE3]] = []
+    pairs = list(_matched_pairs(settings, frames, passed))
+    return MatchedSequence(settings, _trajectory(passed), pairs)
 
 
-def run(cfg: RunConfig, frames: list[FrameObservation] | MatchedSequence | None = None) -> RunResult:
+def run(cfg: RunConfig, frames: Iterable[FrameObservation] | MatchedSequence | None = None) -> RunResult:
     """Process the whole sequence; deterministic given cfg and its seed.
 
-    frames may be supplied to reuse an already loaded/generated
-    sequence, or as a ``match_sequence`` built with the same camera,
-    selector, keypoint mode, seed and patch kernel (a ConfigError
+    frames may be any iterable of frames, such as an already loaded or
+    generated sequence, or a ``match_sequence`` built with the same
+    camera, selector, keypoint mode, seed and patch kernel (a ConfigError
     otherwise); the ablation driver passes one to each mode. Given
-    frames, each frame pair is selected and matched just before it is
-    solved, so only one pair's landmarks are held at a time.
+    frames, each frame pair is selected and matched just after its later
+    frame arrives and is solved at once, so at most two frames and one
+    pair's landmarks are held at a time.
     """
     settings = MatchSettings.of(cfg)
+    passed: list[tuple[float, PoseSE3]] = []
     if isinstance(frames, MatchedSequence):
         if frames.settings != settings:
             raise ConfigError(
                 "matched sequence: built with another camera, selector, keypoint mode, seed or patch kernel"
             )
-        gt, matched = frames.gt, frames.pairs
+        matched = frames.pairs
     else:
-        if frames is None:
-            frames = load_frames(cfg)
-        gt = _ground_truth(settings.camera, frames)
-        matched = _matched_pairs(settings, frames)
+        matched = _matched_pairs(settings, frames if frames is not None else load_frames(cfg), passed)
 
-    est_poses = [gt.poses[0]]
     diagnostics: list[FrameDiagnostics] = []
     # motion of the current camera in the previous camera's frame: the
     # constant-velocity initial guess, replaced by each solve and kept
     # as it is when a frame falls back
     delta = PoseSE3.identity()
+    motions: list[PoseSE3] = []
 
     for t, pairs in enumerate(matched, start=1):
         flags: list[str] = []
@@ -266,11 +279,15 @@ def run(cfg: RunConfig, frames: list[FrameObservation] | MatchedSequence | None 
                 flags.append("lm_max_iters")
             if solution.cov_regularized:
                 flags.append("cov_regularized")
-        # the estimate chains through every later frame; keep the
-        # rotation exactly on SO(3) so drift cannot compound
-        est_poses.append(est_poses[-1].compose(delta).orthonormalized())
+        motions.append(delta)
         diagnostics.append(FrameDiagnostics(t, keypoints_used, cost, iterations, flags))
 
+    gt = frames.gt if isinstance(frames, MatchedSequence) else _trajectory(passed)
+    # the estimate chains through every later frame; keep the rotation
+    # exactly on SO(3) so drift cannot compound
+    est_poses = [gt.poses[0]]
+    for motion in motions:
+        est_poses.append(est_poses[-1].compose(motion).orthonormalized())
     return RunResult(est=Trajectory(gt.timestamps, est_poses), gt=gt, diagnostics=diagnostics)
 
 

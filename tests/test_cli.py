@@ -170,6 +170,57 @@ class TestExitCodes:
         assert main(["run", str(cfg)]) == EXIT_IO
         assert "frame_000001.obs" in capsys.readouterr().err
 
+    def test_malformed_trajectory_exit_2(self, workspace, capsys):
+        tmp, scene = workspace
+        obs = tmp / "obs"
+        assert main(["simulate", str(scene), "-o", str(obs)]) == EXIT_OK
+        pose_file = obs / "poses_gt.txt"
+        good = tmp / "good.txt"
+        good.write_text(pose_file.read_text())
+        lines = good.read_text().splitlines()
+        repeated = lines[1].split()
+        repeated[0] = lines[0].split()[0]
+        nan_t = lines[1].split()
+        nan_t[2] = "nan"
+        cfg = tmp / "run.cfg"
+        cfg.write_text(RUN_YAML.format(out=tmp / "o", obs=obs))
+        for row in (repeated, nan_t):
+            pose_file.write_text("\n".join([lines[0], " ".join(row), *lines[2:]]) + "\n")
+            capsys.readouterr()
+            assert main(["run", str(cfg)]) == EXIT_IO
+            assert "poses_gt.txt:2: " in capsys.readouterr().err
+            assert not (tmp / "o").exists()
+            for gt, est in ((pose_file, good), (good, pose_file)):
+                assert main(["eval", "--gt", str(gt), "--est", str(est), "-o", str(tmp / "m.csv")]) == EXIT_IO
+                assert "poses_gt.txt:2: " in capsys.readouterr().err
+
+    def test_late_frame_faults(self, workspace, capsys):
+        """Faults in the last frame, found only when it is read, still
+        exit with their code and write no outputs."""
+        tmp, scene = workspace
+        obs, wide = tmp / "obs", tmp / "wide"
+        assert main(["simulate", str(scene), "-o", str(obs)]) == EXIT_OK
+        last = obs / "frame_000005.obs"
+        original = last.read_bytes()
+        cfg = tmp / "run.cfg"
+        out = tmp / "out"
+        cfg.write_text(RUN_YAML.format(out=out, obs=obs))
+        scene.write_text(SCENE_YAML.replace("width: 96", "width: 80"))
+        assert main(["simulate", str(scene), "-o", str(wide)]) == EXIT_OK
+        faults = (
+            (lambda: overwrite_at_first_valid_pixel(last, "depth_var", np.nan), EXIT_IO, "frame_000005.obs"),
+            (lambda: last.write_bytes((wide / last.name).read_bytes()), EXIT_CONFIG, "camera: frame 5 maps are 80x96"),
+        )
+        for corrupt, code, message in faults:
+            corrupt()
+            for command in ("run", "ablate"):
+                capsys.readouterr()
+                assert main([command, str(cfg)]) == code, (command, message)
+                err = capsys.readouterr().err
+                assert message in err and "Traceback" not in err
+                assert not (out / "poses_est.txt").exists() and not (out / "ablation.csv").exists()
+            last.write_bytes(original)
+
     def test_numerical_error_exit_3(self, workspace):
         tmp, scene = workspace
         obs = tmp / "obs"

@@ -236,6 +236,25 @@ class TestTumIO:
         with pytest.raises(DataFormatError, match="8 fields"):
             read_tum(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "0.0 1 0 0 0 0 0 1",  # timestamp repeated
+            "-1.0 1 0 0 0 0 0 1",  # timestamp decreasing
+            "nan 1 0 0 0 0 0 1",
+            "1.0 nan 0 0 0 0 0 1",
+            "1.0 1 0 inf 0 0 0 1",
+            "1.0 1 0 0 0 nan 0 1",
+        ],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, line):
+        from stereovo.errors import DataFormatError
+
+        path = tmp_path / "traj.txt"
+        path.write_text(f"# header\n0.0 0 0 0 0 0 0 1\n{line}\n2.0 0 0 0 0 0 0 1\n")
+        with pytest.raises(DataFormatError, match="traj.txt:3: (non-finite field|timestamp .* does not increase)"):
+            read_tum(path)
+
     def test_per_frame_errors_shape(self):
         rng = np.random.default_rng(15)
         gt = make_traj(rng, n=7)

@@ -200,8 +200,9 @@ class TestObservationIO:
         original = victim.read_bytes()
         for channel, value in (("flow_var", np.nan), ("depth_var", -1.0)):
             overwrite_at_first_valid_pixel(victim, channel, value)
+            # variances are checked when the frame is read
             with pytest.raises(DataFormatError, match="frame_000002.obs: variance maps must be non-negative"):
-                ingest_observations(tmp_path)
+                list(ingest_observations(tmp_path))
             victim.write_bytes(original)
         assert len(ingest_observations(tmp_path)) == 6
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation, random_spd
+from conftest import random_rotation, random_spd, transform_landmark
 from stereovo.geometry import (
     Landmark3D,
     PoseSE3,
@@ -15,7 +15,6 @@ from stereovo.geometry import (
     se3_log,
     so3_exp,
     so3_log,
-    transform_landmark,
 )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_rotation, random_spd
+from conftest import random_rotation, random_spd, transform_landmark
 from stereovo.errors import DegenerateGeometryError
 from stereovo.geometry import (
     Landmark3D,
@@ -10,7 +10,6 @@ from stereovo.geometry import (
     rotation_angle,
     se3_exp,
     so3_exp,
-    transform_landmark,
 )
 from stereovo.optimizer import (
     _COND_LIMIT,
