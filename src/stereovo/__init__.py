@@ -27,17 +27,7 @@ from .frontend import (
     ingest_observations,
     write_observations,
 )
-from .geometry import (
-    Landmark3D,
-    PoseSE3,
-    StereoCamera,
-    backproject,
-    project,
-    se3_exp,
-    se3_log,
-    so3_exp,
-    so3_log,
-)
+from .geometry import PoseSE3, StereoCamera, backproject, se3_exp, so3_exp, so3_log
 from .mc import McReport, mc_depth_distribution, mc_projection_covariance
 from .optimizer import (
     CovarianceMode,
@@ -45,29 +35,16 @@ from .optimizer import (
     LMConfig,
     MatchedLandmarks,
     PoseSolution,
-    mahalanobis_cost,
-    pair_covariances,
     solve_pose,
 )
 from .pipeline import KeypointMode, MatchedSequence, RunConfig, RunResult, ablate, match_sequence, run
-from .selector import (
-    DenseMaps,
-    KeypointCandidate,
-    Keypoints,
-    SelectorConfig,
-    geometry_filter,
-    nms_filter,
-    select,
-    uncertainty_filter,
-)
+from .selector import DenseMaps, Keypoints, SelectorConfig, select
 from .uncertainty import (
     DepthEstimate,
-    DepthPatch,
     DisparityEstimate,
     PixelObservation,
-    correct_depth_uncertainty,
     disparity_to_depth,
-    project_covariance,
+    project_covariances,
 )
 
 __version__ = "0.1.0"

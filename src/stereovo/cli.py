@@ -76,7 +76,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _apply_seed_override(load_run_config(args.config), args.seed)
-    modes = [CovarianceMode(m.strip()) for m in args.modes.split(",") if m.strip()]
+    with config_field("--modes"):
+        modes = [CovarianceMode(m.strip()) for m in args.modes.split(",") if m.strip()]
     rows = ablate(cfg, modes)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = args.output or cfg.output_dir / "ablation.csv"
@@ -93,14 +94,18 @@ def _cmd_mc_verify(args) -> int:
     seed = 0 if args.seed is None else int(args.seed)
     if args.samples < MIN_SAMPLES[args.which]:
         raise ConfigError(f"--samples: {args.which} needs at least {MIN_SAMPLES[args.which]}, got {args.samples}")
+    # gamma is the disparity's relative error for the depth oracle and the
+    # depth's for the projection oracle; 0 makes the latter's covariance singular
+    if not 0 < args.gamma < 1:
+        raise ConfigError(f"--gamma: must be in (0, 1), got {args.gamma}")
     if args.which == "depth":
-        with config_field("--disparity" if not args.disparity > 0 else "--gamma"):
+        with config_field("--disparity"):
             disp = DisparityEstimate(mu=args.disparity, gamma=args.gamma)
         report = mc_depth_distribution(cam, disp, n=args.samples, seed=seed)
     else:
         u = args.u if args.u is not None else cam.cx + 100.0
         v = args.v if args.v is not None else cam.cy + 60.0
-        checks = (("--u", math.isfinite(u)), ("--v", math.isfinite(v)), ("--depth", args.depth > 0))
+        checks = (("--u", math.isfinite(u)), ("--v", math.isfinite(v)), ("--depth", 0 < args.depth < math.inf))
         with config_field(next((flag for flag, ok in checks if not ok), "--gamma")):
             obs = PixelObservation(
                 u=u, v=v, sigma_u2=1.0, sigma_v2=1.0, d=args.depth, sigma_d2=(args.gamma * args.depth) ** 2
@@ -162,6 +167,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(message)s",
     )
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -120,6 +120,8 @@ class SceneConfig:
     frame_dt: float = DEFAULT_FRAME_DT
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.num_frames < 2:
             raise ConfigError(f"num_frames: must be >= 2, got {self.num_frames}")
         if self.landmark_count < 50:

@@ -120,20 +120,6 @@ def _left_jacobian(phi) -> np.ndarray:
     return np.eye(3) + a * k + b * kk
 
 
-def _left_jacobian_inv(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    theta2 = float(phi @ phi)
-    theta = np.sqrt(theta2)
-    k = skew(phi)
-    kk = k @ k
-    if theta < _SMALL_ANGLE:
-        b = (1.0 + theta2 / 60.0) / 12.0
-    else:
-        # half-angle form: 1 - cos(theta) would cancel for small theta
-        b = (1.0 - 0.5 * theta / np.tan(0.5 * theta)) / theta2
-    return np.eye(3) - 0.5 * k + b * kk
-
-
 @dataclass(frozen=True)
 class PoseSE3:
     """Rigid transform: ``apply(p) = rotation @ p + translation``."""
@@ -188,46 +174,12 @@ class PoseSE3:
             r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
         return PoseSE3(r, self.translation)
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    @staticmethod
-    def from_matrix(m) -> "PoseSE3":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        return PoseSE3(m[:3, :3], m[:3, 3])
-
 
 def se3_exp(xi) -> PoseSE3:
     """Twist [rho, phi] to pose; exp(0) is the identity."""
     xi = np.asarray(xi, dtype=float).reshape(6)
     rho, phi = xi[:3], xi[3:]
     return PoseSE3(so3_exp(phi), _left_jacobian(phi) @ rho)
-
-
-def se3_log(pose: PoseSE3) -> np.ndarray:
-    """Inverse of se3_exp; requires the rotation angle to be below pi."""
-    phi = so3_log(pose.rotation)
-    rho = _left_jacobian_inv(phi) @ pose.translation
-    return np.concatenate([rho, phi])
-
-
-def rotation_angle(rotation) -> float:
-    """Geodesic angle of a rotation matrix, in radians.
-
-    atan2 of the skew/trace parts stays accurate for tiny angles where
-    an arccos of the trace would bottom out near sqrt(eps).
-    """
-    r = np.asarray(rotation, dtype=float)
-    s = 0.5 * np.linalg.norm(
-        [r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]
-    )
-    c = 0.5 * (np.trace(r) - 1.0)
-    return float(np.arctan2(s, c))
 
 
 def psd_within_sym3(c: np.ndarray, tol: float = 1e-10):
@@ -265,40 +217,9 @@ def check_covariances(c: np.ndarray) -> None:
         raise ValueError("covariance has an eigenvalue below -1e-10")
 
 
-@dataclass(frozen=True)
-class Landmark3D:
-    """3D point with a full covariance, tagged with its frame.
-
-    position is [x, y, z] in meters, covariance 3x3 in meters^2 ordered
-    (x, y, z), frame either "camera" or "world".
-    """
-
-    position: np.ndarray
-    covariance: np.ndarray
-    frame: str = "camera"
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float).reshape(3)
-        c = np.asarray(self.covariance, dtype=float)
-        check_covariances(c)
-        if self.frame not in ("camera", "world"):
-            raise ValueError(f"frame must be 'camera' or 'world', got {self.frame!r}")
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "covariance", c)
-
-
 def backproject(cam: StereoCamera, u, v, d) -> np.ndarray:
     """Pixel (u, v) with depth d to a camera-frame point [x, y, z];
     arrays of pixels of shape (...) give points of shape (..., 3)."""
     if not np.all(np.greater(d, 0)):
         raise ValueError(f"depth must be positive, got {d}")
     return np.stack(np.broadcast_arrays((u - cam.cx) * d / cam.fx, (v - cam.cy) * d / cam.fy, d), axis=-1)
-
-
-def project(cam: StereoCamera, point) -> tuple[float, float, float]:
-    """Camera-frame point to (u, v, depth); requires z > 0."""
-    x, y, z = np.asarray(point, dtype=float)
-    if not z > 0:
-        raise ValueError(f"point is not in front of the camera, z={z}")
-    return (cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy, z)
-

@@ -3,15 +3,16 @@
 The empirical side is raw sampling plus textbook moment estimators only;
 it never calls the closed-form code paths it validates. Sampling is
 split into fixed-size blocks with per-block derived seeds and the block
-statistics are merged in block order, so the result is bit-identical
-regardless of how many workers process the blocks.
+statistics are merged in block order, so the result depends on the seed
+and the sample count alone, and memory is bounded by one block.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import starmap
+
 import numpy as np
 from scipy import stats
 
@@ -59,17 +60,8 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return list(enumerate(sizes))
 
 
-def _run_blocks(worker, n: int, workers: int) -> list:
-    blocks = _blocks(n)
-    if workers <= 1:
-        return [worker(i, size) for i, size in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, i, size) for i, size in blocks]
-    return [f.result() for f in futures]  # merged in block order
-
-
 def mc_depth_distribution(
-    cam: StereoCamera, disp: DisparityEstimate, n: int, seed: int, workers: int = 1
+    cam: StereoCamera, disp: DisparityEstimate, n: int, seed: int
 ) -> McReport:
     """Sample disparities, push them through depth = b*fx/D, and compare
     the empirical mean/variance with the first-order closed form.
@@ -81,7 +73,7 @@ def mc_depth_distribution(
     bf = cam.baseline * cam.fx
     sigma = disp.gamma * disp.mu
 
-    def worker(block: int, size: int):
+    def block_sums(block: int, size: int):
         rng = np.random.default_rng([seed, block])
         draws = rng.normal(disp.mu, sigma, size=size)
         keep = draws > 0
@@ -99,7 +91,7 @@ def mc_depth_distribution(
 
     kept = rejected = 0
     s1 = s2 = s3 = s4 = 0.0
-    for k, rej, a1, a2, a3, a4 in _run_blocks(worker, n, workers):
+    for k, rej, a1, a2, a3, a4 in starmap(block_sums, _blocks(n)):
         kept += k
         rejected += rej
         s1 += a1
@@ -132,7 +124,7 @@ def mc_depth_distribution(
 
 
 def mc_projection_covariance(
-    cam: StereoCamera, obs: PixelObservation, n: int, seed: int, workers: int = 1
+    cam: StereoCamera, obs: PixelObservation, n: int, seed: int
 ) -> McReport:
     """Sample (u, v, d) independently Gaussian, backproject by the plain
     pinhole equations, and compare the sample covariance entrywise with
@@ -154,7 +146,7 @@ def mc_projection_covariance(
     w_full = np.linalg.inv(closed)
     w_diag = np.linalg.inv(np.diag(np.diag(closed)))
 
-    def worker(block: int, size: int):
+    def block_sums(block: int, size: int):
         rng = np.random.default_rng([seed, block])
         u = rng.normal(obs.u, np.sqrt(obs.sigma_u2), size=size)
         v = rng.normal(obs.v, np.sqrt(obs.sigma_v2), size=size)
@@ -174,7 +166,7 @@ def mc_projection_covariance(
     sum_yy = np.zeros((3, 3))
     sum_y2y2 = np.zeros((3, 3))
     hits_full = hits_diag = 0
-    for size, s_y, s_yy, s_y2y2, in_full, in_diag in _run_blocks(worker, n, workers):
+    for size, s_y, s_yy, s_y2y2, in_full, in_diag in starmap(block_sums, _blocks(n)):
         count += size
         sum_y += s_y
         sum_yy += s_yy

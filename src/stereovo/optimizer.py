@@ -37,6 +37,10 @@ einsum) that tests/test_optimizer.py keeps as its reference: trial costs
 differ at rounding level, which can flip an accept/reject decision near
 the optimum. Final costs agree within 1e-9 relative, poses within 1e-6 m
 and 1e-6 rad, and cov_regularized flags are identical.
+
+One problem's cost and combined covariances at a given pose, evaluated
+outside the LM loop (``mahalanobis_cost`` and ``pair_covariances``), are
+references kept in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -242,19 +246,6 @@ def _combined_covariances(
     return s, w.reshape(-1, 3, 3), ridged
 
 
-def pair_covariances(
-    pairs: MatchedLandmarks, rotation: np.ndarray, mode: CovarianceMode = CovarianceMode.FULL
-) -> tuple[np.ndarray, bool]:
-    """Combined covariances S (N, 3, 3) of every pair at the given
-    rotation, as the mode weights them, and whether any needed a ridge.
-
-    SCALE_AGNOSTIC divides each frame by its scale_agnostic_normalizers,
-    which are statistics of all the pairs."""
-    sp, sq = _mode_adjusted(pairs, CovarianceMode(mode))
-    s, _, ridged = _combined_covariances(sp, sq, np.asarray(rotation, float))
-    return s[:, _FULL].reshape(-1, 3, 3), bool(ridged.any())
-
-
 def residual_jacobian(pose: PoseSE3, curr_position: np.ndarray) -> np.ndarray:
     """d r / d xi of r = p - T*exp(xi)(q) at xi = 0: shape (3, 6) for one
     point q, (N, 3, 6) for a stack of points (N, 3)."""
@@ -277,12 +268,6 @@ def _weighted_cost(
     _, w, ridged = _combined_covariances(sp, sq, pose.rotation)
     res = p - pose.apply(q)
     return float(np.einsum("ni,nij,nj->", res, w, res)), res, w, bool(ridged.any())
-
-
-def mahalanobis_cost(problem: FramePairProblem, pose: PoseSE3) -> float:
-    """Total squared Mahalanobis distance at the given pose, with the
-    combined covariances evaluated at this pose's rotation."""
-    return _weighted_cost(*_problem_arrays(problem), pose)[0]
 
 
 def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSolution:

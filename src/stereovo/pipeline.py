@@ -81,6 +81,8 @@ class RunConfig:
         self.output_dir = Path(self.output_dir)
         self.covariance_mode = CovarianceMode(self.covariance_mode)
         self.keypoint_mode = KeypointMode(self.keypoint_mode)
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if (self.simulate is None) == (self.ingest is None):
             raise ConfigError("input: exactly one of input.simulate / input.ingest is required")
         if self.ingest is not None and self.camera is None:

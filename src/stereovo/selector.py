@@ -8,8 +8,9 @@ NMS uses Chebyshev (square window) distance and a canonical tie-break of
 ``select`` works on the dense maps and returns one ``Keypoints`` record
 of arrays. Its NMS is a greedy walk: the valid pixels are sorted once,
 then the Python work is per survivor, not per pixel. The list-based
-filters (``nms_filter``, ``geometry_filter``, ``uncertainty_filter``
-over ``KeypointCandidate``) are the reference the tests compare it to.
+reference filters the tests compare it to (``nms_filter``,
+``geometry_filter``, ``uncertainty_filter`` over ``KeypointCandidate``)
+live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -25,20 +26,6 @@ from .geometry import StereoCamera
 MIN_KEYPOINTS = 3
 # positions of the NMS order screened against the suppression map at once
 _NMS_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class KeypointCandidate:
-    u: float
-    v: float
-    score: float
-    flow_unc: float  # sigma_u^2 + sigma_v^2, pixels^2
-    depth_unc: float  # sigma_d^2, meters^2
-    depth: float  # meters
-
-    def __post_init__(self):
-        if self.flow_unc < 0 or self.depth_unc < 0:
-            raise ValueError("uncertainty fields must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -115,52 +102,13 @@ def _canonical_order(score, u, v) -> np.ndarray:
     return np.lexsort((v, u, score))
 
 
-def nms_filter(candidates: list[KeypointCandidate], radius: float) -> list[KeypointCandidate]:
-    """Greedy non-minimum suppression over arbitrary (float) positions.
-
-    Survivors are pairwise at Chebyshev distance >= radius; conflicts are
-    resolved in canonical (score, u, v) order, so the result does not
-    depend on the input ordering.
-    """
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    if len(candidates) <= 1:
-        return list(candidates)
-    u = np.array([c.u for c in candidates])
-    v = np.array([c.v for c in candidates])
-    score = np.array([c.score for c in candidates])
-    order = _canonical_order(score, u, v)
-
-    # bucket accepted points on a radius-sized grid: any conflicting
-    # point lives in one of the 3x3 neighboring buckets
-    buckets: dict[tuple[int, int], list[int]] = {}
-    kept: list[int] = []
-    for idx in order:
-        bu, bv = int(np.floor(u[idx] / radius)), int(np.floor(v[idx] / radius))
-        blocked = False
-        for nu in (bu - 1, bu, bu + 1):
-            for nv in (bv - 1, bv, bv + 1):
-                for j in buckets.get((nu, nv), ()):
-                    if max(abs(u[idx] - u[j]), abs(v[idx] - v[j])) < radius:
-                        blocked = True
-                        break
-                if blocked:
-                    break
-            if blocked:
-                break
-        if not blocked:
-            kept.append(idx)
-            buckets.setdefault((bu, bv), []).append(idx)
-    kept.sort()
-    return [candidates[i] for i in kept]
-
-
 def _greedy_nms(score: np.ndarray, u: np.ndarray, v: np.ndarray, shape: tuple, radius: float) -> np.ndarray:
     """Greedy NMS over candidates at the pixel centers (u, v) of an image
     of the given shape; returns the survivors' indices in canonical
     order.
 
-    Exact equivalent of nms_filter at pixel centers: the candidates are
+    Exact equivalent of the reference nms_filter (tests/reference.py)
+    at pixel centers: the candidates are
     sorted once, then walked in that order over a suppression map, each
     survivor stamping its Chebyshev window. Each block of the order is
     screened with one gather, so the Python work follows the survivors
@@ -183,36 +131,6 @@ def _greedy_nms(score: np.ndarray, u: np.ndarray, v: np.ndarray, shape: tuple, r
                 r, c = divmod(f, suppressed.shape[1])
                 suppressed[r - half : r + half + 1, c - half : c + half + 1] = 1
     return order[kept]
-
-
-def geometry_filter(
-    candidates: list[KeypointCandidate], cam: StereoCamera, cfg: SelectorConfig
-) -> list[KeypointCandidate]:
-    """Drop keypoints near image borders or outside the valid depth range."""
-    m = cfg.border_margin
-    return [
-        c
-        for c in candidates
-        if m <= c.u < cam.width - m
-        and m <= c.v < cam.height - m
-        and cfg.depth_min <= c.depth <= cfg.depth_max
-    ]
-
-
-def uncertainty_filter(
-    candidates: list[KeypointCandidate], multiplier: float = 1.5
-) -> list[KeypointCandidate]:
-    """Keep candidates whose flow AND depth uncertainties are at most
-    multiplier times the respective medians of the input."""
-    if not candidates:
-        raise ValueError("uncertainty_filter requires a non-empty candidate list")
-    flow_med = float(np.median([c.flow_unc for c in candidates]))
-    depth_med = float(np.median([c.depth_unc for c in candidates]))
-    return [
-        c
-        for c in candidates
-        if c.flow_unc <= multiplier * flow_med and c.depth_unc <= multiplier * depth_med
-    ]
 
 
 def select(

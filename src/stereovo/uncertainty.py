@@ -9,6 +9,13 @@ Three independent pieces:
 * 2D -> 3D projection: the exact covariance of the backprojection of
   independent Gaussian (u, v, d), including the off-diagonal terms that
   couple the lateral axes with depth.
+
+The depth correction and the projection each run as one batch over a
+frame pair's keypoints (``windowed_depth_moments``,
+``project_covariances``). Their one-item references
+(``correct_depth_uncertainty`` on a ``DepthPatch``, and
+``project_covariance``) live in ``tests/reference.py``, where the tests
+compare the batches to them.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import Landmark3D, StereoCamera, backproject, psd_within_sym3
+from .geometry import StereoCamera, backproject, psd_within_sym3
 
 # Relative disparity error above which the first-order depth
 # approximation degrades noticeably; results are flagged, not rejected.
@@ -48,8 +55,8 @@ class PixelObservation:
     def __post_init__(self):
         if not (np.isfinite(self.u) and np.isfinite(self.v)):
             raise ValueError(f"pixel must be finite, got ({self.u}, {self.v})")
-        if not self.d > 0:
-            raise ValueError(f"depth must be positive, got {self.d}")
+        if not 0 < self.d < np.inf:
+            raise ValueError(f"depth must be positive and finite, got {self.d}")
         # a NaN variance fails this too
         if not (self.sigma_u2 >= 0 and self.sigma_v2 >= 0 and self.sigma_d2 >= 0):
             raise ValueError("variances must be non-negative")
@@ -66,8 +73,8 @@ class DisparityEstimate:
     gamma: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mean disparity must be positive, got {self.mu}")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"mean disparity must be positive and finite, got {self.mu}")
         if not 0 < self.gamma < 1:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
 
@@ -88,33 +95,6 @@ def disparity_to_depth(cam: StereoCamera, disp: DisparityEstimate) -> DepthEstim
     return DepthEstimate(mu_d, sigma_d2, disp.gamma >= GAMMA_APPROX_LIMIT)
 
 
-@dataclass(frozen=True)
-class DepthPatch:
-    """A window of depth samples around a matched pixel.
-
-    depths is a (rows, cols) grid in meters; origin is the pixel
-    coordinate (u0, v0) of depths[0, 0]; center is the (float) pixel
-    coordinate the weights are centered on. Pixels that are non-positive
-    or non-finite are invalid and carry zero weight; an explicit validity
-    mask may tighten this further.
-    """
-
-    depths: np.ndarray
-    center: tuple[float, float]
-    origin: tuple[float, float]
-    valid: np.ndarray | None = None
-
-    def __post_init__(self):
-        d = np.asarray(self.depths, dtype=float)
-        if d.ndim != 2:
-            raise ValueError(f"depths must be a 2D grid, got shape {d.shape}")
-        object.__setattr__(self, "depths", d)
-        ok = np.isfinite(d) & (d > 0)
-        if self.valid is not None:
-            ok &= np.asarray(self.valid, dtype=bool)
-        object.__setattr__(self, "valid", ok)
-
-
 def _gaussian_weights(
     valid: np.ndarray, offset_u: np.ndarray, offset_v: np.ndarray, sigma_u2, sigma_v2
 ) -> np.ndarray:
@@ -131,36 +111,6 @@ def _gaussian_weights(
     return wv[:, :, None] * wu[:, None, :] * valid
 
 
-def patch_weights(patch: DepthPatch, sigma_u2: float, sigma_v2: float) -> np.ndarray:
-    """Discrete Gaussian weights over the patch, zero at invalid pixels.
-
-    Per-axis stds are floored at MIN_WEIGHT_STD_PX; the result sums to 1
-    over valid pixels.
-    """
-    (u0, v0), (cu, cv) = patch.origin, patch.center
-    w = _gaussian_weights(patch.valid[None], np.array([u0 - cu]), np.array([v0 - cv]), sigma_u2, sigma_v2)[0]
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("no depth support: every pixel in the patch is invalid")
-    return w / total
-
-
-def correct_depth_uncertainty(
-    patch: DepthPatch, sigma_u2: float, sigma_v2: float
-) -> tuple[float, float]:
-    """Depth mean/variance of a matched point from its local patch.
-
-    The matched pixel is only known up to the matching uncertainty, so
-    the depth it lands on is a mixture over the patch; the weighted
-    variance absorbs depth edges into the depth uncertainty.
-    """
-    w = patch_weights(patch, sigma_u2, sigma_v2)
-    d = np.where(patch.valid, patch.depths, 0.0)
-    mu = float((w * d).sum())
-    var = float((w * (d - mu) ** 2).sum())
-    return mu, var
-
-
 def windowed_depth_moments(
     depth: np.ndarray,
     valid: np.ndarray,
@@ -170,9 +120,9 @@ def windowed_depth_moments(
     sigma_v2: np.ndarray,
     kernel: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """correct_depth_uncertainty at many matched pixels (u, v) of one
-    depth map, each on the kernel-sized window around its rounded
-    location, clipped at the image borders.
+    """The reference correct_depth_uncertainty at many matched pixels
+    (u, v) of one depth map, each on the kernel-sized window around its
+    rounded location, clipped at the image borders.
 
     Returns (mean, var, supported); where a window holds no valid pixel,
     supported is False and mean and var are 0.
@@ -235,8 +185,8 @@ def ensure_psd(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 def project_covariances(
     cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, sigma_d2
 ) -> tuple[np.ndarray, np.ndarray]:
-    """project_covariance over arrays of observations (scalars broadcast),
-    with the variance and depth checks of PixelObservation: camera-frame
+    """Backprojection of arrays of observations (scalars broadcast), with
+    the variance and depth checks of PixelObservation: camera-frame
     positions (N, 3) and full covariances (N, 3, 3)."""
     u, v, sigma_u2, sigma_v2, d, sigma_d2 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (u, v, sigma_u2, sigma_v2, d, sigma_d2))
@@ -246,10 +196,3 @@ def project_covariances(
     positions = backproject(cam, u, v, d)
     covs = backprojection_covariances(cam, u, v, sigma_u2, sigma_v2, d, sigma_d2)
     return positions, ensure_psd(covs)
-
-
-def project_covariance(cam: StereoCamera, obs: PixelObservation) -> Landmark3D:
-    """Backproject an observation into a camera-frame landmark with the
-    full 3x3 covariance."""
-    positions, covs = project_covariances(cam, obs.u, obs.v, obs.sigma_u2, obs.sigma_v2, obs.d, obs.sigma_d2)
-    return Landmark3D(positions[0], covs[0], frame="camera")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stereovo.geometry import Landmark3D, PoseSE3, StereoCamera
+from stereovo.geometry import StereoCamera
 
 
 @pytest.fixture
@@ -26,14 +26,3 @@ def random_rotation(rng: np.random.Generator, max_angle: float = 3.0) -> np.ndar
 def random_spd(rng: np.random.Generator, scale: float = 1.0, floor: float = 1e-3) -> np.ndarray:
     a = rng.normal(size=(3, 3)) * scale
     return a @ a.T + floor * np.eye(3)
-
-
-def transform_landmark(pose: PoseSE3, landmark: Landmark3D) -> Landmark3D:
-    """Reference: move one camera-frame landmark into the world frame,
-    its covariance conjugated by the rotation (a similarity transform, so
-    eigenvalues and PSD-ness are preserved)."""
-    if landmark.frame != "camera":
-        raise ValueError(f"expected a camera-frame landmark, got frame {landmark.frame!r}")
-    cov = pose.rotation @ landmark.covariance @ pose.rotation.T
-    cov = 0.5 * (cov + cov.T)
-    return Landmark3D(pose.apply(landmark.position), cov, frame="world")

