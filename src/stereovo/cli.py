@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 from dataclasses import replace
 
@@ -29,6 +28,13 @@ log = logging.getLogger("stereovo")
 
 # defaults for mc-verify when no explicit observation is given
 _MC_CAMERA = dict(fx=320.0, fy=320.0, cx=320.0, cy=240.0, baseline=0.25, width=640, height=480)
+# The oracles sum fourth powers of their samples; every mean and std they
+# sample stays within these bounds, so those sums are finite and nonzero
+# in float64 for any feasible sample count.
+_MC_MIN, _MC_MAX = 1e-60, 1e60
+# Beyond this offset from the principal point, x (or y) and z become so
+# correlated that the projection oracle's covariance is numerically singular.
+_MC_MAX_PIXEL_OFFSET = 1e6
 
 
 def _apply_seed_override(cfg, seed):
@@ -87,6 +93,11 @@ def _cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+def _check_mc_range(flag: str, what: str, value: float, lo: float = _MC_MIN, hi: float = _MC_MAX) -> None:
+    if not lo <= value <= hi:
+        raise ConfigError(f"{flag}: {what} must be in [{lo:g}, {hi:g}] for the oracle to stay finite, got {value:g}")
+
+
 def _cmd_mc_verify(args) -> int:
     from .geometry import StereoCamera
 
@@ -99,17 +110,23 @@ def _cmd_mc_verify(args) -> int:
     if not 0 < args.gamma < 1:
         raise ConfigError(f"--gamma: must be in (0, 1), got {args.gamma}")
     if args.which == "depth":
-        with config_field("--disparity"):
-            disp = DisparityEstimate(mu=args.disparity, gamma=args.gamma)
+        bf = cam.baseline * cam.fx
+        _check_mc_range("--disparity", "the disparity", args.disparity)
+        _check_mc_range("--disparity", "the depth baseline*fx/disparity", bf / args.disparity)
+        _check_mc_range("--gamma", "the disparity's std gamma*disparity", args.gamma * args.disparity)
+        _check_mc_range("--gamma", "the depth's std gamma*baseline*fx/disparity", args.gamma * bf / args.disparity)
+        disp = DisparityEstimate(mu=args.disparity, gamma=args.gamma)
         report = mc_depth_distribution(cam, disp, n=args.samples, seed=seed)
     else:
         u = args.u if args.u is not None else cam.cx + 100.0
         v = args.v if args.v is not None else cam.cy + 60.0
-        checks = (("--u", math.isfinite(u)), ("--v", math.isfinite(v)), ("--depth", 0 < args.depth < math.inf))
-        with config_field(next((flag for flag, ok in checks if not ok), "--gamma")):
-            obs = PixelObservation(
-                u=u, v=v, sigma_u2=1.0, sigma_v2=1.0, d=args.depth, sigma_d2=(args.gamma * args.depth) ** 2
-            )
+        _check_mc_range("--depth", "the depth", args.depth)
+        _check_mc_range("--gamma", "the depth's std gamma*depth", args.gamma * args.depth)
+        _check_mc_range("--u", "|u - cx|", abs(u - cam.cx), lo=0.0, hi=_MC_MAX_PIXEL_OFFSET)
+        _check_mc_range("--v", "|v - cy|", abs(v - cam.cy), lo=0.0, hi=_MC_MAX_PIXEL_OFFSET)
+        obs = PixelObservation(
+            u=u, v=v, sigma_u2=1.0, sigma_v2=1.0, d=args.depth, sigma_d2=(args.gamma * args.depth) ** 2
+        )
         report = mc_projection_covariance(cam, obs, n=args.samples, seed=seed)
     if args.output:
         write_report_csv(report, args.output)

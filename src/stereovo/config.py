@@ -13,9 +13,11 @@ fields, and each field's annotation decides what its value may be:
 
 An unknown key or a missing required field is an error; an absent key
 takes the dataclass default, so the defaults live in the dataclasses
-alone. The dataclass's own range checks still run. Every error is a
-ConfigError naming the dotted path of the value, such as
-``walls[0].x_range`` or ``selector.depth_range[1]``.
+alone. The dataclass's own range checks still run; a ConfigError they
+raise names the field relative to the dataclass, and gets the
+dataclass's path put in front. Every error is a ConfigError naming the
+dotted path of the value, such as ``walls[0].x_range``,
+``selector.depth_range[1]`` or ``input.simulate.num_frames``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,13 @@ def from_dict(cls, mapping, path: str = "", **given):
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{_join(path, name)}: missing required field")
     with config_field(path or cls.__name__):
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ConfigError as exc:
+            # the dataclass's own checks name its fields relative to itself
+            if not path:
+                raise
+            raise ConfigError(f"{path}.{exc}") from exc
 
 
 def read(tp, value, path: str):

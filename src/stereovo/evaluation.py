@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import DataFormatError, NumericalError
-from .geometry import PoseSE3, so3_log
+from .geometry import PoseSE3, matrix_to_quat, quat_to_matrix, so3_log
 
 ASSOCIATION_TOL = 1e-6  # seconds
 
@@ -76,14 +75,14 @@ def read_tum(path) -> Trajectory:
         if norm < 1e-12:
             raise DataFormatError(f"{path}:{lineno}: degenerate quaternion")
         times.append(vals[0])
-        poses.append(PoseSE3(Rotation.from_quat(quat / norm).as_matrix(), np.array(vals[1:4])))
+        poses.append(PoseSE3(quat_to_matrix(quat / norm), np.array(vals[1:4])))
     return Trajectory(np.array(times), poses)
 
 
 def write_tum(traj: Trajectory, path) -> None:
     lines = []
     for ts, pose in zip(traj.timestamps, traj.poses):
-        qx, qy, qz, qw = Rotation.from_matrix(pose.rotation).as_quat()
+        qx, qy, qz, qw = matrix_to_quat(pose.rotation)
         tx, ty, tz = pose.translation
         lines.append(
             f"{ts:.9f} {tx:.17g} {ty:.17g} {tz:.17g} {qx:.17g} {qy:.17g} {qz:.17g} {qw:.17g}"

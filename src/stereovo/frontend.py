@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .config import from_dict, load_yaml
 from .errors import ConfigError, DataFormatError
 from .evaluation import Trajectory, read_tum, write_tum
-from .geometry import PoseSE3, StereoCamera, se3_exp
+from .geometry import PoseSE3, StereoCamera, quat_to_matrix, se3_exp
 
 OBS_MAGIC = b"MACVOOBS"
 # map layout in the .obs container: name -> channel count
@@ -53,9 +52,9 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.sigma_flow < 0:
-            raise ConfigError(f"noise.sigma_flow: must be >= 0, got {self.sigma_flow}")
+            raise ConfigError(f"sigma_flow: must be >= 0, got {self.sigma_flow}")
         if not 0 <= self.gamma_disp < 0.3:
-            raise ConfigError(f"noise.gamma_disp: must be in [0, 0.3), got {self.gamma_disp}")
+            raise ConfigError(f"gamma_disp: must be in [0, 0.3), got {self.gamma_disp}")
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,9 @@ class AnomalyRegion:
     def __post_init__(self):
         u0, v0, u1, v1 = self.rect
         if not (u1 > u0 and v1 > v0):
-            raise ConfigError(f"anomaly_regions.rect: empty rectangle {self.rect}")
+            raise ConfigError(f"rect: empty rectangle {self.rect}")
         if not self.multiplier > 0:
-            raise ConfigError(f"anomaly_regions.multiplier: must be positive, got {self.multiplier}")
+            raise ConfigError(f"multiplier: must be positive, got {self.multiplier}")
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,14 @@ class MotionSpec:
 
     def __post_init__(self):
         if self.kind not in ("static", "constant_velocity", "orbit", "waypoints"):
-            raise ConfigError(f"motion.kind: unknown kind {self.kind!r}")
+            raise ConfigError(f"kind: unknown kind {self.kind!r}")
         if self.kind == "orbit" and not self.orbit_radius > 0:
-            raise ConfigError(f"motion.orbit_radius: must be positive, got {self.orbit_radius}")
+            raise ConfigError(f"orbit_radius: must be positive, got {self.orbit_radius}")
         for i, row in enumerate(self.waypoints):
             if len(row) != 7:
-                raise ConfigError(f"motion.waypoints[{i}]: expected 7 values tx..qw, got {len(row)}")
+                raise ConfigError(f"waypoints[{i}]: expected 7 values tx..qw, got {len(row)}")
             if not np.linalg.norm(row[3:]) > 0:
-                raise ConfigError(f"motion.waypoints[{i}]: the quaternion qx..qw must have a positive norm")
+                raise ConfigError(f"waypoints[{i}]: the quaternion qx..qw must have a positive norm")
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def motion_poses(motion: MotionSpec, num_frames: int) -> list[PoseSE3]:
     poses = []
     for row in motion.waypoints:
         quat = np.asarray(row[3:], dtype=float)
-        poses.append(PoseSE3(Rotation.from_quat(quat / np.linalg.norm(quat)).as_matrix(), row[:3]))
+        poses.append(PoseSE3(quat_to_matrix(quat / np.linalg.norm(quat)), row[:3]))
     return poses
 
 

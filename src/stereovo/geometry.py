@@ -17,6 +17,7 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,57 @@ class PoseSE3:
         if np.linalg.det(r) < 0:
             r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
         return PoseSE3(r, self.translation)
+
+
+def quat_to_matrix(quat) -> np.ndarray:
+    """Rotation matrix of a quaternion [x, y, z, w] (scalar last),
+    normalized first.
+
+    Bit for bit what scipy's ``Rotation.from_quat(q).as_matrix()``
+    returns: the norm is summed in component order and divided by, so
+    trajectory files read the same with or without scipy.
+    """
+    x, y, z, w = (float(c) for c in np.asarray(quat, dtype=float).reshape(4))
+    norm = math.sqrt(x * x + y * y + z * z + w * w)
+    x, y, z, w = x / norm, y / norm, z / norm, w / norm
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array(
+        [
+            [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+            [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+            [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+        ]
+    )
+
+
+def matrix_to_quat(rotation) -> np.ndarray:
+    """Unit quaternion [x, y, z, w] (scalar last) of a rotation matrix.
+
+    Bit for bit what scipy's ``Rotation.from_matrix(r).as_quat()``
+    returns, including its projection onto SO(3) by SVD when r @ r.T is
+    not the identity within 1e-12 (``np.isclose``'s tolerance). The
+    formula is chosen by the largest of the diagonal and the trace.
+    """
+    m = np.asarray(rotation, dtype=float)
+    if not np.all(np.isclose(m @ m.T, np.eye(3), atol=1e-12)):
+        u, _, vt = np.linalg.svd(m)
+        m = u @ vt
+    m = m.tolist()
+    trace = m[0][0] + m[1][1] + m[2][2]
+    choice = int(np.argmax([m[0][0], m[1][1], m[2][2], trace]))
+    if choice == 3:
+        q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace]
+    else:
+        i, j, k = choice, (choice + 1) % 3, (choice + 2) % 3
+        q = [0.0] * 4
+        q[i] = 1 - trace + 2 * m[i][i]
+        q[j] = m[j][i] + m[i][j]
+        q[k] = m[k][i] + m[i][k]
+        q[3] = m[k][j] - m[j][k]
+    x, y, z, w = q
+    norm = math.sqrt(x * x + y * y + z * z + w * w)
+    return np.array([x / norm, y / norm, z / norm, w / norm])
 
 
 def se3_exp(xi) -> PoseSE3:

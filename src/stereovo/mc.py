@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import starmap
 
 import numpy as np
-from scipy import stats
 
 from .geometry import StereoCamera
 from .uncertainty import DisparityEstimate, PixelObservation, disparity_to_depth
@@ -23,7 +22,10 @@ BLOCK_SIZE = 1 << 16
 # rejection-sampling rate above which the "disparity is effectively
 # never non-positive" assumption is considered violated
 REJECTION_FLAG_RATE = 0.01
-_ELLIPSOID_CONF = 0.90
+# 90% quantile of the chi-square distribution with 3 degrees of freedom
+# (scipy.stats.chi2.ppf(0.9, df=3)): the 90% confidence ellipsoid of a 3D
+# Gaussian is y^T C^-1 y <= CHI2_3_Q90
+CHI2_3_Q90 = 6.251388631170325
 MIN_SAMPLES = {"depth": 10_000, "projection": 100_000}  # per oracle
 
 
@@ -142,7 +144,6 @@ def mc_projection_covariance(
     mean = np.array(
         [(obs.u - cam.cx) * obs.d / cam.fx, (obs.v - cam.cy) * obs.d / cam.fy, obs.d]
     )
-    chi2_lim = stats.chi2.ppf(_ELLIPSOID_CONF, df=3)
     w_full = np.linalg.inv(closed)
     w_diag = np.linalg.inv(np.diag(np.diag(closed)))
 
@@ -157,8 +158,8 @@ def mc_projection_covariance(
         s_yy = y.T @ y
         y2 = y * y
         s_y2y2 = y2.T @ y2  # fourth central moments E[y_i^2 y_j^2]
-        in_full = int(np.count_nonzero(np.einsum("ni,ij,nj->n", y, w_full, y) <= chi2_lim))
-        in_diag = int(np.count_nonzero(np.einsum("ni,ij,nj->n", y, w_diag, y) <= chi2_lim))
+        in_full = int(np.count_nonzero(np.einsum("ni,ij,nj->n", y, w_full, y) <= CHI2_3_Q90))
+        in_diag = int(np.count_nonzero(np.einsum("ni,ij,nj->n", y, w_diag, y) <= CHI2_3_Q90))
         return size, s_y, s_yy, s_y2y2, in_full, in_diag
 
     count = 0

@@ -1,6 +1,14 @@
+import csv
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stereovo
 from stereovo.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from test_frontend import overwrite_at_first_valid_pixel
 
@@ -166,12 +174,37 @@ class TestExitCodes:
             (["--which", "projection", "--depth", "inf"], "--depth"),
             (["--which", "projection", "--gamma", "0"], "--gamma"),
             (["--which", "projection", "--gamma", "-0.05"], "--gamma"),
+            # finite, but beyond what the oracles' float64 sums can hold
+            (["--which", "depth", "--disparity", "1e-300"], "--disparity"),
+            (["--which", "depth", "--disparity", "1e300"], "--disparity"),
+            (["--which", "projection", "--depth", "1e200"], "--depth"),
+            (["--which", "projection", "--depth", "1e-300"], "--depth"),
+            (["--which", "projection", "--depth", "1e150"], "--depth"),
+            (["--which", "depth", "--gamma", "1e-300"], "--gamma"),
+            (["--which", "projection", "--gamma", "1e-300"], "--gamma"),
+            (["--which", "projection", "--u", "1e61", "--depth", "1e-50"], "--u"),
         ],
     )
     def test_mc_verify_rejects_non_finite_and_out_of_range_flags(self, flags, flag, capsys):
         assert main(["mc-verify", *flags, "--samples", "100000"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"config error: {flag}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--which", "depth", "--disparity", "1e-58"],
+            ["--which", "depth", "--disparity", "1e58"],
+            ["--which", "projection", "--depth", "1e59"],
+            ["--which", "projection", "--depth", "1e-58", "--u", "1000000"],
+        ],
+    )
+    def test_mc_verify_report_is_finite_inside_the_bounds(self, flags, tmp_path):
+        out = tmp_path / "mc.csv"
+        assert main(["mc-verify", *flags, "--samples", "100000", "-o", str(out)]) == EXIT_OK
+        with open(out, newline="") as fh:
+            values = [float(x) for row in list(csv.reader(fh))[1:] for x in row[1:] if x]
+        assert all(math.isfinite(x) for x in values)
 
     def test_negative_seed_flag_exit_1(self, workspace, capsys):
         tmp, scene = workspace
@@ -273,6 +306,16 @@ class TestExitCodes:
     def test_mc_verify_projection(self, tmp_path):
         code = main(["mc-verify", "--which", "projection", "--samples", "100000"])
         assert code == EXIT_OK
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; the program runs on numpy and PyYAML
+    src = str(Path(stereovo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import stereovo, stereovo.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -269,6 +269,24 @@ def test_negative_seed_is_a_config_error(case, path):
         load(d)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("num_frames", 1, "num_frames: must be >= 2, got 1"), ("seed", -1, "seed: must be >= 0, got -1")],
+)
+def test_scene_check_errors_carry_their_dotted_path(field, value, message):
+    run = copy.deepcopy(RUN_SIMULATE)
+    run["input"]["simulate"][field] = value
+    with pytest.raises(ConfigError) as err:
+        run_config_from_dict(run)
+    assert str(err.value) == f"input.simulate.{message}"
+    # a scene file's errors keep their text
+    scene = copy.deepcopy(SCENE)
+    scene[field] = value
+    with pytest.raises(ConfigError) as err:
+        from_dict(SceneConfig, scene)
+    assert str(err.value) == message
+
+
 def test_cli_exits_1_without_a_traceback(tmp_path):
     cfg = copy.deepcopy(RUN_SIMULATE)
     cfg["output_dir"] = str(tmp_path / "out")

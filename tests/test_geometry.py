@@ -2,10 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from conftest import random_rotation, random_spd
 from reference import Landmark3D, project, rotation_angle, se3_log, transform_landmark
-from stereovo.geometry import PoseSE3, backproject, psd_within_sym3, se3_exp, so3_exp, so3_log
+from stereovo.geometry import (
+    PoseSE3,
+    backproject,
+    matrix_to_quat,
+    psd_within_sym3,
+    quat_to_matrix,
+    se3_exp,
+    so3_exp,
+    so3_log,
+)
 
 
 class TestBackproject:
@@ -201,3 +211,46 @@ class TestPsdCheck:
         assert got.shape == (500,)
         assert got.tolist() == [psd_within_sym3(c) for c in stack]
         assert got.any() and not got.all()
+
+
+def _branch(r) -> int:
+    """The formula matrix_to_quat picks: 0-2 for the largest diagonal
+    entry, 3 for the trace."""
+    return int(np.argmax([r[0, 0], r[1, 1], r[2, 2], np.trace(r)]))
+
+
+def _needs_projection(r) -> bool:
+    return not np.all(np.isclose(r @ r.T, np.eye(3), atol=1e-12))
+
+
+class TestQuaternionBitIdentity:
+    """The quaternion conversions reproduce scipy's Rotation bit for bit,
+    so trajectory files are byte-identical with or without scipy."""
+
+    def test_quat_to_matrix_matches_scipy(self):
+        rng = np.random.default_rng(31)
+        quats = rng.normal(size=(6000, 4)) * 10.0 ** rng.uniform(-3, 3, size=(6000, 1))
+        quats[:8] = np.eye(4).tolist() + (-np.eye(4)).tolist()
+        for q in quats:
+            assert np.array_equal(quat_to_matrix(q), Rotation.from_quat(q).as_matrix()), q
+
+    def test_matrix_to_quat_matches_scipy_on_every_branch(self):
+        rng = np.random.default_rng(37)
+        mats = list(Rotation.from_quat(rng.normal(size=(6000, 4))).as_matrix())
+        # exact half turns about each axis and the identity tie the choice
+        mats += [np.diag(d) for d in ([1.0, -1, -1], [-1.0, 1, -1], [-1.0, -1, 1], [1.0, 1, 1])]
+        branches = np.bincount([_branch(r) for r in mats], minlength=4)
+        assert branches.min() >= 1000, branches
+        for r in mats:
+            assert np.array_equal(matrix_to_quat(r), Rotation.from_matrix(r).as_quat()), r
+
+    def test_matrix_to_quat_matches_scipy_after_projection(self):
+        # PoseSE3 accepts 1e-9 of drift; scipy projects anything off by
+        # more than 1e-12 onto SO(3) by SVD first
+        rng = np.random.default_rng(41)
+        mats = Rotation.from_quat(rng.normal(size=(3000, 4))).as_matrix()
+        mats += rng.normal(size=mats.shape) * 10.0 ** rng.uniform(-13, -9, size=(3000, 1, 1))
+        projected = [_needs_projection(r) for r in mats]
+        assert 1000 <= sum(projected) < len(mats)
+        for r in mats:
+            assert np.array_equal(matrix_to_quat(r), Rotation.from_matrix(r).as_quat()), r

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
-from stereovo.mc import McReport, mc_depth_distribution, mc_projection_covariance, write_report_csv
+from stereovo.mc import CHI2_3_Q90, McReport, mc_depth_distribution, mc_projection_covariance, write_report_csv
 from stereovo.uncertainty import DisparityEstimate, PixelObservation
 
 
@@ -99,3 +102,18 @@ class TestReport:
         text = out.read_text()
         assert text.startswith("entry,closed_form,empirical,stderr,z")
         assert "mean" in text and "var" in text
+
+
+def chi2_3_cdf(x: float) -> float:
+    """CDF of the chi-square distribution with 3 degrees of freedom."""
+    return math.erf(math.sqrt(x / 2)) - math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+
+
+class TestChiSquareQuantile:
+    def test_closed_form_cdf_is_0_9(self):
+        assert abs(chi2_3_cdf(CHI2_3_Q90) - 0.9) < 1e-12
+
+    def test_is_scipys_quantile(self):
+        # the coverage counts, and so the report CSV, stay those of
+        # scipy.stats.chi2.ppf(0.9, df=3)
+        assert CHI2_3_Q90 == stats.chi2.ppf(0.9, df=3)
