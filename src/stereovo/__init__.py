@@ -32,7 +32,6 @@ from .mc import McReport, mc_depth_distribution, mc_projection_covariance
 from .optimizer import (
     CovarianceMode,
     FramePairProblem,
-    LMConfig,
     MatchedLandmarks,
     PoseSolution,
     solve_pose,

@@ -132,6 +132,8 @@ class SceneConfig:
             raise ConfigError(f"wall_count: must be >= 1, got {self.wall_count}")
         if not self.frame_dt > 0:
             raise ConfigError(f"frame_dt: must be positive, got {self.frame_dt}")
+        if self.motion.kind == "waypoints" and len(self.motion.waypoints) != self.num_frames:
+            raise ConfigError(f"motion.waypoints: need {self.num_frames} rows, got {len(self.motion.waypoints)}")
 
 
 @dataclass
@@ -156,10 +158,11 @@ class FrameObservation:
         )
         if not same:
             raise ValueError("observation maps do not share dimensions")
-        # a NaN variance fails this too: it would make every uncertainty
-        # score of the frame non-finite
-        if not ((self.flow_var[self.valid] >= 0).all() and (self.depth_var[self.valid] >= 0).all()):
-            raise ValueError("variance maps must be non-negative on valid pixels")
+        # a NaN or infinite variance would make the frame's uncertainty
+        # scores or its landmarks' covariances non-finite
+        for var in (self.flow_var[self.valid], self.depth_var[self.valid]):
+            if not ((var >= 0) & (var < np.inf)).all():
+                raise ValueError("variance maps must be finite and non-negative on valid pixels")
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +196,6 @@ def motion_poses(motion: MotionSpec, num_frames: int) -> list[PoseSE3]:
             pos = center - motion.orbit_radius * np.array([np.sin(theta), 0.0, np.cos(theta)])
             poses.append(PoseSE3(rot, pos))
         return poses
-    if len(motion.waypoints) != num_frames:
-        raise ConfigError(
-            f"motion.waypoints: need {num_frames} rows, got {len(motion.waypoints)}"
-        )
     poses = []
     for row in motion.waypoints:
         quat = np.asarray(row[3:], dtype=float)

@@ -259,10 +259,13 @@ def psd_within_sym3(c: np.ndarray, tol: float = 1e-10):
 
 
 def check_covariances(c: np.ndarray) -> None:
-    """Check one covariance (3, 3) or a stack (N, 3, 3): symmetric within
-    1e-12, no eigenvalue below -1e-10; ValueError otherwise."""
+    """Check one covariance (3, 3) or a stack (N, 3, 3): finite, symmetric
+    within 1e-12, no eigenvalue below -1e-10; ValueError otherwise."""
     if c.shape[-2:] != (3, 3) or c.ndim not in (2, 3):
         raise ValueError(f"covariance must be 3x3, got {c.shape}")
+    # inf - inf would turn the symmetry test into NaN > 1e-12, which passes
+    if not np.isfinite(c).all():
+        raise ValueError("covariance has a non-finite entry")
     if c.size and np.max(np.abs(c - np.swapaxes(c, -1, -2))) > 1e-12:
         raise ValueError("covariance is not symmetric within 1e-12")
     if not np.all(psd_within_sym3(c)):

@@ -51,7 +51,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .geometry import PoseSE3, check_covariances, se3_exp, skew
+from .geometry import PoseSE3, _left_jacobian, check_covariances, skew, so3_exp
 
 # Combined covariances worse-conditioned than this get a trace-scaled
 # ridge; an absolute floor covers the all-zero case (noiseless inputs).
@@ -64,6 +64,17 @@ _DET_REL_TOL = 64 * np.finfo(float).eps
 # Collinearity threshold on the second singular value of the centered
 # previous-frame positions.
 _COLLINEAR_TOL = 1e-9
+# The LM schedule: at most _MAX_ITERS linearizations; the damping starts
+# at _LAMBDA_INIT and is multiplied by _LAMBDA_UP after a rejected trial
+# and by _LAMBDA_DOWN after an accepted one; LM has converged when the
+# cost falls by less than _COST_TOL relative or the twist step is
+# shorter than _STEP_TOL.
+_MAX_ITERS = 100
+_LAMBDA_INIT = 1e-4
+_LAMBDA_UP = 10.0
+_LAMBDA_DOWN = 0.3
+_COST_TOL = 1e-10
+_STEP_TOL = 1e-10
 # Damping above this means no step decreases the cost: LM stops there.
 _LAMBDA_MAX = 1e12
 
@@ -111,31 +122,6 @@ class MatchedLandmarks:
 
     def __len__(self) -> int:
         return len(self.p)
-
-
-@dataclass(frozen=True)
-class LMConfig:
-    max_iters: int = 100
-    lambda_init: float = 1e-4
-    lambda_up: float = 10.0
-    lambda_down: float = 0.3
-    cost_tol: float = 1e-10  # relative cost decrease
-    step_tol: float = 1e-10  # twist update norm
-
-    def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        for name in ("max_iters", "lambda_init", "lambda_up", "lambda_down", "cost_tol", "step_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        # lambda_up <= 1 never leaves a rejected trial's damping loop, and
-        # an initial damping above the cap returns the initial pose unflagged
-        if not self.lambda_up > 1:
-            raise ValueError(f"lambda_up must be greater than 1, got {self.lambda_up!r}")
-        if not self.lambda_down <= 1:
-            raise ValueError(f"lambda_down must be at most 1, got {self.lambda_down!r}")
-        if not self.lambda_init <= _LAMBDA_MAX:
-            raise ValueError(f"lambda_init must be at most {_LAMBDA_MAX:g}, got {self.lambda_init!r}")
 
 
 @dataclass
@@ -246,12 +232,12 @@ def _combined_covariances(
     return s, w.reshape(-1, 3, 3), ridged
 
 
-def residual_jacobian(pose: PoseSE3, curr_position: np.ndarray) -> np.ndarray:
-    """d r / d xi of r = p - T*exp(xi)(q) at xi = 0: shape (3, 6) for one
-    point q, (N, 3, 6) for a stack of points (N, 3)."""
+def residual_jacobian(rotation: np.ndarray, curr_position: np.ndarray) -> np.ndarray:
+    """d r / d xi of r = p - T*exp(xi)(q) at xi = 0, for T of the given
+    rotation: shape (3, 6) for one point q, (N, 3, 6) for a stack (N, 3)."""
     qx = skew(curr_position)
-    r = np.broadcast_to(pose.rotation, qx.shape)
-    return np.concatenate([-r, pose.rotation @ qx], axis=-1)
+    r = np.broadcast_to(rotation, qx.shape)
+    return np.concatenate([-r, rotation @ qx], axis=-1)
 
 
 def _problem_arrays(problem: FramePairProblem) -> tuple[np.ndarray, ...]:
@@ -261,36 +247,39 @@ def _problem_arrays(problem: FramePairProblem) -> tuple[np.ndarray, ...]:
 
 
 def _weighted_cost(
-    p: np.ndarray, q: np.ndarray, sp: np.ndarray, sq: np.ndarray, pose: PoseSE3
+    p: np.ndarray, q: np.ndarray, sp: np.ndarray, sq: np.ndarray, rotation: np.ndarray, translation: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, bool]:
-    """(cost, residuals, weights S^-1, regularized) at a pose, with the
-    combined covariances evaluated at its rotation."""
-    _, w, ridged = _combined_covariances(sp, sq, pose.rotation)
-    res = p - pose.apply(q)
+    """(cost, residuals, weights S^-1, regularized) at the pose (R, t),
+    with the combined covariances evaluated at its rotation."""
+    _, w, ridged = _combined_covariances(sp, sq, rotation)
+    res = p - (q @ rotation.T + translation)
     return float(np.einsum("ni,nij,nj->", res, w, res)), res, w, bool(ridged.any())
 
 
-def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSolution:
+def solve_pose(problem: FramePairProblem) -> PoseSolution:
     """Levenberg-Marquardt minimization of the weighted registration cost.
 
     Only cost-decreasing steps are accepted, so the returned cost never
     exceeds the cost at the initial pose. Damping is multiplicative on
-    the diagonal of the normal equations.
+    the diagonal of the normal equations. The iterate is held as the
+    arrays (R, t); a trial is (R, t) * exp(step), the arithmetic of
+    ``PoseSE3.compose(se3_exp(step))``, and only the returned pose is
+    built (and checked) as a PoseSE3.
     """
     p, q, sp, sq = _problem_arrays(problem)
-    pose = problem.initial_pose
-    cost, res, weights, regularized = _weighted_cost(p, q, sp, sq, pose)
-    lam = cfg.lambda_init
+    rot, trans = problem.initial_pose.rotation, problem.initial_pose.translation
+    cost, res, weights, regularized = _weighted_cost(p, q, sp, sq, rot, trans)
+    lam = _LAMBDA_INIT
     converged = False
     iterations = 0
 
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         if cost == 0.0:
             converged = True
             iterations -= 1
             break
         # J^T W J and J^T W r as flat (6, 3N) @ (3N, .) products
-        jac = residual_jacobian(pose, q)
+        jac = residual_jacobian(rot, q)
         wjac = (weights @ jac).reshape(-1, 6)
         h = jac.reshape(-1, 6).T @ wjac
         g = wjac.T @ res.reshape(-1)
@@ -302,31 +291,32 @@ def solve_pose(problem: FramePairProblem, cfg: LMConfig = LMConfig()) -> PoseSol
             try:
                 step = np.linalg.solve(h_lm, -g)
             except np.linalg.LinAlgError:
-                lam *= cfg.lambda_up
+                lam *= _LAMBDA_UP
                 continue
-            candidate = pose.compose(se3_exp(step))
-            new_cost, new_res, new_w, flagged = _weighted_cost(p, q, sp, sq, candidate)
+            new_rot = rot @ so3_exp(step[3:])
+            new_trans = rot @ (_left_jacobian(step[3:]) @ step[:3]) + trans
+            new_cost, new_res, new_w, flagged = _weighted_cost(p, q, sp, sq, new_rot, new_trans)
             if new_cost < cost:
-                pose, res, weights = candidate, new_res, new_w
+                rot, trans, res, weights = new_rot, new_trans, new_res, new_w
                 prev_cost, cost = cost, new_cost
                 regularized |= flagged
-                lam = max(lam * cfg.lambda_down, 1e-15)
+                lam = max(lam * _LAMBDA_DOWN, 1e-15)
                 accepted = True
                 break
-            lam *= cfg.lambda_up
+            lam *= _LAMBDA_UP
 
         if not accepted:
             converged = True  # damping exhausted: no descent direction left
             break
-        if float(np.linalg.norm(step)) < cfg.step_tol:
+        if float(np.linalg.norm(step)) < _STEP_TOL:
             converged = True
             break
-        if prev_cost - cost < cfg.cost_tol * max(prev_cost, np.finfo(float).tiny):
+        if prev_cost - cost < _COST_TOL * max(prev_cost, np.finfo(float).tiny):
             converged = True
             break
 
     return PoseSolution(
-        pose=pose,
+        pose=PoseSE3(rot, trans),
         cost=cost,
         iterations=iterations,
         residuals=res,

@@ -49,7 +49,6 @@ from .geometry import PoseSE3, StereoCamera
 from .optimizer import (
     CovarianceMode,
     FramePairProblem,
-    LMConfig,
     MatchedLandmarks,
     solve_pose,
 )
@@ -72,7 +71,6 @@ class RunConfig:
     ingest: Path | None = None
     camera: StereoCamera | None = None  # required with ingest; simulate supplies its own
     selector: SelectorConfig = field(default_factory=SelectorConfig)
-    lm: LMConfig = field(default_factory=LMConfig)
     covariance_mode: CovarianceMode = CovarianceMode.FULL
     keypoint_mode: KeypointMode = KeypointMode.UNCERTAINTY
     patch_kernel: int = DEFAULT_PATCH_KERNEL
@@ -153,7 +151,7 @@ def build_matched_pairs(
 @dataclass(frozen=True)
 class MatchSettings:
     """The settings a frame pair's matched landmarks depend on; the
-    covariance mode, the LM settings and the running pose play no part."""
+    covariance mode and the running pose play no part."""
 
     camera: StereoCamera
     selector: SelectorConfig
@@ -267,7 +265,7 @@ def run(cfg: RunConfig, frames: Iterable[FrameObservation] | MatchedSequence | N
         failure = type(pairs).__name__ if isinstance(pairs, NumericalError) else None
         if failure is None:
             try:
-                solution = solve_pose(FramePairProblem(pairs, delta, cfg.covariance_mode), cfg.lm)
+                solution = solve_pose(FramePairProblem(pairs, delta, cfg.covariance_mode))
             except NumericalError as exc:
                 failure = type(exc).__name__
         if failure is not None:

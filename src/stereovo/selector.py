@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientKeypointsError
+from .errors import ConfigError, InsufficientKeypointsError
 from .geometry import StereoCamera
 
 # The optimizer needs at least 3 non-degenerate matches.
@@ -52,17 +52,18 @@ class SelectorConfig:
 
     def __post_init__(self):
         if self.nms_radius < 1:
-            raise ValueError(f"nms_radius must be >= 1, got {self.nms_radius}")
+            raise ConfigError(f"nms_radius: must be >= 1, got {self.nms_radius}")
         if self.border_margin < 0:
-            raise ValueError(f"border_margin must be >= 0, got {self.border_margin}")
+            raise ConfigError(f"border_margin: must be >= 0, got {self.border_margin}")
         if not self.depth_min > 0:
-            raise ValueError(f"depth_min must be positive, got {self.depth_min}")
+            raise ConfigError(f"depth_min: must be positive, got {self.depth_min}")
         if self.depth_max <= self.depth_min:
-            raise ValueError("depth_max must exceed depth_min")
+            raise ConfigError("depth_max: must exceed depth_min")
         if not self.unc_multiplier > 0:
-            raise ValueError(f"unc_multiplier must be positive, got {self.unc_multiplier}")
-        if not isinstance(self.max_keypoints, (int, np.integer)) or self.max_keypoints < 1:
-            raise ValueError(f"max_keypoints must be an integer >= 1, got {self.max_keypoints!r}")
+            raise ConfigError(f"unc_multiplier: must be positive, got {self.unc_multiplier}")
+        # fewer keypoints than the optimizer needs make every frame fall back
+        if not isinstance(self.max_keypoints, (int, np.integer)) or self.max_keypoints < MIN_KEYPOINTS:
+            raise ConfigError(f"max_keypoints: must be an integer >= {MIN_KEYPOINTS}, got {self.max_keypoints!r}")
 
 
 @dataclass(frozen=True)

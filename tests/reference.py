@@ -287,7 +287,7 @@ def project_covariance(cam: StereoCamera, obs: PixelObservation) -> Landmark3D:
 def mahalanobis_cost(problem: FramePairProblem, pose: PoseSE3) -> float:
     """Total squared Mahalanobis distance at the given pose, with the
     combined covariances evaluated at this pose's rotation."""
-    return _weighted_cost(*_problem_arrays(problem), pose)[0]
+    return _weighted_cost(*_problem_arrays(problem), pose.rotation, pose.translation)[0]
 
 
 def pair_covariances(

@@ -121,7 +121,7 @@ def test_criterion_4_jacobian_correctness():
             pose = PoseSE3(so3_exp(axis * rng.uniform(0, 2.5)), rng.normal(size=3))
             q = rng.uniform(-4, 4, size=3) + [0, 0, 5]
             p = rng.normal(size=3)
-            jac = residual_jacobian(pose, q)
+            jac = residual_jacobian(pose.rotation, q)
             fd = np.zeros((3, 6))
             for k in range(6):
                 e = np.zeros(6)

@@ -110,16 +110,16 @@ class TestExitCodes:
             (["run", run_yaml + "patch_kernel: abc\n"], "patch_kernel"),
             # non-integral values of integer fields
             (["run", run_yaml + "patch_kernel: 2.5\n"], "patch_kernel"),
-            (["run", run_yaml + "lm: {max_iters: 2.5}\n"], "max_iters"),
-            # LM damping that never leaves a rejected trial, or never tries one
-            (["run", run_yaml + "lm: {lambda_up: 0.5}\n"], "lm: lambda_up"),
-            (["run", run_yaml + "lm: {lambda_init: 1.0e+13}\n"], "lm: lambda_init"),
             (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 80.5}")], "max_keypoints"),
+            # fewer keypoints than a pose needs
+            (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 2}")], "selector.max_keypoints"),
             (["run", run_yaml + "covariance_mode: sparse\n"], "covariance_mode"),
             (["run", run_yaml + "keypoint_mode: corners\n"], "keypoint_mode"),
             # unknown keys
             (["run", run_yaml + "covariance: diagonal\n"], "covariance"),
             (["run", run_yaml + "patch_kernal: 4\n"], "patch_kernal"),
+            # the LM damping schedule is fixed, not configured
+            (["run", run_yaml + "lm: {max_iters: 50}\n"], "lm: unknown key"),
             (["simulate", SCENE_YAML.replace("landmark_count", "landmark_cout")], "landmark_cout"),
             (["simulate", SCENE_YAML.replace("sigma_flow", "sigma_flw")], "noise.sigma_flw"),
             (["simulate", SCENE_YAML.replace("0.06]}", "0.06], bogus: 1}")], "motion.bogus"),

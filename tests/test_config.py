@@ -20,7 +20,7 @@ from stereovo.config import from_dict
 from stereovo.errors import ConfigError
 from stereovo.frontend import AnomalyRegion, MotionSpec, NoiseModel, SceneConfig, Wall
 from stereovo.geometry import StereoCamera
-from stereovo.optimizer import CovarianceMode, LMConfig
+from stereovo.optimizer import CovarianceMode
 from stereovo.pipeline import KeypointMode, RunConfig, run_config_from_dict
 from stereovo.selector import SelectorConfig
 
@@ -48,8 +48,7 @@ SCENE = {
     "frame_dt": 0.5,
 }
 SELECTOR = {"nms_radius": 5.0, "border_margin": 4.0, "depth_range": [0.5, 60.0], "unc_multiplier": 2.0, "max_keypoints": 80}
-LM = {"max_iters": 50, "lambda_init": 1e-3, "lambda_up": 5.0, "lambda_down": 0.5, "cost_tol": 1e-9, "step_tol": 1e-8}
-COMMON = {"camera": CAMERA, "selector": SELECTOR, "lm": LM, "covariance_mode": "diagonal", "keypoint_mode": "random"}
+COMMON = {"camera": CAMERA, "selector": SELECTOR, "covariance_mode": "diagonal", "keypoint_mode": "random"}
 RUN_SIMULATE = {"seed": 5, "output_dir": "out", "input": {"simulate": SCENE}, **COMMON, "patch_kernel": 16}
 RUN_INGEST = {"seed": 5, "output_dir": "out", "input": {"ingest": "obs"}, **COMMON, "patch_kernel": 16}
 
@@ -83,7 +82,6 @@ COMMON_OBJ = dict(
     selector=SelectorConfig(
         nms_radius=5.0, border_margin=4.0, depth_min=0.5, depth_max=60.0, unc_multiplier=2.0, max_keypoints=80
     ),
-    lm=LMConfig(max_iters=50, lambda_init=1e-3, lambda_up=5.0, lambda_down=0.5, cost_tol=1e-9, step_tol=1e-8),
     covariance_mode=CovarianceMode.DIAGONAL,
     keypoint_mode=KeypointMode.RANDOM,
     patch_kernel=16,
@@ -271,7 +269,12 @@ def test_negative_seed_is_a_config_error(case, path):
 
 @pytest.mark.parametrize(
     "field, value, message",
-    [("num_frames", 1, "num_frames: must be >= 2, got 1"), ("seed", -1, "seed: must be >= 0, got -1")],
+    [
+        ("num_frames", 1, "num_frames: must be >= 2, got 1"),
+        ("seed", -1, "seed: must be >= 0, got -1"),
+        # one waypoint row for six frames, found when the config loads
+        ("motion", {"kind": "waypoints", "waypoints": [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]}, "motion.waypoints: need 6 rows, got 1"),
+    ],
 )
 def test_scene_check_errors_carry_their_dotted_path(field, value, message):
     run = copy.deepcopy(RUN_SIMULATE)

@@ -156,8 +156,12 @@ class TestGeneration:
         wps = ((0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1))
         wp_poses = motion_poses(MotionSpec(kind="waypoints", waypoints=wps), 2)
         assert np.allclose(wp_poses[1].translation, [1, 0, 0])
-        with pytest.raises(ConfigError, match="waypoints"):
-            motion_poses(MotionSpec(kind="waypoints", waypoints=wps), 3)
+
+    def test_waypoint_count_checked_with_the_scene(self):
+        wps = ((0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1))
+        with pytest.raises(ConfigError, match="motion.waypoints: need 3 rows, got 2"):
+            SceneConfig(seed=0, num_frames=3, camera=small_cam(), motion=MotionSpec(kind="waypoints", waypoints=wps))
+        SceneConfig(seed=0, num_frames=2, camera=small_cam(), motion=MotionSpec(kind="waypoints", waypoints=wps))
 
     def test_invalid_config_field_paths(self):
         with pytest.raises(ConfigError, match="gamma_disp"):
@@ -186,10 +190,10 @@ class TestObservationIO:
         frame = generate_sequence(plane_scene(seed=1, num_frames=2))[0]
         (v, u), (iv, iu) = np.argwhere(frame.valid)[0], np.argwhere(~frame.valid)[0]
         for name in ("flow_var", "depth_var"):
-            for value in (np.nan, -1e-3):
+            for value in (np.nan, np.inf, -1e-3):
                 bad = getattr(frame, name).copy()
                 bad[v, u] = value
-                with pytest.raises(ValueError, match="non-negative"):
+                with pytest.raises(ValueError, match="finite and non-negative"):
                     replace(frame, **{name: bad})
                 # an invalid pixel's variance is never read
                 ignored = getattr(frame, name).copy()
@@ -200,10 +204,12 @@ class TestObservationIO:
         write_observations(generate_sequence(plane_scene(seed=1)), tmp_path)
         victim = tmp_path / "frame_000002.obs"
         original = victim.read_bytes()
-        for channel, value in (("flow_var", np.nan), ("depth_var", -1.0)):
+        for channel, value in (
+            ("flow_var", np.nan), ("depth_var", -1.0), ("flow_var", np.inf), ("depth_var", np.inf)
+        ):
             overwrite_at_first_valid_pixel(victim, channel, value)
             # variances are checked when the frame is read
-            with pytest.raises(DataFormatError, match="frame_000002.obs: variance maps must be non-negative"):
+            with pytest.raises(DataFormatError, match="frame_000002.obs: variance maps must be finite and non-negative"):
                 list(ingest_observations(tmp_path))
             victim.write_bytes(original)
         assert len(ingest_observations(tmp_path)) == 6

@@ -9,6 +9,7 @@ from reference import Landmark3D, project, rotation_angle, se3_log, transform_la
 from stereovo.geometry import (
     PoseSE3,
     backproject,
+    check_covariances,
     matrix_to_quat,
     psd_within_sym3,
     quat_to_matrix,
@@ -140,6 +141,16 @@ class TestLandmark:
     def test_covariance_must_be_psd(self):
         with pytest.raises(ValueError):
             Landmark3D(np.zeros(3), -1e-6 * np.eye(3))
+
+    def test_covariance_must_be_finite(self):
+        # inf - inf in the symmetry test is NaN, which no comparison fails
+        nan_off_diagonal = np.eye(3)
+        nan_off_diagonal[0, 1] = nan_off_diagonal[1, 0] = np.nan
+        for c in (np.diag([np.inf, 1.0, 1.0]), nan_off_diagonal):
+            with np.errstate(all="raise"):
+                for cov in (c, np.stack([np.eye(3), c])):
+                    with pytest.raises(ValueError, match="non-finite"):
+                        check_covariances(cov)
 
     def test_transform_identity_unchanged(self):
         lm = Landmark3D([1.0, 2.0, 3.0], np.diag([1.0, 2.0, 3.0]))

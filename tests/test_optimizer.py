@@ -12,17 +12,23 @@ from reference import (
 )
 from stereovo.errors import DegenerateGeometryError
 from stereovo.geometry import PoseSE3, StereoCamera, se3_exp, so3_exp
+import stereovo.optimizer as optimizer
 from stereovo.optimizer import (
     _COND_LIMIT,
+    _COST_TOL,
     _DET_REL_TOL,
     _FULL,
+    _LAMBDA_DOWN,
+    _LAMBDA_INIT,
     _LAMBDA_MAX,
+    _LAMBDA_UP,
+    _MAX_ITERS,
     _RIDGE_ABS,
     _RIDGE_REL,
+    _STEP_TOL,
     _UPPER,
     CovarianceMode,
     FramePairProblem,
-    LMConfig,
     MatchedLandmarks,
     _combined_covariances,
     _sym3_cofactors,
@@ -105,17 +111,17 @@ def reference_weighted_cost(p, q, sp, sq, pose, mode):
     return float(np.einsum("ni,nij,nj->", res, w, res)), res, w, flagged
 
 
-def reference_solve_pose(problem, cfg=LMConfig()):
+def reference_solve_pose(problem):
     """solve_pose's LM loop over the reference evaluation."""
     p, q = problem.pairs.p, problem.pairs.q
     sp, sq = reference_mode_adjusted(problem.pairs, problem.covariance_mode)
     mode, pose = problem.covariance_mode, problem.initial_pose
     cost, res, weights, regularized = reference_weighted_cost(p, q, sp, sq, pose, mode)
-    lam = cfg.lambda_init
-    for _ in range(cfg.max_iters):
+    lam = _LAMBDA_INIT
+    for _ in range(_MAX_ITERS):
         if cost == 0.0:
             break
-        jac = residual_jacobian(pose, q)
+        jac = residual_jacobian(pose.rotation, q)
         jtw = np.einsum("nij,nik->njk", jac, weights)
         h = np.einsum("nij,njk->ik", jtw, jac)
         g = np.einsum("nij,nj->i", jtw, res)
@@ -124,7 +130,7 @@ def reference_solve_pose(problem, cfg=LMConfig()):
             try:
                 step = np.linalg.solve(h + lam * np.diag(np.diag(h)), -g)
             except np.linalg.LinAlgError:
-                lam *= cfg.lambda_up
+                lam *= _LAMBDA_UP
                 continue
             candidate = pose.compose(se3_exp(step))
             new_cost, new_res, new_w, flagged = reference_weighted_cost(p, q, sp, sq, candidate, mode)
@@ -132,13 +138,13 @@ def reference_solve_pose(problem, cfg=LMConfig()):
                 pose, res, weights = candidate, new_res, new_w
                 prev_cost, cost = cost, new_cost
                 regularized |= flagged
-                lam = max(lam * cfg.lambda_down, 1e-15)
+                lam = max(lam * _LAMBDA_DOWN, 1e-15)
                 accepted = True
                 break
-            lam *= cfg.lambda_up
-        if not accepted or np.linalg.norm(step) < cfg.step_tol:
+            lam *= _LAMBDA_UP
+        if not accepted or np.linalg.norm(step) < _STEP_TOL:
             break
-        if prev_cost - cost < cfg.cost_tol * max(prev_cost, np.finfo(float).tiny):
+        if prev_cost - cost < _COST_TOL * max(prev_cost, np.finfo(float).tiny):
             break
     return pose, cost, regularized
 
@@ -179,8 +185,10 @@ class TestMatchedLandmarks:
         asym[2, 0, 1] = 1e-6
         indefinite = covs.copy()
         indefinite[3] = -1e-6 * np.eye(3)
+        infinite = covs.copy()
+        infinite[1, 0, 0] = np.inf
         points = np.zeros((4, 3))
-        for bad, match in ((asym, "symmetric"), (indefinite, "eigenvalue")):
+        for bad, match in ((asym, "symmetric"), (indefinite, "eigenvalue"), (infinite, "non-finite")):
             with pytest.raises(ValueError, match=match):
                 MatchedLandmarks(points, points, bad, covs)
             with pytest.raises(ValueError, match=match):
@@ -347,7 +355,7 @@ class TestJacobian:
             pose = PoseSE3(random_rotation(rng, 2.0), rng.normal(size=3))
             q = rng.uniform(-4, 4, size=3) + [0, 0, 5]
             p = rng.normal(size=3)
-            jac = residual_jacobian(pose, q)
+            jac = residual_jacobian(pose.rotation, q)
             fd = np.zeros((3, 6))
             for k in range(6):
                 e = np.zeros(6)
@@ -489,22 +497,31 @@ class TestSolvePose:
                 errs[mode].append(np.linalg.norm(sol.pose.translation - t_gt.translation))
         assert np.median(errs[CovarianceMode.FULL]) <= np.median(errs[CovarianceMode.IDENTITY])
 
-    def test_lm_config_validation(self):
-        with pytest.raises(ValueError):
-            LMConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            LMConfig(lambda_init=-1.0)
-        # a rejected trial's damping must grow to the cap, and the first
-        # trial must run
-        for kwargs, field in (
-            ({"lambda_up": 0.5}, "lambda_up"),
-            ({"lambda_up": 1.0}, "lambda_up"),
-            ({"lambda_down": 1.5}, "lambda_down"),
-            ({"lambda_init": 1e13}, "lambda_init"),
-        ):
-            with pytest.raises(ValueError, match=field):
-                LMConfig(**kwargs)
-        LMConfig(lambda_down=1.0, lambda_init=_LAMBDA_MAX)
+    def test_iteration_cap_leaves_the_solve_unconverged(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_MAX_ITERS", 1)
+        rng = np.random.default_rng(23)
+        problem, _ = noiseless_problem(rng, n=30)
+        problem.pairs.p[:] += rng.normal(size=problem.pairs.p.shape) * 0.05
+        sol = solve_pose(problem)
+        assert sol.converged is False
+        assert sol.iterations == 1
+
+    def test_one_pose_built_per_solve(self, monkeypatch):
+        # trials run on (R, t) arrays; only the returned pose is a PoseSE3
+        rng = np.random.default_rng(29)
+        problem, _ = noiseless_problem(rng, n=30)
+        problem.pairs.p[:] += rng.normal(size=problem.pairs.p.shape) * 0.05
+        built = []
+        real = PoseSE3.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(PoseSE3, "__post_init__", counted)
+        sol = solve_pose(problem)
+        assert sol.iterations > 1
+        assert len(built) == 1 and built[0] is sol.pose
 
 
 class TestClosedFormAlgebra:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stereovo.optimizer as optimizer
 import stereovo.pipeline as pipeline
 import stereovo.selector as selector
 from stereovo.errors import ConfigError, DegenerateGeometryError
@@ -120,6 +121,15 @@ class TestRun:
         # seeded: reproducible
         again = run(cfg)
         assert np.array_equal(result.est.positions(), again.est.positions())
+
+    def test_iteration_cap_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_MAX_ITERS", 1)
+        scene = plane_scene(num_frames=4, noise=NoiseModel(sigma_flow=0.3, gamma_disp=0.05))
+        cfg = RunConfig(seed=2, output_dir="/tmp/unused", simulate=scene, selector=small_selector())
+        result = run(cfg)
+        assert len(result.diagnostics) == 3
+        for d in result.diagnostics:
+            assert d.lm_iterations == 1 and "lm_max_iters" in d.flags, d
 
     def test_bad_frame_falls_back_not_abort(self):
         scene = plane_scene(num_frames=8)
@@ -353,7 +363,6 @@ input:
     walls: [{{z: 10.0, x_range: [-40.0, 40.0], y_range: [-40.0, 40.0]}}]
     render_landmarks: false
 selector: {{nms_radius: 5, border_margin: 4, depth_range: [0.5, 100.0], max_keypoints: 80}}
-lm: {{max_iters: 50}}
 covariance_mode: diagonal
 keypoint_mode: uncertainty
 patch_kernel: 16
@@ -363,7 +372,6 @@ patch_kernel: 16
         cfg = load_run_config(path)
         assert cfg.covariance_mode is CovarianceMode.DIAGONAL
         assert cfg.selector.depth_max == 100.0
-        assert cfg.lm.max_iters == 50
         assert cfg.patch_kernel == 16
         result = run(cfg)
         assert len(result.est) == 4

@@ -10,7 +10,6 @@ import yaml
 
 from stereovo.frontend import MotionSpec, NoiseModel, SceneConfig, Wall, load_scene_config
 from stereovo.geometry import StereoCamera
-from stereovo.optimizer import LMConfig
 from stereovo.pipeline import load_run_config
 from stereovo.selector import SelectorConfig
 
@@ -71,4 +70,3 @@ def test_configuration_examples_load(tmp_path):
     assert cfg.simulate == scene
     assert cfg.camera == scene.camera
     assert cfg.selector == SelectorConfig()
-    assert cfg.lm == LMConfig()
