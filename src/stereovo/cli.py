@@ -51,7 +51,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _apply_seed_override(load_run_config(args.config), args.seed)
     result = run(cfg)
-    write_run_outputs(result, cfg.output_dir)
+    write_run_outputs(result, cfg.output_dir, cfg.ingest)
     fallbacks = sum("fallback_motion_model" in d.flags for d in result.diagnostics)
     log.info(
         "estimated %d poses (%d motion-model fallbacks) -> %s",

@@ -137,9 +137,9 @@ def mc_projection_covariance(
     truncation."""
     if n < MIN_SAMPLES["projection"]:
         raise ValueError(f"need at least 1e5 samples, got {n}")
-    from .uncertainty import covariance_from_observation  # comparison target only
+    from .uncertainty import backprojection_covariances  # comparison target only
 
-    closed = covariance_from_observation(cam, obs)
+    closed = backprojection_covariances(cam, obs.u, obs.v, obs.sigma_u2, obs.sigma_v2, obs.d, obs.sigma_d2)
     # exact mean of the backprojection under independence
     mean = np.array(
         [(obs.u - cam.cx) * obs.d / cam.fx, (obs.v - cam.cy) * obs.d / cam.fy, obs.d]

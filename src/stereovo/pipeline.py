@@ -29,6 +29,7 @@ and matches once and solves once per mode.
 from __future__ import annotations
 
 import csv
+import shutil
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -291,11 +292,16 @@ def run(cfg: RunConfig, frames: Iterable[FrameObservation] | MatchedSequence | N
     return RunResult(est=Trajectory(gt.timestamps, est_poses), gt=gt, diagnostics=diagnostics)
 
 
-def write_run_outputs(result: RunResult, output_dir) -> None:
+def write_run_outputs(result: RunResult, output_dir, ingest: Path | None = None) -> None:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_tum(result.est, out / "poses_est.txt")
-    write_tum(result.gt, out / "poses_gt.txt")
+    # a run on the observation directory ingest copies its poses_gt.txt:
+    # writing the parsed poses back can move a quaternion by one ulp
+    if ingest is None:
+        write_tum(result.gt, out / "poses_gt.txt")
+    elif Path(ingest).resolve() != out.resolve():
+        shutil.copyfile(Path(ingest) / "poses_gt.txt", out / "poses_gt.txt")
     with open(out / "diagnostics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame_index", "keypoints_used", "final_cost", "lm_iterations", "flags"])

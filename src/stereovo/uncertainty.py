@@ -10,9 +10,10 @@ Three independent pieces:
   independent Gaussian (u, v, d), including the off-diagonal terms that
   couple the lateral axes with depth.
 
-The depth correction and the projection each run as one batch over a
-frame pair's keypoints (``windowed_depth_moments``,
-``project_covariances``). Their one-item references
+The depth correction (``windowed_depth_moments``, separable matrix
+products over gathered windows) and the projection
+(``project_covariances``) each run as one batch over a frame pair's
+keypoints. Their one-item references
 (``correct_depth_uncertainty`` on a ``DepthPatch``, and
 ``project_covariance``) live in ``tests/reference.py``, where the tests
 compare the batches to them.
@@ -95,22 +96,6 @@ def disparity_to_depth(cam: StereoCamera, disp: DisparityEstimate) -> DepthEstim
     return DepthEstimate(mu_d, sigma_d2, disp.gamma >= GAMMA_APPROX_LIMIT)
 
 
-def _gaussian_weights(
-    valid: np.ndarray, offset_u: np.ndarray, offset_v: np.ndarray, sigma_u2, sigma_v2
-) -> np.ndarray:
-    """Unnormalized Gaussian weights over a stack of patches (N, rows,
-    cols), zero at invalid pixels. offset_u/offset_v (N,) place sample
-    [0, 0] of each patch relative to its center, in pixels; per-axis
-    stds are floored at MIN_WEIGHT_STD_PX."""
-    su = np.maximum(np.sqrt(np.maximum(sigma_u2, 0.0)), MIN_WEIGHT_STD_PX)
-    sv = np.maximum(np.sqrt(np.maximum(sigma_v2, 0.0)), MIN_WEIGHT_STD_PX)
-    _, rows, cols = valid.shape
-    # the Gaussian is separable: one exp per row and per column
-    wu = np.exp(-0.5 * ((offset_u[:, None] + np.arange(cols)) / np.reshape(su, (-1, 1))) ** 2)
-    wv = np.exp(-0.5 * ((offset_v[:, None] + np.arange(rows)) / np.reshape(sv, (-1, 1))) ** 2)
-    return wv[:, :, None] * wu[:, None, :] * valid
-
-
 def windowed_depth_moments(
     depth: np.ndarray,
     valid: np.ndarray,
@@ -122,26 +107,39 @@ def windowed_depth_moments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The reference correct_depth_uncertainty at many matched pixels
     (u, v) of one depth map, each on the kernel-sized window around its
-    rounded location, clipped at the image borders.
+    rounded location, clipped at the image borders. The weights are
+    separable, wv_i wu_j ok_ij, so each moment is a batched wv @ X @ wu
+    over gathered windows X, and no (N, k, k) weight stack is built.
 
     Returns (mean, var, supported); where a window holds no valid pixel,
     supported is False and mean and var are 0.
     """
-    ok = np.isfinite(depth) & (depth > 0) & valid
-    d = np.where(ok, depth, 0.0)
-    # windows clipped at the low borders start at 0; columns and rows
-    # past the high borders are padding with no weight
+    h, w = depth.shape
+    # windows clipped at the low borders start at 0; rows and columns
+    # past the high borders are padding, 0 like an invalid pixel
+    d = np.zeros((h + kernel, w + kernel))
+    np.copyto(d[:h, :w], depth, where=np.isfinite(depth) & (depth > 0) & valid)
     u0 = np.maximum(np.rint(u).astype(int) - kernel // 2, 0)
     v0 = np.maximum(np.rint(v).astype(int) - kernel // 2, 0)
-    pad = ((0, kernel), (0, kernel))
-    d_win = sliding_window_view(np.pad(d, pad), (kernel, kernel))[v0, u0]
-    ok_win = sliding_window_view(np.pad(ok, pad), (kernel, kernel))[v0, u0]
-    w = _gaussian_weights(ok_win, u0 - u, v0 - v, sigma_u2, sigma_v2)
-    total = w.sum(axis=(1, 2))
+    d_win = sliding_window_view(d, (kernel, kernel))[v0, u0]
+    ok_win = d_win > 0.0  # valid depths are positive
+    # one Gaussian per axis, placed by sample 0's offset from the center
+    su = np.maximum(np.sqrt(np.maximum(sigma_u2, 0.0)), MIN_WEIGHT_STD_PX)
+    sv = np.maximum(np.sqrt(np.maximum(sigma_v2, 0.0)), MIN_WEIGHT_STD_PX)
+    wu = np.exp(-0.5 * (((u0 - u)[:, None] + np.arange(kernel)) / np.reshape(su, (-1, 1))) ** 2)
+    wv = np.exp(-0.5 * (((v0 - v)[:, None] + np.arange(kernel)) / np.reshape(sv, (-1, 1))) ** 2)
+
+    def moment(x):
+        return np.einsum("ni,ni->n", wv, np.einsum("nij,nj->ni", x, wu))
+
+    total = moment(ok_win)
     supported = total > 0.0
-    w /= np.where(supported, total, 1.0)[:, None, None]
-    mean = np.einsum("nij,nij->n", w, d_win)
-    var = np.einsum("nij,nij->n", w, (d_win - mean[:, None, None]) ** 2)
+    mean = np.divide(moment(d_win), total, out=np.zeros_like(total), where=supported)
+    # squared deviations in place: no (d - mean)^2 stack beside d_win
+    d_win -= mean[:, None, None]
+    np.square(d_win, out=d_win)
+    d_win *= ok_win
+    var = np.divide(moment(d_win), total, out=np.zeros_like(total), where=supported)
     return mean, var, supported
 
 
@@ -159,12 +157,6 @@ def backprojection_covariances(cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, s
     return np.stack(
         [np.stack(row, axis=-1) for row in ((sx2, sxy, sxz), (sxy, sy2, syz), (sxz, syz, sz2))], axis=-2
     )
-
-
-def covariance_from_observation(cam: StereoCamera, obs: PixelObservation) -> np.ndarray:
-    """Exact 3x3 covariance of backproject(u, v, d) for independent
-    Gaussian u, v, d, in (x, y, z) ordering."""
-    return backprojection_covariances(cam, obs.u, obs.v, obs.sigma_u2, obs.sigma_v2, obs.d, obs.sigma_d2)
 
 
 def ensure_psd(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -12,8 +12,9 @@ them:
   ``correct_depth_uncertainty``, against
   ``uncertainty.windowed_depth_moments``;
 * projection: ``project_covariance`` returning a ``Landmark3D``, against
-  ``uncertainty.project_covariances``; ``transform_landmark`` moves one
-  landmark into the world frame;
+  ``uncertainty.project_covariances``; ``covariance_from_observation``
+  is one observation's raw closed-form covariance, and
+  ``transform_landmark`` moves one landmark into the world frame;
 * geometry: ``project``, ``rotation_angle`` and ``se3_log``, the
   inverses and measures the geometry tests check ``backproject`` and
   ``se3_exp`` with;
@@ -46,7 +47,12 @@ from stereovo.optimizer import (
     _weighted_cost,
 )
 from stereovo.selector import SelectorConfig, _canonical_order
-from stereovo.uncertainty import PixelObservation, _gaussian_weights, project_covariances
+from stereovo.uncertainty import (
+    MIN_WEIGHT_STD_PX,
+    PixelObservation,
+    backprojection_covariances,
+    project_covariances,
+)
 
 # --- geometry ---------------------------------------------------------------
 
@@ -244,6 +250,19 @@ class DepthPatch:
         object.__setattr__(self, "valid", ok)
 
 
+def _gaussian_weights(valid: np.ndarray, offset_u: float, offset_v: float, sigma_u2: float, sigma_v2: float):
+    """Unnormalized Gaussian weights over one (rows, cols) patch, zero at
+    invalid pixels. offset_u/offset_v place sample [0, 0] relative to the
+    patch center, in pixels; per-axis stds are floored at
+    MIN_WEIGHT_STD_PX."""
+    su = max(np.sqrt(max(sigma_u2, 0.0)), MIN_WEIGHT_STD_PX)
+    sv = max(np.sqrt(max(sigma_v2, 0.0)), MIN_WEIGHT_STD_PX)
+    rows, cols = valid.shape
+    wu = np.exp(-0.5 * ((offset_u + np.arange(cols)) / su) ** 2)
+    wv = np.exp(-0.5 * ((offset_v + np.arange(rows)) / sv) ** 2)
+    return np.outer(wv, wu) * valid
+
+
 def patch_weights(patch: DepthPatch, sigma_u2: float, sigma_v2: float) -> np.ndarray:
     """Discrete Gaussian weights over the patch, zero at invalid pixels.
 
@@ -251,7 +270,7 @@ def patch_weights(patch: DepthPatch, sigma_u2: float, sigma_v2: float) -> np.nda
     over valid pixels.
     """
     (u0, v0), (cu, cv) = patch.origin, patch.center
-    w = _gaussian_weights(patch.valid[None], np.array([u0 - cu]), np.array([v0 - cv]), sigma_u2, sigma_v2)[0]
+    w = _gaussian_weights(patch.valid, u0 - cu, v0 - cv, sigma_u2, sigma_v2)
     total = w.sum()
     if total <= 0.0:
         raise ValueError("no depth support: every pixel in the patch is invalid")
@@ -272,6 +291,12 @@ def correct_depth_uncertainty(
     mu = float((w * d).sum())
     var = float((w * (d - mu) ** 2).sum())
     return mu, var
+
+
+def covariance_from_observation(cam: StereoCamera, obs: PixelObservation) -> np.ndarray:
+    """Exact 3x3 covariance of backproject(u, v, d) for independent
+    Gaussian u, v, d, in (x, y, z) ordering, without the PSD guard."""
+    return backprojection_covariances(cam, obs.u, obs.v, obs.sigma_u2, obs.sigma_v2, obs.d, obs.sigma_d2)
 
 
 def project_covariance(cam: StereoCamera, obs: PixelObservation) -> Landmark3D:

@@ -337,6 +337,21 @@ class TestDeterminism:
         for name in ("poses_est.txt", "poses_gt.txt", "diagnostics.csv"):
             assert (tmp / "x" / name).read_bytes() == (tmp / "y" / name).read_bytes()
 
+    def test_run_copies_the_ingested_ground_truth(self, workspace):
+        # parsing and re-writing these rotations moves some quaternions by
+        # one ulp, so only a byte copy keeps the file
+        tmp, scene = workspace
+        scene.write_text(SCENE_YAML.replace("[0.04, 0.02, 0.06]", "[0.04, 0.02, 0.06], angular_velocity: [0.01, 0.02, 0.005]"))
+        obs = tmp / "obs"
+        assert main(["simulate", str(scene), "-o", str(obs)]) == EXIT_OK
+        gt = (obs / "poses_gt.txt").read_bytes()
+        # the second run writes into the observation directory itself
+        for out in (tmp / "out", obs):
+            cfg = tmp / "run.cfg"
+            cfg.write_text(RUN_YAML.format(out=out, obs=obs))
+            assert main(["run", str(cfg)]) == EXIT_OK
+            assert (out / "poses_gt.txt").read_bytes() == gt
+
     def test_seed_override_changes_random_mode(self, workspace):
         tmp, scene = workspace
         obs = tmp / "obs"

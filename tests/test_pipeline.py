@@ -31,7 +31,8 @@ from stereovo.pipeline import (
 )
 from stereovo.selector import DenseMaps, Keypoints, SelectorConfig, select
 from stereovo.uncertainty import PixelObservation
-from reference import correct_depth_uncertainty, project_covariance
+from reference import correct_depth_uncertainty, project_covariance, rotation_angle
+from test_acceptance import ABLATION_SELECTOR, ablation_scene
 from test_uncertainty import clipped_patch
 
 
@@ -219,6 +220,38 @@ class TestBuildMatchedPairs:
         assert pairs.p.shape == (0, 3) and pairs.sq.shape == (0, 3, 3)
         with pytest.raises(DegenerateGeometryError, match="got 0"):
             FramePairProblem(pairs, PoseSE3.identity())
+
+
+def moments_one_by_one(depth, valid, u, v, sigma_u2, sigma_v2, kernel):
+    """Reference for windowed_depth_moments: each keypoint's clipped
+    patch on its own, through correct_depth_uncertainty."""
+    mean, var, supported = np.zeros(len(u)), np.zeros(len(u)), np.zeros(len(u), dtype=bool)
+    for i in range(len(u)):
+        try:
+            mean[i], var[i] = correct_depth_uncertainty(
+                clipped_patch(depth, valid, u[i], v[i], kernel), sigma_u2[i], sigma_v2[i]
+            )
+        except ValueError:
+            continue
+        supported[i] = True
+    return mean, var, supported
+
+
+class TestDepthMomentsTolerance:
+    def test_trajectory_matches_per_keypoint_moments(self, monkeypatch):
+        # the separable moments agree with the reference to ~1e-15, which
+        # moves where LM stops; the stated tolerance is 1e-6 m / 1e-6 rad
+        # per pose and 1e-6 relative in t_rel and r_rel
+        cfg = RunConfig(seed=31, output_dir="/tmp/unused", simulate=ablation_scene(31, 12), selector=ABLATION_SELECTOR)
+        batch = run(cfg)
+        monkeypatch.setattr(pipeline, "windowed_depth_moments", moments_one_by_one)
+        single = run(cfg)
+        for a, b in zip(batch.est.poses, single.est.poses, strict=True):
+            assert np.linalg.norm(a.translation - b.translation) <= 1e-6
+            assert rotation_angle(a.rotation.T @ b.rotation) <= 1e-6
+        for metric in (t_rel, r_rel):
+            want = metric(single.gt, single.est)
+            assert abs(metric(batch.gt, batch.est) - want) <= 1e-6 * want
 
 
 class TestBenchmarkEntryPoints:

@@ -1,12 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from reference import DepthPatch, correct_depth_uncertainty, patch_weights, project_covariance
+from reference import (
+    DepthPatch,
+    correct_depth_uncertainty,
+    covariance_from_observation,
+    patch_weights,
+    project_covariance,
+)
 from stereovo.geometry import backproject
 from stereovo.uncertainty import (
     DisparityEstimate,
     PixelObservation,
-    covariance_from_observation,
     disparity_to_depth,
     ensure_psd,
     project_covariances,
@@ -146,6 +153,48 @@ class TestWindowedDepthMoments:
             depth, valid, np.array([2.0, 15.0]), np.array([2.0, 15.0]), np.ones(2), np.ones(2), 4
         )
         assert supported.tolist() == [False, True]
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("offset", [18, 19, 20])
+    def test_support_ends_where_the_weights_underflow(self, offset, axis):
+        # zero flow variance floors the std at 0.5 px, so the one valid
+        # pixel weighs exp(-2 offset^2): normal at 18 px, subnormal at 19
+        # and exactly 0 at 20
+        depth = np.full((64, 64), 7.3)
+        valid = np.zeros(depth.shape, dtype=bool)
+        u, v, kernel = 30.0, 32.0, 48
+        valid[(32 + offset, 30) if axis else (32, 30 + offset)] = True
+        zero = np.zeros(1)
+        mean, var, supported = windowed_depth_moments(depth, valid, np.array([u]), np.array([v]), zero, zero, kernel)
+        patch = clipped_patch(depth, valid, u, v, kernel)
+        if offset == 20:
+            assert not supported[0] and mean[0] == var[0] == 0.0
+            with pytest.raises(ValueError, match="no depth support"):
+                correct_depth_uncertainty(patch, 0.0, 0.0)
+            return
+        mu, sd2 = correct_depth_uncertainty(patch, 0.0, 0.0)
+        assert supported[0]
+        # a subnormal weight keeps about 31 significant bits
+        assert abs(mean[0] - mu) <= 1e-9 * mu
+        assert abs(var[0] - sd2) <= 1e-18 * mu**2
+
+    def test_peak_allocation_is_below_the_weight_stacks(self):
+        # the (N, k, k) weight and squared-deviation stacks the separable
+        # moments replace peaked at 3.35 N k^2 float64s
+        rng = np.random.default_rng(5)
+        n, kernel = 120, 32
+        depth = rng.uniform(1.0, 20.0, size=(128, 128))
+        valid = rng.random(depth.shape) > 0.1
+        u, v = rng.uniform(0.0, 127.0, size=(2, n))
+        su2, sv2 = rng.uniform(0.0, 4.0, size=(2, n))
+        windowed_depth_moments(depth, valid, u, v, su2, sv2, kernel)
+        tracemalloc.start()
+        try:
+            windowed_depth_moments(depth, valid, u, v, su2, sv2, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * kernel * kernel * 8
 
 
 class TestProjectCovariance:
