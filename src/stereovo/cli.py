@@ -84,6 +84,8 @@ def _cmd_ablate(args) -> int:
     cfg = _apply_seed_override(load_run_config(args.config), args.seed)
     with config_field("--modes"):
         modes = [CovarianceMode(m.strip()) for m in args.modes.split(",") if m.strip()]
+    if len(modes) < 2:
+        raise ConfigError(f"--modes: need at least 2 modes, got {args.modes!r}")
     rows = ablate(cfg, modes)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = args.output or cfg.output_dir / "ablation.csv"

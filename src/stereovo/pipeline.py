@@ -16,14 +16,14 @@ A frame whose selection or optimization fails falls back to the
 constant-velocity motion model instead of aborting the run.
 
 A run has two stages. The front half selects and matches each frame
-pair; it depends on the camera, the selector, the keypoint mode, the
-seed and the patch kernel, not on the covariance mode or the running
-pose. The back half solves each pair in one covariance mode. Frames
-come from any iterable, one at a time, and the ground truth is gathered
-as they pass: ``run`` on frames holds at most two frames and streams a
-pair through both stages at a time; ``match_sequence`` keeps only the
-front half's landmarks of a whole sequence, so that ``ablate`` selects
-and matches once and solves once per mode.
+pair; it depends on the run config up to its covariance mode, and not
+on the running pose. The back half solves each pair in one covariance
+mode. Frames come from any iterable, one at a time, and the ground
+truth is gathered as they pass: ``run`` on frames holds at most two
+frames and streams a pair through both stages at a time;
+``match_sequence`` keeps only the front half's landmarks of a whole
+sequence, so that ``ablate`` selects and matches once and solves once
+per mode.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import from_dict, load_yaml, read
 from .errors import ConfigError, NumericalError
-from .evaluation import Trajectory, t_rel, r_rel, write_tum
+from .evaluation import Trajectory, per_frame_errors, write_tum
 from .frontend import (
     FrameObservation,
     SceneConfig,
@@ -56,7 +56,7 @@ from .optimizer import (
 from .selector import DenseMaps, Keypoints, SelectorConfig, select
 from .uncertainty import project_covariances, windowed_depth_moments
 
-DEFAULT_PATCH_KERNEL = 32
+PATCH_KERNEL = 32  # side in pixels of the window whose depth statistics a matched point takes
 
 
 class KeypointMode(str, Enum):
@@ -70,11 +70,10 @@ class RunConfig:
     output_dir: Path
     simulate: SceneConfig | None = None
     ingest: Path | None = None
-    camera: StereoCamera | None = None  # required with ingest; simulate supplies its own
+    camera: StereoCamera | None = None  # required with ingest; with simulate, optional and equal to its camera
     selector: SelectorConfig = field(default_factory=SelectorConfig)
     covariance_mode: CovarianceMode = CovarianceMode.FULL
     keypoint_mode: KeypointMode = KeypointMode.UNCERTAINTY
-    patch_kernel: int = DEFAULT_PATCH_KERNEL
 
     def __post_init__(self):
         self.output_dir = Path(self.output_dir)
@@ -86,8 +85,8 @@ class RunConfig:
             raise ConfigError("input: exactly one of input.simulate / input.ingest is required")
         if self.ingest is not None and self.camera is None:
             raise ConfigError("camera: required when input.ingest is used")
-        if not isinstance(self.patch_kernel, (int, np.integer)) or self.patch_kernel < 1:
-            raise ConfigError(f"patch_kernel: must be an integer >= 1, got {self.patch_kernel!r}")
+        if self.simulate is not None and self.camera not in (None, self.simulate.camera):
+            raise ConfigError("camera: differs from input.simulate.camera, the camera a simulated run uses")
 
     def resolved_camera(self) -> StereoCamera:
         return self.simulate.camera if self.simulate is not None else self.camera
@@ -109,19 +108,8 @@ class RunResult:
     diagnostics: list[FrameDiagnostics]
 
 
-def load_frames(cfg: RunConfig) -> Iterable[FrameObservation]:
-    """The config's frames, generated or read one at a time."""
-    if cfg.simulate is not None:
-        return generate_frames(cfg.simulate)
-    return ingest_observations(cfg.ingest)
-
-
 def build_matched_pairs(
-    cam: StereoCamera,
-    src: FrameObservation,
-    dst: FrameObservation,
-    keypoints: Keypoints,
-    patch_kernel: int = DEFAULT_PATCH_KERNEL,
+    cam: StereoCamera, src: FrameObservation, dst: FrameObservation, keypoints: Keypoints
 ) -> MatchedLandmarks:
     """The matched landmarks of ``select``'s keypoints on src, matched
     into dst by src's flow, as one record: each frame's positions and
@@ -141,7 +129,7 @@ def build_matched_pairs(
 
     # the matched location is only known up to the flow variance, so its
     # depth comes from the patch statistics around it
-    mu_d, var_d, supported = windowed_depth_moments(dst.depth, dst.valid, mu, mv, su2, sv2, patch_kernel)
+    mu_d, var_d, supported = windowed_depth_moments(dst.depth, dst.valid, mu, mv, su2, sv2, PATCH_KERNEL)
     keep = supported & (mu_d > 0)
     # the earlier frame's pixel is chosen, not matched: zero matching variance
     p, sp = project_covariances(cam, u[keep], v[keep], 0.0, 0.0, d_src[keep], src.depth_var[vi, ui][keep])
@@ -149,57 +137,32 @@ def build_matched_pairs(
     return MatchedLandmarks(p, q, sp, sq)
 
 
-@dataclass(frozen=True)
-class MatchSettings:
-    """The settings a frame pair's matched landmarks depend on; the
-    covariance mode and the running pose play no part."""
-
-    camera: StereoCamera
-    selector: SelectorConfig
-    keypoint_mode: KeypointMode
-    seed: int
-    patch_kernel: int
-
-    @classmethod
-    def of(cls, cfg: RunConfig) -> MatchSettings:
-        return cls(cfg.resolved_camera(), cfg.selector, cfg.keypoint_mode, cfg.seed, cfg.patch_kernel)
-
-
 @dataclass
 class MatchedSequence:
     """The mode-independent front half of a run: each frame pair's
     matched landmarks, or the NumericalError that stopped them, in frame
-    order, plus the ground truth and the settings they were built with."""
+    order, plus the ground truth and the run config they came from."""
 
-    settings: MatchSettings
+    cfg: RunConfig
     gt: Trajectory
     pairs: list[MatchedLandmarks | NumericalError]
 
 
-def _match_pair(
-    settings: MatchSettings, t: int, src: FrameObservation, dst: FrameObservation
-) -> MatchedLandmarks | NumericalError:
-    """Frame pair t's matched landmarks, or the NumericalError that
-    stopped its selection."""
-    cam = settings.camera
-    rng = np.random.default_rng([settings.seed, t]) if settings.keypoint_mode is KeypointMode.RANDOM else None
-    maps = DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid)
-    try:
-        keypoints = select(maps, cam, settings.selector, rng)
-        return build_matched_pairs(cam, src, dst, keypoints, settings.patch_kernel)
-    except NumericalError as exc:
-        # without its traceback, which would keep both frames alive
-        return exc.with_traceback(None)
-
-
 def _matched_pairs(
-    settings: MatchSettings, frames: Iterable[FrameObservation], passed: list[tuple[float, PoseSE3]]
+    cfg: RunConfig, frames: Iterable[FrameObservation] | None, passed: list[tuple[float, PoseSE3]]
 ) -> Iterator[MatchedLandmarks | NumericalError]:
-    """Select and match each frame pair as its later frame arrives,
-    holding at most two frames. Each frame is checked against the camera
-    and its (timestamp, pose) appended to passed when it arrives; a
-    stream of fewer than two frames is a ConfigError when it ends."""
-    cam = settings.camera
+    """Each frame pair's matched landmarks, or the NumericalError that
+    stopped its selection, selected and matched as its later frame
+    arrives, holding at most two frames; frames default to the config's,
+    generated or read one at a time. Each frame is checked against the
+    camera and its (timestamp, pose) appended to passed when it arrives;
+    a stream of fewer than two frames is a ConfigError when it ends."""
+    if frames is None:
+        if cfg.simulate is not None:
+            frames = generate_frames(cfg.simulate)
+        else:
+            frames = ingest_observations(cfg.ingest)
+    cam = cfg.resolved_camera()
     src = None
     for t, dst in enumerate(frames):
         if dst.depth.shape != (cam.height, cam.width):
@@ -207,7 +170,15 @@ def _matched_pairs(
             raise ConfigError(f"camera: frame {t} maps are {w}x{h} but camera expects {cam.width}x{cam.height}")
         passed.append((dst.timestamp, dst.pose))
         if src is not None:
-            yield _match_pair(settings, t, src, dst)
+            rng = np.random.default_rng([cfg.seed, t]) if cfg.keypoint_mode is KeypointMode.RANDOM else None
+            maps = DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid)
+            try:
+                keypoints = select(maps, cam, cfg.selector, rng)
+                landmarks = build_matched_pairs(cam, src, dst, keypoints)
+            except NumericalError as exc:
+                # without its traceback, which would keep both frames alive
+                landmarks = exc.with_traceback(None)
+            yield landmarks
         src = dst
     if len(passed) < 2:
         raise ConfigError("input: need at least 2 frames")
@@ -221,35 +192,29 @@ def match_sequence(cfg: RunConfig, frames: Iterable[FrameObservation] | None = N
     """Select and match every frame pair once, for ``run`` to solve in
     any number of covariance modes; frames default to the config's.
     Frames are read one at a time and only the landmarks are kept."""
-    if frames is None:
-        frames = load_frames(cfg)
-    settings = MatchSettings.of(cfg)
     passed: list[tuple[float, PoseSE3]] = []
-    pairs = list(_matched_pairs(settings, frames, passed))
-    return MatchedSequence(settings, _trajectory(passed), pairs)
+    pairs = list(_matched_pairs(cfg, frames, passed))
+    return MatchedSequence(cfg, _trajectory(passed), pairs)
 
 
 def run(cfg: RunConfig, frames: Iterable[FrameObservation] | MatchedSequence | None = None) -> RunResult:
     """Process the whole sequence; deterministic given cfg and its seed.
 
     frames may be any iterable of frames, such as an already loaded or
-    generated sequence, or a ``match_sequence`` built with the same
-    camera, selector, keypoint mode, seed and patch kernel (a ConfigError
-    otherwise); the ablation driver passes one to each mode. Given
-    frames, each frame pair is selected and matched just after its later
-    frame arrives and is solved at once, so at most two frames and one
-    pair's landmarks are held at a time.
+    generated sequence, or a ``match_sequence`` built from the run config
+    up to its covariance mode (a ConfigError otherwise); the ablation
+    driver passes one to each mode. Given frames, each frame pair is
+    selected and matched just after its later frame arrives and is
+    solved at once, so at most two frames and one pair's landmarks are
+    held at a time.
     """
-    settings = MatchSettings.of(cfg)
     passed: list[tuple[float, PoseSE3]] = []
     if isinstance(frames, MatchedSequence):
-        if frames.settings != settings:
-            raise ConfigError(
-                "matched sequence: built with another camera, selector, keypoint mode, seed or patch kernel"
-            )
+        if replace(frames.cfg, covariance_mode=cfg.covariance_mode) != cfg:
+            raise ConfigError("matched sequence: built from a run config that differs in more than its covariance mode")
         matched = frames.pairs
     else:
-        matched = _matched_pairs(settings, frames if frames is not None else load_frames(cfg), passed)
+        matched = _matched_pairs(cfg, frames, passed)
 
     diagnostics: list[FrameDiagnostics] = []
     # motion of the current camera in the previous camera's frame: the
@@ -259,29 +224,25 @@ def run(cfg: RunConfig, frames: Iterable[FrameObservation] | MatchedSequence | N
     motions: list[PoseSE3] = []
 
     for t, pairs in enumerate(matched, start=1):
-        flags: list[str] = []
-        keypoints_used = 0
-        cost = float("nan")
-        iterations = 0
-        failure = type(pairs).__name__ if isinstance(pairs, NumericalError) else None
+        # the NumericalError that stopped the pair's selection or solve
+        failure = pairs if isinstance(pairs, NumericalError) else None
         if failure is None:
             try:
                 solution = solve_pose(FramePairProblem(pairs, delta, cfg.covariance_mode))
             except NumericalError as exc:
-                failure = type(exc).__name__
+                failure = exc
         if failure is not None:
-            flags += ["fallback_motion_model", failure]
+            frame = FrameDiagnostics(t, 0, float("nan"), 0, ["fallback_motion_model", type(failure).__name__])
         else:
             delta = solution.pose
-            keypoints_used = len(pairs)
-            cost = solution.cost
-            iterations = solution.iterations
+            flags = []
             if not solution.converged:
                 flags.append("lm_max_iters")
             if solution.cov_regularized:
                 flags.append("cov_regularized")
+            frame = FrameDiagnostics(t, len(pairs), solution.cost, solution.iterations, flags)
+        diagnostics.append(frame)
         motions.append(delta)
-        diagnostics.append(FrameDiagnostics(t, keypoints_used, cost, iterations, flags))
 
     gt = frames.gt if isinstance(frames, MatchedSequence) else _trajectory(passed)
     # the estimate chains through every later frame; keep the rotation
@@ -319,10 +280,10 @@ def ablate(cfg: RunConfig, modes: list[CovarianceMode]) -> list[tuple[str, float
         raise ConfigError("ablate: need at least 2 modes")
     matched = match_sequence(cfg)
     rows = []
-    for mode in modes:
-        mode_cfg = replace(cfg, covariance_mode=CovarianceMode(mode))
-        result = run(mode_cfg, matched)
-        rows.append((CovarianceMode(mode).value, t_rel(result.gt, result.est), r_rel(result.gt, result.est)))
+    for mode in map(CovarianceMode, modes):
+        result = run(replace(cfg, covariance_mode=mode), matched)
+        t_err, r_err = per_frame_errors(result.gt, result.est)
+        rows.append((mode.value, float(t_err.mean()), float(r_err.mean())))
     return rows
 
 
@@ -342,7 +303,8 @@ def run_config_from_dict(d: dict) -> RunConfig:
     """A RunConfig read from a run file's mapping, whose layout differs
     from RunConfig in two places: the input is one of
     ``input: {simulate | ingest}``, and ``selector.depth_range: [lo, hi]``
-    stands for the selector's depth_min and depth_max."""
+    stands for the selector's depth_min and depth_max, which a run file
+    cannot name."""
     if not isinstance(d, dict):
         raise ConfigError("run config: expected a mapping")
     d = dict(d)
@@ -354,12 +316,14 @@ def run_config_from_dict(d: dict) -> RunConfig:
         raise ConfigError(f"input.{unknown[0]}: unknown key")
     simulate = read(SceneConfig | None, inp.get("simulate"), "input.simulate")
     ingest = read(Path | None, inp.get("ingest"), "input.ingest")
-    selector = d.get("selector")
-    if isinstance(selector, dict) and "depth_range" in selector:
-        selector = d["selector"] = dict(selector)
-        depth_range = read(tuple[float, float], selector.pop("depth_range"), "selector.depth_range")
-        selector["depth_min"], selector["depth_max"] = depth_range
-    return from_dict(RunConfig, d, simulate=simulate, ingest=ingest)
+    selector = d.pop("selector", {})
+    bounds = {}
+    if isinstance(selector, dict):
+        selector = dict(selector)
+        depth_range = selector.pop("depth_range", (SelectorConfig.depth_min, SelectorConfig.depth_max))
+        bounds["depth_min"], bounds["depth_max"] = read(tuple[float, float], depth_range, "selector.depth_range")
+    selector = from_dict(SelectorConfig, selector, "selector", **bounds)
+    return from_dict(RunConfig, d, simulate=simulate, ingest=ingest, selector=selector)
 
 
 def load_run_config(path) -> RunConfig:

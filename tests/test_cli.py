@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -101,15 +102,16 @@ class TestExitCodes:
         assert main(["run", str(bad)]) == EXIT_CONFIG
         assert main(["simulate", str(scene), "-o", str(tmp / "obs")]) == EXIT_OK
         run_yaml = RUN_YAML.format(out=tmp / "o", obs=tmp / "obs")
+        simulate_yaml = run_yaml.replace(
+            f"ingest: {tmp / 'obs'}", "simulate:\n" + textwrap.indent(SCENE_YAML.strip(), "    ")
+        )
         cases = [
             (["simulate", SCENE_YAML + "anomaly_regions: [{multiplier: 5.0}]\n"], "anomaly_regions"),
             (["simulate", SCENE_YAML.replace("[0.04, 0.02, 0.06]", "[a, 0, 0]")], "motion"),
             (["run", run_yaml.replace("80}", "80, random: true}")], "selector"),
             (["run", run_yaml.replace(f"ingest: {tmp / 'obs'}", "ingest: 5")], "input.ingest"),
             (["run", run_yaml.replace("seed: 5", "seed: abc")], "seed"),
-            (["run", run_yaml + "patch_kernel: abc\n"], "patch_kernel"),
-            # non-integral values of integer fields
-            (["run", run_yaml + "patch_kernel: 2.5\n"], "patch_kernel"),
+            # a non-integral value of an integer field
             (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 80.5}")], "max_keypoints"),
             # fewer keypoints than a pose needs
             (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 2}")], "selector.max_keypoints"),
@@ -120,6 +122,14 @@ class TestExitCodes:
             (["run", run_yaml + "patch_kernal: 4\n"], "patch_kernal"),
             # the LM damping schedule is fixed, not configured
             (["run", run_yaml + "lm: {max_iters: 50}\n"], "lm: unknown key"),
+            # nor is the depth-correction window
+            (["run", run_yaml + "patch_kernel: 32\n"], "patch_kernel: unknown key"),
+            # the selector's depth bounds are spelled depth_range alone
+            (["run", run_yaml.replace("80}", "80, depth_min: 3.0}")], "selector.depth_min: unknown key"),
+            (["run", run_yaml.replace("80}", "80, depth_max: 50.0}")], "selector.depth_max: unknown key"),
+            # a camera that contradicts the simulated scene's
+            (["run", simulate_yaml.replace("\ncamera: {fx: 90.0", "\ncamera: {fx: 500.0")], "camera: differs"),
+            (["ablate", simulate_yaml.replace("\ncamera: {fx: 90.0", "\ncamera: {fx: 500.0")], "camera: differs"),
             (["simulate", SCENE_YAML.replace("landmark_count", "landmark_cout")], "landmark_cout"),
             (["simulate", SCENE_YAML.replace("sigma_flow", "sigma_flw")], "noise.sigma_flw"),
             (["simulate", SCENE_YAML.replace("0.06]}", "0.06], bogus: 1}")], "motion.bogus"),
@@ -154,6 +164,12 @@ class TestExitCodes:
             argv = [command, str(cfg)] + (["-o", str(tmp / "sim")] if command == "simulate" else [])
             assert main(argv) == EXIT_CONFIG, text
             assert field in capsys.readouterr().err
+        # a simulated run whose camera equals the scene's, with too few modes to ablate
+        cfg = tmp / "simulate.cfg"
+        cfg.write_text(simulate_yaml)
+        for modes in ("full", "", "full,", " , full"):
+            assert main(["ablate", str(cfg), "--modes", modes]) == EXIT_CONFIG, modes
+            assert "config error: --modes" in capsys.readouterr().err
         for which, samples in (("depth", "5000"), ("projection", "50000")):
             assert main(["mc-verify", "--which", which, "--samples", samples]) == EXIT_CONFIG
             assert "--samples" in capsys.readouterr().err

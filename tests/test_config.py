@@ -49,8 +49,8 @@ SCENE = {
 }
 SELECTOR = {"nms_radius": 5.0, "border_margin": 4.0, "depth_range": [0.5, 60.0], "unc_multiplier": 2.0, "max_keypoints": 80}
 COMMON = {"camera": CAMERA, "selector": SELECTOR, "covariance_mode": "diagonal", "keypoint_mode": "random"}
-RUN_SIMULATE = {"seed": 5, "output_dir": "out", "input": {"simulate": SCENE}, **COMMON, "patch_kernel": 16}
-RUN_INGEST = {"seed": 5, "output_dir": "out", "input": {"ingest": "obs"}, **COMMON, "patch_kernel": 16}
+RUN_SIMULATE = {"seed": 5, "output_dir": "out", "input": {"simulate": SCENE}, **COMMON}
+RUN_INGEST = {"seed": 5, "output_dir": "out", "input": {"ingest": "obs"}, **COMMON}
 
 # the same configs built by hand
 CAMERA_OBJ = StereoCamera(fx=90.0, fy=90.0, cx=48.0, cy=48.0, baseline=0.2, width=96, height=96)
@@ -84,7 +84,6 @@ COMMON_OBJ = dict(
     ),
     covariance_mode=CovarianceMode.DIAGONAL,
     keypoint_mode=KeypointMode.RANDOM,
-    patch_kernel=16,
 )
 
 CASES = {

@@ -19,7 +19,9 @@ from stereovo.frontend import (
 from stereovo.geometry import PoseSE3, StereoCamera, so3_exp
 from stereovo.optimizer import CovarianceMode, FramePairProblem
 from stereovo.pipeline import (
+    PATCH_KERNEL,
     KeypointMode,
+    MatchedSequence,
     RunConfig,
     ablate,
     build_matched_pairs,
@@ -205,8 +207,8 @@ class TestBuildMatchedPairs:
                 np.append(kps.u, cam.width - 1.0), np.append(kps.v, 0.0), np.append(kps.score, kps.score[0])
             )
             assert src.depth[0, cam.width - 1] <= 0
-            got = build_matched_pairs(cam, src, dst, kps, patch_kernel=9)
-            want = matched_pairs_one_by_one(cam, src, dst, kps, 9)
+            got = build_matched_pairs(cam, src, dst, kps)
+            want = matched_pairs_one_by_one(cam, src, dst, kps, PATCH_KERNEL)
             assert 0 < len(got) == len(want) <= len(kps) - 2
             for i, (prev, curr) in enumerate(want):
                 for position, cov, b in ((got.p[i], got.sp[i], prev), (got.q[i], got.sq[i], curr)):
@@ -269,6 +271,31 @@ class TestBenchmarkEntryPoints:
         pairs = pipeline.build_matched_pairs(cam, src, dst, kps)
         assert 0 < len(pairs) == pairs.p.shape[0] <= len(kps)
 
+    def test_tracer_bound_names(self):
+        for name in (
+            "run", "select", "build_matched_pairs", "FramePairProblem", "solve_pose",
+            "write_run_outputs", "write_ablation_csv",
+        ):
+            assert hasattr(pipeline, name), name
+
+    def test_ablate_calls_run_once_per_mode(self, monkeypatch):
+        # the benchmark captures each module-level run(cfg, frames) call
+        # of an ablation and counts its frames
+        calls = []
+        original = pipeline.run
+
+        def counting_run(cfg, frames=None):
+            calls.append((cfg.covariance_mode, frames))
+            return original(cfg, frames)
+
+        monkeypatch.setattr(pipeline, "run", counting_run)
+        scene = plane_scene(seed=8, num_frames=4, noise=NoiseModel(sigma_flow=0.2, gamma_disp=0.04))
+        cfg = RunConfig(seed=9, output_dir="/tmp/u", simulate=scene, selector=small_selector())
+        modes = [CovarianceMode.DIAGONAL, CovarianceMode.FULL, CovarianceMode.IDENTITY]
+        ablate(cfg, modes)
+        assert [mode for mode, _ in calls] == modes
+        assert all(isinstance(frames, MatchedSequence) for _, frames in calls)
+
 
 class TestScaleConsistency:
     def test_ten_x_scene_scales_translations(self):
@@ -319,11 +346,10 @@ class TestMatchSequence:
         [
             dict(selector=small_selector(nms_radius=6)),
             dict(seed=7),
-            dict(patch_kernel=9),
             dict(keypoint_mode=KeypointMode.RANDOM),
             dict(simulate=plane_scene(cam=replace(small_cam(), fx=91.0))),
         ],
-        ids=["selector", "seed", "patch_kernel", "keypoint_mode", "camera"],
+        ids=["selector", "seed", "keypoint_mode", "camera"],
     )
     def test_other_settings_rejected(self, change):
         cfg = RunConfig(seed=6, output_dir="/tmp/unused", simulate=plane_scene(num_frames=3), selector=small_selector())
@@ -398,14 +424,12 @@ input:
 selector: {{nms_radius: 5, border_margin: 4, depth_range: [0.5, 100.0], max_keypoints: 80}}
 covariance_mode: diagonal
 keypoint_mode: uncertainty
-patch_kernel: 16
 """.format(out=tmp_path)
         path = tmp_path / "run.cfg"
         path.write_text(text)
         cfg = load_run_config(path)
         assert cfg.covariance_mode is CovarianceMode.DIAGONAL
         assert cfg.selector.depth_max == 100.0
-        assert cfg.patch_kernel == 16
         result = run(cfg)
         assert len(result.est) == 4
 
