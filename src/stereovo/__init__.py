@@ -37,7 +37,7 @@ from .optimizer import (
     solve_pose,
 )
 from .pipeline import KeypointMode, MatchedSequence, RunConfig, RunResult, ablate, match_sequence, run
-from .selector import DenseMaps, Keypoints, SelectorConfig, select
+from .selector import Keypoints, SelectorConfig, select
 from .uncertainty import (
     DepthEstimate,
     DisparityEstimate,

@@ -45,11 +45,27 @@ _SCALARS = {
 }
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.safe_load``'s loader, but a key written twice in one mapping
+    is an error; a merge key (``<<``) still merges, own keys winning."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                if (key.tag, key.value) in seen:
+                    raise yaml.composer.ComposerError(None, None, f"duplicate key {key.value!r}", key.start_mark)
+                seen.add((key.tag, key.value))
+        return node
+
+
 def load_yaml(path, what: str):
     """The parsed content of the YAML file at path, {} when it is empty;
-    what names the file in an I/O error."""
+    what names the file in an I/O error, and a repeated key is invalid."""
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        with open(path) as fh:
+            raw = yaml.load(fh, _UniqueKeyLoader)
     except OSError as exc:
         raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc
     except yaml.YAMLError as exc:

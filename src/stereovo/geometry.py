@@ -69,20 +69,31 @@ def skew(v) -> np.ndarray:
     return np.asarray(v, dtype=float)[..., _SKEW_INDEX] * _SKEW_SIGN
 
 
-def so3_exp(phi) -> np.ndarray:
-    """Rodrigues formula: axis-angle 3-vector to rotation matrix."""
+def so3_exp_and_left_jacobian(phi) -> tuple[np.ndarray, np.ndarray]:
+    """Rodrigues formula: the rotation exp(phi) of an axis-angle 3-vector
+    and the left Jacobian V(phi) that maps a twist's rho to its
+    translation, sharing the angle, skew(phi), its square, sin and cos."""
     phi = np.asarray(phi, dtype=float)
     theta2 = float(phi @ phi)
     theta = np.sqrt(theta2)
     k = skew(phi)
     kk = k @ k
+    # exp = I + a K + b K^2 and V = I + b K + c K^2
     if theta < _SMALL_ANGLE:
         a = 1.0 - theta2 / 6.0
         b = 0.5 * (1.0 - theta2 / 12.0)
+        c = (1.0 - theta2 / 20.0) / 6.0
     else:
-        a = np.sin(theta) / theta
+        sin = np.sin(theta)
+        a = sin / theta
         b = (1.0 - np.cos(theta)) / theta2
-    return np.eye(3) + a * k + b * kk
+        c = (theta - sin) / (theta2 * theta)
+    return np.eye(3) + a * k + b * kk, np.eye(3) + b * k + c * kk
+
+
+def so3_exp(phi) -> np.ndarray:
+    """Axis-angle 3-vector to rotation matrix (``so3_exp_and_left_jacobian``'s first)."""
+    return so3_exp_and_left_jacobian(phi)[0]
 
 
 def so3_log(rotation) -> np.ndarray:
@@ -103,22 +114,6 @@ def so3_log(rotation) -> np.ndarray:
         # second-order fallback of theta/sin(theta)
         return w * (1.0 + theta * theta / 6.0)
     return w * (theta / s)
-
-
-def _left_jacobian(phi) -> np.ndarray:
-    """V(phi) relating the twist translation to the group translation."""
-    phi = np.asarray(phi, dtype=float)
-    theta2 = float(phi @ phi)
-    theta = np.sqrt(theta2)
-    k = skew(phi)
-    kk = k @ k
-    if theta < _SMALL_ANGLE:
-        a = 0.5 * (1.0 - theta2 / 12.0)
-        b = (1.0 - theta2 / 20.0) / 6.0
-    else:
-        a = (1.0 - np.cos(theta)) / theta2
-        b = (theta - np.sin(theta)) / (theta2 * theta)
-    return np.eye(3) + a * k + b * kk
 
 
 @dataclass(frozen=True)
@@ -228,10 +223,12 @@ def matrix_to_quat(rotation) -> np.ndarray:
 
 
 def se3_exp(xi) -> PoseSE3:
-    """Twist [rho, phi] to pose; exp(0) is the identity."""
+    """Twist [rho, phi] to pose: rotation exp(phi) and translation
+    V(phi) rho, from one ``so3_exp_and_left_jacobian``; exp(0) is the
+    identity."""
     xi = np.asarray(xi, dtype=float).reshape(6)
-    rho, phi = xi[:3], xi[3:]
-    return PoseSE3(so3_exp(phi), _left_jacobian(phi) @ rho)
+    rotation, left_jacobian = so3_exp_and_left_jacobian(xi[3:])
+    return PoseSE3(rotation, left_jacobian @ xi[:3])
 
 
 def psd_within_sym3(c: np.ndarray, tol: float = 1e-10):

@@ -51,7 +51,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .geometry import PoseSE3, _left_jacobian, check_covariances, skew, so3_exp
+from .geometry import PoseSE3, check_covariances, skew, so3_exp_and_left_jacobian
 
 # Combined covariances worse-conditioned than this get a trace-scaled
 # ridge; an absolute floor covers the all-zero case (noiseless inputs).
@@ -293,8 +293,9 @@ def solve_pose(problem: FramePairProblem) -> PoseSolution:
             except np.linalg.LinAlgError:
                 lam *= _LAMBDA_UP
                 continue
-            new_rot = rot @ so3_exp(step[3:])
-            new_trans = rot @ (_left_jacobian(step[3:]) @ step[:3]) + trans
+            step_rot, step_jac = so3_exp_and_left_jacobian(step[3:])
+            new_rot = rot @ step_rot
+            new_trans = rot @ (step_jac @ step[:3]) + trans
             new_cost, new_res, new_w, flagged = _weighted_cost(p, q, sp, sq, new_rot, new_trans)
             if new_cost < cost:
                 rot, trans, res, weights = new_rot, new_trans, new_res, new_w

@@ -53,7 +53,7 @@ from .optimizer import (
     MatchedLandmarks,
     solve_pose,
 )
-from .selector import DenseMaps, Keypoints, SelectorConfig, select
+from .selector import Keypoints, SelectorConfig, select
 from .uncertainty import project_covariances, windowed_depth_moments
 
 PATCH_KERNEL = 32  # side in pixels of the window whose depth statistics a matched point takes
@@ -171,9 +171,8 @@ def _matched_pairs(
         passed.append((dst.timestamp, dst.pose))
         if src is not None:
             rng = np.random.default_rng([cfg.seed, t]) if cfg.keypoint_mode is KeypointMode.RANDOM else None
-            maps = DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid)
             try:
-                keypoints = select(maps, cam, cfg.selector, rng)
+                keypoints = select(src, cam, cfg.selector, rng)
                 landmarks = build_matched_pairs(cam, src, dst, keypoints)
             except NumericalError as exc:
                 # without its traceback, which would keep both frames alive

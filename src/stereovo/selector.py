@@ -5,7 +5,7 @@ Scores are "lower is better" throughout (they are uncertainty-derived).
 NMS uses Chebyshev (square window) distance and a canonical tie-break of
 (score, u, v) so the survivor set is independent of input order.
 
-``select`` works on the dense maps and returns one ``Keypoints`` record
+``select`` reads a frame's maps and returns one ``Keypoints`` record
 of arrays. Its NMS is a greedy walk: the valid pixels are sorted once,
 then the Python work is per survivor, not per pixel. The list-based
 reference filters the tests compare it to (``nms_filter``,
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientKeypointsError
+from .frontend import FrameObservation
 from .geometry import StereoCamera
 
 # The optimizer needs at least 3 non-degenerate matches.
@@ -64,21 +65,6 @@ class SelectorConfig:
         # fewer keypoints than the optimizer needs make every frame fall back
         if not isinstance(self.max_keypoints, (int, np.integer)) or self.max_keypoints < MIN_KEYPOINTS:
             raise ConfigError(f"max_keypoints: must be an integer >= {MIN_KEYPOINTS}, got {self.max_keypoints!r}")
-
-
-@dataclass(frozen=True)
-class DenseMaps:
-    """Per-pixel inputs to selection; all maps share (H, W)."""
-
-    flow_var: np.ndarray  # (H, W, 2), pixels^2
-    depth_var: np.ndarray  # (H, W), meters^2
-    depth: np.ndarray  # (H, W), meters
-    valid: np.ndarray  # (H, W), bool
-
-    def __post_init__(self):
-        hw = self.depth.shape
-        if self.flow_var.shape != hw + (2,) or self.depth_var.shape != hw or self.valid.shape != hw:
-            raise ValueError("dense maps do not share dimensions")
 
 
 def combined_scores(flow_unc: np.ndarray, depth_unc: np.ndarray) -> np.ndarray:
@@ -135,12 +121,12 @@ def _greedy_nms(score: np.ndarray, u: np.ndarray, v: np.ndarray, shape: tuple, r
 
 
 def select(
-    maps: DenseMaps,
+    frame: FrameObservation,
     cam: StereoCamera,
     cfg: SelectorConfig,
     rng: np.random.Generator | None = None,
 ) -> Keypoints:
-    """Full selection pipeline on dense maps: NMS -> geometry ->
+    """Full selection pipeline on a frame's maps: NMS -> geometry ->
     uncertainty, then truncation to max_keypoints by ascending score;
     the survivors come back in canonical (score, u, v) order.
 
@@ -149,12 +135,12 @@ def select(
     geometry-filter output (the random-selector ablation), in row-major
     order.
     """
-    h, w = maps.depth.shape
+    h, w = frame.depth.shape
     if (h, w) != (cam.height, cam.width):
         raise ValueError(f"maps are {w}x{h} but camera expects {cam.width}x{cam.height}")
-    vv, uu = np.nonzero(maps.valid & np.isfinite(maps.depth))
-    flow_unc = maps.flow_var[..., 0] + maps.flow_var[..., 1]
-    score = combined_scores(flow_unc[vv, uu], maps.depth_var[vv, uu])
+    vv, uu = np.nonzero(frame.valid & np.isfinite(frame.depth))
+    flow_unc = frame.flow_var[..., 0] + frame.flow_var[..., 1]
+    score = combined_scores(flow_unc[vv, uu], frame.depth_var[vv, uu])
     if rng is None:
         keep = _greedy_nms(score, uu, vv, (h, w), cfg.nms_radius)
         vv, uu, score = vv[keep], uu[keep], score[keep]
@@ -164,12 +150,12 @@ def select(
         & (uu < cam.width - m)
         & (vv >= m)
         & (vv < cam.height - m)
-        & (maps.depth[vv, uu] >= cfg.depth_min)
-        & (maps.depth[vv, uu] <= cfg.depth_max)
+        & (frame.depth[vv, uu] >= cfg.depth_min)
+        & (frame.depth[vv, uu] <= cfg.depth_max)
     )
     vv, uu, score = vv[in_geom], uu[in_geom], score[in_geom]
     if rng is None and vv.size:
-        f_unc, d_unc = flow_unc[vv, uu], maps.depth_var[vv, uu]
+        f_unc, d_unc = flow_unc[vv, uu], frame.depth_var[vv, uu]
         mult = cfg.unc_multiplier
         confident = (f_unc <= mult * np.median(f_unc)) & (d_unc <= mult * np.median(d_unc))
         vv, uu, score = vv[confident], uu[confident], score[confident]

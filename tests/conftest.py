@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stereovo.geometry import StereoCamera
+from stereovo.frontend import FrameObservation
+from stereovo.geometry import PoseSE3, StereoCamera
 
 
 @pytest.fixture
@@ -26,3 +27,9 @@ def random_rotation(rng: np.random.Generator, max_angle: float = 3.0) -> np.ndar
 def random_spd(rng: np.random.Generator, scale: float = 1.0, floor: float = 1e-3) -> np.ndarray:
     a = rng.normal(size=(3, 3)) * scale
     return a @ a.T + floor * np.eye(3)
+
+
+def frame_of(flow_var, depth_var, depth, valid) -> FrameObservation:
+    """A frame of the given selection maps, with zero flow, the identity
+    pose and timestamp 0."""
+    return FrameObservation(np.zeros_like(flow_var), flow_var, depth, depth_var, valid, PoseSE3.identity(), 0.0)

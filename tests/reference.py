@@ -17,7 +17,8 @@ them:
   ``transform_landmark`` moves one landmark into the world frame;
 * geometry: ``project``, ``rotation_angle`` and ``se3_log``, the
   inverses and measures the geometry tests check ``backproject`` and
-  ``se3_exp`` with;
+  ``se3_exp`` with; ``exp_rotation`` and ``left_jacobian``, the two
+  Rodrigues evaluations ``geometry.so3_exp_and_left_jacobian`` shares;
 * optimization: ``mahalanobis_cost`` and ``pair_covariances``, one
   problem's cost and combined covariances at a given pose.
 """
@@ -99,6 +100,38 @@ def rotation_angle(rotation) -> float:
     )
     c = 0.5 * (np.trace(r) - 1.0)
     return float(np.arctan2(s, c))
+
+
+def exp_rotation(phi) -> np.ndarray:
+    """Rodrigues formula: axis-angle 3-vector to rotation matrix."""
+    phi = np.asarray(phi, dtype=float)
+    theta2 = float(phi @ phi)
+    theta = np.sqrt(theta2)
+    k = skew(phi)
+    kk = k @ k
+    if theta < _SMALL_ANGLE:
+        a = 1.0 - theta2 / 6.0
+        b = 0.5 * (1.0 - theta2 / 12.0)
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / theta2
+    return np.eye(3) + a * k + b * kk
+
+
+def left_jacobian(phi) -> np.ndarray:
+    """V(phi) relating the twist translation to the group translation."""
+    phi = np.asarray(phi, dtype=float)
+    theta2 = float(phi @ phi)
+    theta = np.sqrt(theta2)
+    k = skew(phi)
+    kk = k @ k
+    if theta < _SMALL_ANGLE:
+        a = 0.5 * (1.0 - theta2 / 12.0)
+        b = (1.0 - theta2 / 20.0) / 6.0
+    else:
+        a = (1.0 - np.cos(theta)) / theta2
+        b = (theta - np.sin(theta)) / (theta2 * theta)
+    return np.eye(3) + a * k + b * kk
 
 
 def _left_jacobian_inv(phi) -> np.ndarray:

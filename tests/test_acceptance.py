@@ -33,7 +33,7 @@ from stereovo.optimizer import (
     solve_pose,
 )
 from stereovo.pipeline import KeypointMode, RunConfig, match_sequence, run
-from stereovo.selector import DenseMaps, SelectorConfig, select
+from stereovo.selector import SelectorConfig, select
 from stereovo.uncertainty import DisparityEstimate, PixelObservation
 
 
@@ -283,10 +283,7 @@ def test_criterion_8_selector_oracle_equivalence():
         # anomaly band: honest uncertainty keeps the band keypoint-free
         scene = ablation_scene(seed=5, num_frames=3)
         frames = generate_sequence(scene)
-        src = frames[0]
-        picked = select(
-            DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid), ABLATION_CAM, ABLATION_SELECTOR
-        )
+        picked = select(frames[0], ABLATION_CAM, ABLATION_SELECTOR)
         assert len(picked)
         assert not np.any((44.0 <= picked.v) & (picked.v < 76.0)), "keypoints leaked into the anomaly band"
 

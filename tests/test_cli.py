@@ -124,6 +124,9 @@ class TestExitCodes:
             (["run", run_yaml + "lm: {max_iters: 50}\n"], "lm: unknown key"),
             # nor is the depth-correction window
             (["run", run_yaml + "patch_kernel: 32\n"], "patch_kernel: unknown key"),
+            # a key written twice in one mapping, at the top level and nested
+            (["simulate", SCENE_YAML + "seed: 4\n"], "duplicate key 'seed'"),
+            (["run", run_yaml.replace("80}", "80, nms_radius: 4}")], "duplicate key 'nms_radius'"),
             # the selector's depth bounds are spelled depth_range alone
             (["run", run_yaml.replace("80}", "80, depth_min: 3.0}")], "selector.depth_min: unknown key"),
             (["run", run_yaml.replace("80}", "80, depth_max: 50.0}")], "selector.depth_max: unknown key"),

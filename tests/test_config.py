@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +19,10 @@ from hypothesis import strategies as st
 import stereovo
 from stereovo.config import from_dict
 from stereovo.errors import ConfigError
-from stereovo.frontend import AnomalyRegion, MotionSpec, NoiseModel, SceneConfig, Wall
+from stereovo.frontend import AnomalyRegion, MotionSpec, NoiseModel, SceneConfig, Wall, load_scene_config
 from stereovo.geometry import StereoCamera
 from stereovo.optimizer import CovarianceMode
-from stereovo.pipeline import KeypointMode, RunConfig, run_config_from_dict
+from stereovo.pipeline import KeypointMode, RunConfig, load_run_config, run_config_from_dict
 from stereovo.selector import SelectorConfig
 
 # valid mappings with every field written out, each float field as a float
@@ -287,6 +288,53 @@ def test_scene_check_errors_carry_their_dotted_path(field, value, message):
     with pytest.raises(ConfigError) as err:
         from_dict(SceneConfig, scene)
     assert str(err.value) == message
+
+
+FILE_LOADERS = {"scene": (SCENE, load_scene_config), "run-simulate": (RUN_SIMULATE, load_run_config)}
+
+
+@pytest.mark.parametrize(
+    "case, key",
+    [
+        ("scene", "num_frames"),
+        ("scene", "sigma_flow"),  # noise.sigma_flow
+        ("run-simulate", "seed"),
+        ("run-simulate", "nms_radius"),  # selector.nms_radius
+        ("run-simulate", "fx"),  # input.simulate.camera.fx
+    ],
+)
+def test_key_written_twice_is_an_error_naming_file_line_and_key(tmp_path, case, key):
+    valid, load = FILE_LOADERS[case]
+    text = yaml.safe_dump(valid, sort_keys=False)
+    # the key's first line, written again below itself at the same indent
+    first = re.search(rf"^( *){key}: .*$", text, flags=re.M)
+    text = text[: first.end()] + f"\n{first.group(1)}{key}: 1" + text[first.end() :]
+    line = text[: first.end()].count("\n") + 2
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: invalid YAML: duplicate key '{key}'")
+    assert f'in "{path}", line {line},' in message
+    # the same file without the repeat loads
+    path.write_text(yaml.safe_dump(valid, sort_keys=False))
+    load(path)
+
+
+def test_merge_key_still_merges_with_own_keys_winning(tmp_path):
+    scene = {k: v for k, v in SCENE.items() if k != "camera"}
+    path = tmp_path / "scene.yaml"
+    path.write_text(
+        yaml.safe_dump(scene, sort_keys=False)
+        + "camera: {<<: {fx: 60.0, fy: 90.0, cx: 48.0, cy: 48.0, baseline: 0.2, width: 96, height: 96}, fx: 90.0}\n"
+    )
+    assert load_scene_config(path) == SCENE_OBJ
+    # an anchored mapping merged into another, in a run file
+    run = {k: v for k, v in RUN_SIMULATE.items() if k != "camera"}
+    text = yaml.safe_dump(run, sort_keys=False).replace("    camera:\n", "    camera: &cam\n", 1)
+    path.write_text(text + "camera: {<<: *cam, width: 96}\n")
+    assert load_run_config(path) == RunConfig(simulate=SCENE_OBJ, **COMMON_OBJ)
 
 
 def test_cli_exits_1_without_a_traceback(tmp_path):

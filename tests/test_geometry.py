@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import random_rotation, random_spd
-from reference import Landmark3D, project, rotation_angle, se3_log, transform_landmark
+from reference import Landmark3D, exp_rotation, left_jacobian, project, rotation_angle, se3_log, transform_landmark
 from stereovo.geometry import (
+    _SMALL_ANGLE,
     PoseSE3,
     backproject,
     check_covariances,
@@ -15,6 +16,7 @@ from stereovo.geometry import (
     quat_to_matrix,
     se3_exp,
     so3_exp,
+    so3_exp_and_left_jacobian,
     so3_log,
 )
 
@@ -129,6 +131,50 @@ class TestSE3:
     def test_rotation_angle_small(self):
         phi = np.array([0, 0, 1e-10])
         assert abs(rotation_angle(so3_exp(phi)) - 1e-10) < 1e-14
+
+
+class TestSharedExponential:
+    """so3_exp_and_left_jacobian against the two separate Rodrigues
+    evaluations of tests/reference.py, bit for bit on both branches."""
+
+    @pytest.mark.parametrize(
+        "angle",
+        [0.0, 1e-12, np.nextafter(1e-9, 0), 1e-9, np.nextafter(1e-9, 1), 3e-7,
+         np.nextafter(_SMALL_ANGLE, 0), _SMALL_ANGLE, np.nextafter(_SMALL_ANGLE, 1),
+         1e-3, 0.3, 1.0, 2.5, np.pi - 1e-6, np.pi],
+    )
+    def test_equals_reference_at_branch_angles(self, angle):
+        # along a coordinate axis theta is exactly the angle, so each
+        # side of _SMALL_ANGLE takes the branch it names
+        axes = [np.eye(3)[i] for i in range(3)] + [np.array([1.0, -2.0, 0.5]) / np.sqrt(5.25)]
+        for axis in axes:
+            phi = angle * axis
+            rotation, jacobian = so3_exp_and_left_jacobian(phi)
+            assert np.array_equal(rotation, exp_rotation(phi))
+            assert np.array_equal(jacobian, left_jacobian(phi))
+            assert np.array_equal(so3_exp(phi), rotation)
+
+    def test_equals_reference_on_random_rotation_vectors(self):
+        rng = np.random.default_rng(17)
+        axes = rng.normal(size=(4000, 3))
+        # angles log-uniform from 1e-10 to pi, over half below _SMALL_ANGLE
+        angles = np.exp(rng.uniform(np.log(1e-10), np.log(np.pi), size=4000))
+        small = 0
+        for phi in axes / np.linalg.norm(axes, axis=1, keepdims=True) * angles[:, None]:
+            rotation, jacobian = so3_exp_and_left_jacobian(phi)
+            assert np.array_equal(rotation, exp_rotation(phi))
+            assert np.array_equal(jacobian, left_jacobian(phi))
+            small += np.sqrt(phi @ phi) < _SMALL_ANGLE
+        assert 1000 < small < 3000
+
+    def test_se3_exp_equals_reference(self):
+        rng = np.random.default_rng(18)
+        xis = rng.normal(size=(200, 6))
+        xis[::2, 3:] *= 1e-5  # every other twist takes the small-angle branch
+        for xi in xis:
+            pose = se3_exp(xi)
+            assert np.array_equal(pose.rotation, exp_rotation(xi[3:]))
+            assert np.array_equal(pose.translation, left_jacobian(xi[3:]) @ xi[:3])
 
 
 class TestLandmark:

@@ -31,7 +31,7 @@ from stereovo.pipeline import (
     run_config_from_dict,
     write_run_outputs,
 )
-from stereovo.selector import DenseMaps, Keypoints, SelectorConfig, select
+from stereovo.selector import Keypoints, SelectorConfig, select
 from stereovo.uncertainty import PixelObservation
 from reference import correct_depth_uncertainty, project_covariance, rotation_angle
 from test_acceptance import ABLATION_SELECTOR, ablation_scene
@@ -198,7 +198,7 @@ class TestBuildMatchedPairs:
         frames = generate_sequence(scene)
         cam = scene.camera
         for src, dst in zip(frames, frames[1:]):
-            kps = select(DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid), cam, small_selector())
+            kps = select(src, cam, small_selector())
             # dropped: a keypoint whose flow leaves the image, one without depth
             flow = src.flow.copy()
             flow[int(kps.v[1]), int(kps.u[1])] = (1000.0, 0.0)
@@ -266,7 +266,7 @@ class TestBenchmarkEntryPoints:
         frames = generate_sequence(plane_scene(num_frames=2, noise=NoiseModel(sigma_flow=0.2, gamma_disp=0.04)))
         src, dst = frames
         cam = small_cam()
-        kps = pipeline.select(DenseMaps(src.flow_var, src.depth_var, src.depth, src.valid), cam, small_selector())
+        kps = pipeline.select(src, cam, small_selector())
         assert len(kps) == kps.u.size == kps.v.size == kps.score.size > 0
         pairs = pipeline.build_matched_pairs(cam, src, dst, kps)
         assert 0 < len(pairs) == pairs.p.shape[0] <= len(kps)

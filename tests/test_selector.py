@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frame_of
 from reference import KeypointCandidate, geometry_filter, nms_filter, uncertainty_filter
 from stereovo.errors import InsufficientKeypointsError
 from stereovo.geometry import StereoCamera
-from stereovo.selector import MIN_KEYPOINTS, DenseMaps, SelectorConfig, _greedy_nms, combined_scores, select
+from stereovo.selector import MIN_KEYPOINTS, SelectorConfig, _greedy_nms, combined_scores, select
 
 
 def kp(u, v, score=0.0, flow_unc=0.0, depth_unc=0.0, depth=5.0):
@@ -143,7 +144,7 @@ class TestUncertaintyFilter:
 
 
 def _uniform_maps(h, w, flow_unc=0.5, depth_unc=0.01, depth=5.0):
-    return DenseMaps(
+    return frame_of(
         flow_var=np.full((h, w, 2), flow_unc / 2),
         depth_var=np.full((h, w), depth_unc),
         depth=np.full((h, w), depth),
@@ -173,7 +174,7 @@ class TestSelect:
         h = w = 40
         cam = self._cam(h, w)
         for _ in range(5):
-            maps = DenseMaps(
+            maps = frame_of(
                 flow_var=rng.uniform(0.1, 2.0, size=(h, w, 2)),
                 depth_var=rng.uniform(0.001, 0.5, size=(h, w)),
                 depth=rng.uniform(1.0, 10.0, size=(h, w)),
@@ -198,10 +199,15 @@ class TestSelect:
         dv = maps.depth_var.copy()
         fv[20:40, :, :] *= 400.0
         dv[20:40, :] *= 400.0
-        maps = DenseMaps(fv, dv, maps.depth, maps.valid)
+        maps = frame_of(fv, dv, maps.depth, maps.valid)
         cfg = SelectorConfig(nms_radius=4, border_margin=2, max_keypoints=500)
         out = select(maps, cam, cfg)
         assert len(out) and not np.any((20 <= out.v) & (out.v < 40))
+
+    def test_frame_size_must_match_camera(self):
+        cfg = SelectorConfig(nms_radius=4, border_margin=2)
+        with pytest.raises(ValueError, match="maps are 64x64 but camera expects 64x48"):
+            select(_uniform_maps(64, 64), self._cam(h=48, w=64), cfg)
 
     def test_all_border_is_an_error(self):
         cam = self._cam()
@@ -238,7 +244,7 @@ class TestSelect:
         rng = np.random.default_rng(31)
         h = w = 48
         cam = self._cam(h, w)
-        maps = DenseMaps(
+        maps = frame_of(
             flow_var=rng.uniform(0.1, 1.0, size=(h, w, 2)),
             depth_var=rng.uniform(0.01, 0.5, size=(h, w)),
             depth=rng.uniform(0.1, 30.0, size=(h, w)),
@@ -289,7 +295,7 @@ def oracle_maps(seed, h, w, variances="uniform", invalid_row=None):
     valid = rng.random((h, w)) > 0.15
     if invalid_row is not None:
         valid[invalid_row] = False
-    return DenseMaps(flow_var, depth_var, rng.uniform(0.2, 30.0, size=(h, w)), valid)
+    return frame_of(flow_var, depth_var, rng.uniform(0.2, 30.0, size=(h, w)), valid)
 
 
 class TestSelectAgainstComposedOracles:
