@@ -38,12 +38,6 @@ from .optimizer import (
 )
 from .pipeline import KeypointMode, MatchedSequence, RunConfig, RunResult, ablate, match_sequence, run
 from .selector import Keypoints, SelectorConfig, select
-from .uncertainty import (
-    DepthEstimate,
-    DisparityEstimate,
-    PixelObservation,
-    disparity_to_depth,
-    project_covariances,
-)
+from .uncertainty import disparity_to_depth, project_covariances
 
 __version__ = "0.1.0"

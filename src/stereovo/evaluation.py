@@ -3,10 +3,11 @@
 Metrics are per-frame relative errors between consecutive poses:
 
     t_rel = mean_t || (p_{t+1} - p_t) - R_t R_hat_t^T (p_hat_{t+1} - p_hat_t) ||   [m/frame]
-    r_rel = (180/pi) * mean_t || log(R_hat_{t,t+1}^T R_{t,t+1}) ||                 [deg/frame]
+    r_rel = (180/pi) * mean_t angle(R_hat_{t,t+1}^T R_{t,t+1})                    [deg/frame]
 
-with R_{t,t+1} = R_t^T R_{t+1}. Files use the TUM text format:
-``timestamp tx ty tz qx qy qz qw``, one pose per line.
+with R_{t,t+1} = R_t^T R_{t+1} and angle(E) = atan2(|vee(E)|/2, (tr E - 1)/2),
+which is || log(E) || up to and including 180 degrees. Files use the TUM
+text format: ``timestamp tx ty tz qx qy qz qw``, one pose per line.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, NumericalError
-from .geometry import PoseSE3, matrix_to_quat, quat_to_matrix, so3_log
+from .geometry import PoseSE3, matrix_to_quat, quat_to_matrix
 
 ASSOCIATION_TOL = 1e-6  # seconds
 
@@ -132,7 +133,9 @@ def per_frame_errors(gt: Trajectory, est: Trajectory) -> tuple[np.ndarray, np.nd
         t_err[t] = np.linalg.norm(d_gt - pg0.rotation @ pe0.rotation.T @ d_est)
         rel_gt = pg0.rotation.T @ pg1.rotation
         rel_est = pe0.rotation.T @ pe1.rotation
-        r_err[t] = np.degrees(np.linalg.norm(so3_log(rel_est.T @ rel_gt)))
+        e = rel_est.T @ rel_gt
+        sin_angle = 0.5 * np.linalg.norm([e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1]])
+        r_err[t] = np.degrees(np.arctan2(sin_angle, 0.5 * (np.trace(e) - 1.0)))
     return t_err, r_err
 
 

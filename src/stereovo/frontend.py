@@ -35,7 +35,7 @@ from .geometry import PoseSE3, StereoCamera, quat_to_matrix, se3_exp
 OBS_MAGIC = b"MACVOOBS"
 # map layout in the .obs container: name -> channel count
 OBS_CHANNELS = (("flow", 2), ("flow_var", 2), ("depth", 1), ("depth_var", 1), ("mask", 1))
-_FRAME_RE = re.compile(r"frame_(\d{6})\.obs$")
+_FRAME_RE = re.compile(r"frame_(\d{6})\.obs")
 
 DEFAULT_FRAME_DT = 1.0
 # relative slack when deciding whether a reprojected point is occluded
@@ -418,7 +418,7 @@ def _frame_path(directory: Path, index: int) -> Path:
 def write_observations(frames: Iterable[FrameObservation], directory) -> None:
     """Write one binary .obs file per frame, then poses_gt.txt; frames
     may be any iterable, such as ``generate_frames``, and are written as
-    they arrive."""
+    they arrive. Then frame files numbered past the last are removed."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     timestamps, poses = [], []
@@ -429,6 +429,10 @@ def write_observations(frames: Iterable[FrameObservation], directory) -> None:
         _frame_path(directory, i).write_bytes(header + b"".join(m.astype("<f4").tobytes() for m in maps))
         timestamps.append(frame.timestamp)
         poses.append(frame.pose)
+    for path in directory.iterdir():
+        match = _FRAME_RE.fullmatch(path.name)
+        if match and int(match.group(1)) >= len(poses):
+            path.unlink()
     write_tum(Trajectory(np.array(timestamps), poses), directory / "poses_gt.txt")
 
 
@@ -494,18 +498,23 @@ class _IngestedFrames(Sequence):
 
 def ingest_observations(directory) -> Sequence[FrameObservation]:
     """The frames of a directory written by write_observations (or a
-    compatible producer): poses_gt.txt plus frame_NNNNNN.obs files.
+    compatible producer): poses_gt.txt plus frame_NNNNNN.obs files
+    numbered from 0 without a gap; no other name is a frame.
 
-    poses_gt.txt, the frame count and every file's header and size are
-    checked here; a frame's maps are read, and checked, each time the
-    frame is indexed or iterated over.
+    poses_gt.txt, the frame names and count and every file's header and
+    size are checked here; a frame's maps are read, and checked, each
+    time the frame is indexed or iterated over.
     """
     directory = Path(directory)
     pose_file = directory / "poses_gt.txt"
     if not pose_file.exists():
         raise DataFormatError(f"missing trajectory file {pose_file}")
     traj = read_tum(pose_file)
-    frame_files = sorted(p for p in directory.iterdir() if _FRAME_RE.search(p.name))
+    frame_files = sorted(p for p in directory.iterdir() if _FRAME_RE.fullmatch(p.name))
+    for i, path in enumerate(frame_files):
+        expected = _frame_path(directory, i)
+        if path != expected:
+            raise DataFormatError(f"{path}: frame {i} must be named {expected.name}")
     if len(frame_files) != len(traj):
         raise DataFormatError(
             f"frame/pose count mismatch: {len(frame_files)} frames vs {len(traj)} poses in {directory}"

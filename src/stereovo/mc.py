@@ -1,22 +1,24 @@
 """Monte Carlo oracles for the closed-form uncertainty propagation.
 
-The empirical side is raw sampling plus textbook moment estimators only;
-it never calls the closed-form code paths it validates. Sampling is
-split into fixed-size blocks with per-block derived seeds and the block
-statistics are merged in block order, so the result depends on the seed
-and the sample count alone, and memory is bounded by one block.
+Both oracles take plain values, in the argument order of the closed
+form they check. The empirical side is raw sampling plus textbook moment
+estimators only; it never calls the closed-form code paths it validates.
+Sampling is split into fixed-size blocks with per-block derived seeds,
+and one accumulator sums the block statistics in block order, so the
+result depends on the seed and the sample count alone, and memory is
+bounded by one block.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
-from itertools import starmap
 
 import numpy as np
 
 from .geometry import StereoCamera
-from .uncertainty import DisparityEstimate, PixelObservation, disparity_to_depth
+from .uncertainty import backprojection_covariances, disparity_to_depth
 
 BLOCK_SIZE = 1 << 16
 # rejection-sampling rate above which the "disparity is effectively
@@ -54,30 +56,33 @@ class McReport:
             raise ValueError(f"need at least 1e4 samples, got {self.samples}")
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """(block_index, block_size) partition of n into BLOCK_SIZE chunks."""
-    sizes = [BLOCK_SIZE] * (n // BLOCK_SIZE)
-    if n % BLOCK_SIZE:
-        sizes.append(n % BLOCK_SIZE)
-    return list(enumerate(sizes))
+def _block_totals(block_sums, n: int) -> tuple:
+    """The statistics block_sums(k, size) returns for each block k of
+    BLOCK_SIZE samples (the last may be shorter) that make up n, summed entry
+    by entry in block order, starting from the first block's."""
+    totals = None
+    for k, start in enumerate(range(0, n, BLOCK_SIZE)):
+        sums = block_sums(k, min(BLOCK_SIZE, n - start))
+        totals = sums if totals is None else tuple(map(operator.add, totals, sums))
+    return totals
 
 
-def mc_depth_distribution(
-    cam: StereoCamera, disp: DisparityEstimate, n: int, seed: int
-) -> McReport:
-    """Sample disparities, push them through depth = b*fx/D, and compare
-    the empirical mean/variance with the first-order closed form.
+def mc_depth_distribution(cam: StereoCamera, mu: float, gamma: float, n: int, seed: int) -> McReport:
+    """Sample disparities of mean mu and std gamma * mu, push them through
+    depth = b*fx/D, and compare the empirical mean/variance with the
+    first-order closed form disparity_to_depth, which checks mu and gamma.
 
     Non-positive disparity draws are rejected (and counted; a rate above
     1% flags the report)."""
+    closed = np.array(disparity_to_depth(cam, mu, gamma))
     if n < MIN_SAMPLES["depth"]:
         raise ValueError(f"need at least 1e4 samples, got {n}")
     bf = cam.baseline * cam.fx
-    sigma = disp.gamma * disp.mu
+    sigma = gamma * mu
 
     def block_sums(block: int, size: int):
         rng = np.random.default_rng([seed, block])
-        draws = rng.normal(disp.mu, sigma, size=size)
+        draws = rng.normal(mu, sigma, size=size)
         keep = draws > 0
         d = bf / draws[keep]
         # raw power sums; enough for mean, variance and the variance of
@@ -91,16 +96,7 @@ def mc_depth_distribution(
             float((d**4).sum()),
         )
 
-    kept = rejected = 0
-    s1 = s2 = s3 = s4 = 0.0
-    for k, rej, a1, a2, a3, a4 in starmap(block_sums, _blocks(n)):
-        kept += k
-        rejected += rej
-        s1 += a1
-        s2 += a2
-        s3 += a3
-        s4 += a4
-
+    kept, rejected, s1, s2, s3, s4 = _block_totals(block_sums, n)
     m = s1 / kept
     var = (s2 - kept * m * m) / (kept - 1)
     # central fourth moment from raw sums
@@ -108,51 +104,53 @@ def mc_depth_distribution(
     se_mean = np.sqrt(var / kept)
     se_var = np.sqrt(max(m4 - var * var, 0.0) / kept)
 
-    closed = disparity_to_depth(cam, disp)
-    closed_arr = np.array([closed.mu, closed.var])
     emp = np.array([m, var])
     se = np.array([se_mean, se_var])
     rate = rejected / n
     return McReport(
         samples=n,
-        closed_form=closed_arr,
+        closed_form=closed,
         empirical=emp,
         stderr=se,
-        per_entry_z=(emp - closed_arr) / se,
-        max_rel_err=float(np.max(np.abs(emp - closed_arr) / np.abs(closed_arr))),
+        per_entry_z=(emp - closed) / se,
+        max_rel_err=float(np.max(np.abs(emp - closed) / np.abs(closed))),
         rejection_rate=rate,
         rejection_flagged=rate > REJECTION_FLAG_RATE,
     )
 
 
 def mc_projection_covariance(
-    cam: StereoCamera, obs: PixelObservation, n: int, seed: int
+    cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, sigma_d2, n: int, seed: int
 ) -> McReport:
     """Sample (u, v, d) independently Gaussian, backproject by the plain
     pinhole equations, and compare the sample covariance entrywise with
-    the closed-form 3x3 covariance.
+    the closed-form 3x3 covariance backprojection_covariances.
 
     Also reports the fraction of samples inside the 90% confidence
     ellipsoid of (a) the closed-form covariance and (b) its diagonal
-    truncation."""
+    truncation. ValueError on a non-finite pixel, a depth outside
+    (0, inf) or a negative or NaN variance."""
+    if not (np.isfinite(u) and np.isfinite(v)):
+        raise ValueError(f"pixel must be finite, got ({u}, {v})")
+    if not 0 < d < np.inf:
+        raise ValueError(f"depth must be positive and finite, got {d}")
+    # a NaN variance fails this too
+    if not (sigma_u2 >= 0 and sigma_v2 >= 0 and sigma_d2 >= 0):
+        raise ValueError("variances must be non-negative")
     if n < MIN_SAMPLES["projection"]:
         raise ValueError(f"need at least 1e5 samples, got {n}")
-    from .uncertainty import backprojection_covariances  # comparison target only
-
-    closed = backprojection_covariances(cam, obs.u, obs.v, obs.sigma_u2, obs.sigma_v2, obs.d, obs.sigma_d2)
+    closed = backprojection_covariances(cam, u, v, sigma_u2, sigma_v2, d, sigma_d2)
     # exact mean of the backprojection under independence
-    mean = np.array(
-        [(obs.u - cam.cx) * obs.d / cam.fx, (obs.v - cam.cy) * obs.d / cam.fy, obs.d]
-    )
+    mean = np.array([(u - cam.cx) * d / cam.fx, (v - cam.cy) * d / cam.fy, d])
     w_full = np.linalg.inv(closed)
     w_diag = np.linalg.inv(np.diag(np.diag(closed)))
 
     def block_sums(block: int, size: int):
         rng = np.random.default_rng([seed, block])
-        u = rng.normal(obs.u, np.sqrt(obs.sigma_u2), size=size)
-        v = rng.normal(obs.v, np.sqrt(obs.sigma_v2), size=size)
-        d = rng.normal(obs.d, np.sqrt(obs.sigma_d2), size=size)
-        pts = np.stack([(u - cam.cx) * d / cam.fx, (v - cam.cy) * d / cam.fy, d], axis=1)
+        u_s = rng.normal(u, np.sqrt(sigma_u2), size=size)
+        v_s = rng.normal(v, np.sqrt(sigma_v2), size=size)
+        d_s = rng.normal(d, np.sqrt(sigma_d2), size=size)
+        pts = np.stack([(u_s - cam.cx) * d_s / cam.fx, (v_s - cam.cy) * d_s / cam.fy, d_s], axis=1)
         y = pts - mean  # centered at the exact mean
         s_y = y.sum(axis=0)
         s_yy = y.T @ y
@@ -162,19 +160,7 @@ def mc_projection_covariance(
         in_diag = int(np.count_nonzero(np.einsum("ni,ij,nj->n", y, w_diag, y) <= CHI2_3_Q90))
         return size, s_y, s_yy, s_y2y2, in_full, in_diag
 
-    count = 0
-    sum_y = np.zeros(3)
-    sum_yy = np.zeros((3, 3))
-    sum_y2y2 = np.zeros((3, 3))
-    hits_full = hits_diag = 0
-    for size, s_y, s_yy, s_y2y2, in_full, in_diag in starmap(block_sums, _blocks(n)):
-        count += size
-        sum_y += s_y
-        sum_yy += s_yy
-        sum_y2y2 += s_y2y2
-        hits_full += in_full
-        hits_diag += in_diag
-
+    count, sum_y, sum_yy, sum_y2y2, hits_full, hits_diag = _block_totals(block_sums, n)
     ybar = sum_y / count
     emp = (sum_yy - count * np.outer(ybar, ybar)) / (count - 1)
     # distribution-robust asymptotic variance of a covariance entry:

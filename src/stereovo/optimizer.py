@@ -115,6 +115,9 @@ class MatchedLandmarks:
                 "need positions (N, 3) and covariances (N, 3, 3) of one N, got "
                 f"{p.shape}, {q.shape}, {sp.shape}, {sq.shape}"
             )
+        for name, x in (("p", p), ("q", q)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name}: position has a non-finite entry")
         check_covariances(sp)
         check_covariances(sq)
         for name, x in (("p", p), ("q", q), ("sp", sp), ("sq", sq)):

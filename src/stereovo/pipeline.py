@@ -274,12 +274,17 @@ def write_run_outputs(result: RunResult, output_dir, ingest: Path | None = None)
 def ablate(cfg: RunConfig, modes: list[CovarianceMode]) -> list[tuple[str, float, float]]:
     """Select and match every frame pair once, solve the matched
     sequence once per covariance mode and report (mode, t_rel, r_rel)
-    rows."""
+    rows. The modes (--modes on the command line) are two or more, all
+    different."""
+    modes = list(map(CovarianceMode, modes))
     if len(modes) < 2:
-        raise ConfigError("ablate: need at least 2 modes")
+        raise ConfigError(f"--modes: need at least 2 modes, got {[m.value for m in modes]}")
+    repeated = [m.value for i, m in enumerate(modes) if m in modes[:i]]
+    if repeated:
+        raise ConfigError(f"--modes: {repeated[0]!r} is given more than once")
     matched = match_sequence(cfg)
     rows = []
-    for mode in map(CovarianceMode, modes):
+    for mode in modes:
         result = run(replace(cfg, covariance_mode=mode), matched)
         t_err, r_err = per_frame_errors(result.gt, result.est)
         rows.append((mode.value, float(t_err.mean()), float(r_err.mean())))

@@ -10,90 +10,40 @@ Three independent pieces:
   independent Gaussian (u, v, d), including the off-diagonal terms that
   couple the lateral axes with depth.
 
-The depth correction (``windowed_depth_moments``, separable matrix
-products over gathered windows) and the projection
-(``project_covariances``) each run as one batch over a frame pair's
-keypoints. Their one-item references
+Each takes plain values or arrays, in the argument order
+``project_covariances`` uses. The depth correction
+(``windowed_depth_moments``, separable matrix products over gathered
+windows) and the projection (``project_covariances``) each run as one
+batch over a frame pair's keypoints; their one-item references
 (``correct_depth_uncertainty`` on a ``DepthPatch``, and
-``project_covariance``) live in ``tests/reference.py``, where the tests
-compare the batches to them.
+``project_covariance``) live in ``tests/reference.py``. The Monte Carlo
+oracles in ``mc`` check ``disparity_to_depth`` and
+``backprojection_covariances``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import StereoCamera, backproject, psd_within_sym3
 
-# Relative disparity error above which the first-order depth
-# approximation degrades noticeably; results are flagged, not rejected.
-GAMMA_APPROX_LIMIT = 0.3
-
 # Floor on the Gaussian patch-weight std, in pixels, so sub-pixel
 # matching uncertainty still spreads weight beyond a single sample.
 MIN_WEIGHT_STD_PX = 0.5
 
 
-@dataclass(frozen=True)
-class PixelObservation:
-    """A matched pixel with per-axis matching variance and a depth.
-
-    u, v in pixels; sigma_u2, sigma_v2 in pixels^2; d in meters;
-    sigma_d2 in meters^2.
-    """
-
-    u: float
-    v: float
-    sigma_u2: float
-    sigma_v2: float
-    d: float
-    sigma_d2: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.u) and np.isfinite(self.v)):
-            raise ValueError(f"pixel must be finite, got ({self.u}, {self.v})")
-        if not 0 < self.d < np.inf:
-            raise ValueError(f"depth must be positive and finite, got {self.d}")
-        # a NaN variance fails this too
-        if not (self.sigma_u2 >= 0 and self.sigma_v2 >= 0 and self.sigma_d2 >= 0):
-            raise ValueError("variances must be non-negative")
-
-
-@dataclass(frozen=True)
-class DisparityEstimate:
-    """Mean disparity mu (pixels) with relative error rate gamma.
-
-    The disparity std is gamma * mu.
-    """
-
-    mu: float
-    gamma: float
-
-    def __post_init__(self):
-        if not 0 < self.mu < np.inf:
-            raise ValueError(f"mean disparity must be positive and finite, got {self.mu}")
-        if not 0 < self.gamma < 1:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-
-
-class DepthEstimate(NamedTuple):
-    mu: float
-    var: float
-    # True when gamma was at or above GAMMA_APPROX_LIMIT and the
-    # first-order variance should be treated as optimistic.
-    approx_degraded: bool
-
-
-def disparity_to_depth(cam: StereoCamera, disp: DisparityEstimate) -> DepthEstimate:
-    """First-order mean/variance of depth = baseline * fx / disparity."""
+def disparity_to_depth(cam: StereoCamera, mu, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """First-order (mean, var) of depth = baseline * fx / disparity for a
+    disparity of mean mu (pixels) and std gamma * mu; arrays broadcast.
+    ValueError unless mu is positive and finite and gamma in (0, 1)."""
+    mu, gamma = np.asarray(mu, dtype=float), np.asarray(gamma, dtype=float)
+    if not np.all((mu > 0) & (mu < np.inf)):
+        raise ValueError(f"mean disparity must be positive and finite, got {mu}")
+    if not np.all((gamma > 0) & (gamma < 1)):
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     bf = cam.baseline * cam.fx
-    mu_d = bf / disp.mu
-    sigma_d2 = (bf * disp.gamma) ** 2 / disp.mu**2
-    return DepthEstimate(mu_d, sigma_d2, disp.gamma >= GAMMA_APPROX_LIMIT)
+    return bf / mu, (bf * gamma) ** 2 / mu**2
 
 
 def windowed_depth_moments(
@@ -177,9 +127,9 @@ def ensure_psd(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 def project_covariances(
     cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, sigma_d2
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backprojection of arrays of observations (scalars broadcast), with
-    the variance and depth checks of PixelObservation: camera-frame
-    positions (N, 3) and full covariances (N, 3, 3)."""
+    """Backprojection of arrays of observations (scalars broadcast):
+    camera-frame positions (N, 3) and full covariances (N, 3, 3).
+    ValueError on a negative variance or a depth that is not positive."""
     u, v, sigma_u2, sigma_v2, d, sigma_d2 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (u, v, sigma_u2, sigma_v2, d, sigma_d2))
     )

@@ -11,14 +11,19 @@ them:
 * depth correction: ``DepthPatch`` with ``patch_weights`` and
   ``correct_depth_uncertainty``, against
   ``uncertainty.windowed_depth_moments``;
-* projection: ``project_covariance`` returning a ``Landmark3D``, against
-  ``uncertainty.project_covariances``; ``covariance_from_observation``
-  is one observation's raw closed-form covariance, and
-  ``transform_landmark`` moves one landmark into the world frame;
+* projection: ``PixelObservation``, one observation's values in the
+  argument order of ``uncertainty.project_covariances`` and
+  ``mc.mc_projection_covariance``; ``project_covariance`` returning a
+  ``Landmark3D``, against ``uncertainty.project_covariances``;
+  ``covariance_from_observation`` is one observation's raw closed-form
+  covariance, and ``transform_landmark`` moves one landmark into the
+  world frame;
 * geometry: ``project``, ``rotation_angle`` and ``se3_log``, the
   inverses and measures the geometry tests check ``backproject`` and
   ``se3_exp`` with; ``exp_rotation`` and ``left_jacobian``, the two
   Rodrigues evaluations ``geometry.so3_exp_and_left_jacobian`` shares;
+* evaluation: ``rotation_errors_by_log``, the per-frame rotation errors
+  as the norm of ``so3_log``, against ``evaluation.per_frame_errors``;
 * optimization: ``mahalanobis_cost`` and ``pair_covariances``, one
   problem's cost and combined covariances at a given pose.
 """
@@ -26,6 +31,7 @@ them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +56,6 @@ from stereovo.optimizer import (
 from stereovo.selector import SelectorConfig, _canonical_order
 from stereovo.uncertainty import (
     MIN_WEIGHT_STD_PX,
-    PixelObservation,
     backprojection_covariances,
     project_covariances,
 )
@@ -78,6 +83,17 @@ class Landmark3D:
             raise ValueError(f"frame must be 'camera' or 'world', got {self.frame!r}")
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "covariance", c)
+
+
+def rotation_errors_by_log(gt_poses, est_poses) -> np.ndarray:
+    """Rotation error (deg) of each consecutive pair of poses, as the norm
+    of so3_log(rel_est^T rel_gt); so3_log raises within 1e-6 rad of pi."""
+    errors = []
+    for g0, g1, e0, e1 in zip(gt_poses, gt_poses[1:], est_poses, est_poses[1:]):
+        rel_gt = g0.rotation.T @ g1.rotation
+        rel_est = e0.rotation.T @ e1.rotation
+        errors.append(np.degrees(np.linalg.norm(so3_log(rel_est.T @ rel_gt))))
+    return np.array(errors)
 
 
 def project(cam: StereoCamera, point) -> tuple[float, float, float]:
@@ -326,16 +342,31 @@ def correct_depth_uncertainty(
     return mu, var
 
 
+class PixelObservation(NamedTuple):
+    """A matched pixel with per-axis matching variance and a depth: u, v
+    in pixels; sigma_u2, sigma_v2 in pixels^2; d in meters; sigma_d2 in
+    meters^2. The fields follow the argument order of
+    project_covariances and mc_projection_covariance, so ``*obs`` passes
+    them."""
+
+    u: float
+    v: float
+    sigma_u2: float
+    sigma_v2: float
+    d: float
+    sigma_d2: float
+
+
 def covariance_from_observation(cam: StereoCamera, obs: PixelObservation) -> np.ndarray:
     """Exact 3x3 covariance of backproject(u, v, d) for independent
     Gaussian u, v, d, in (x, y, z) ordering, without the PSD guard."""
-    return backprojection_covariances(cam, obs.u, obs.v, obs.sigma_u2, obs.sigma_v2, obs.d, obs.sigma_d2)
+    return backprojection_covariances(cam, *obs)
 
 
 def project_covariance(cam: StereoCamera, obs: PixelObservation) -> Landmark3D:
     """Backproject an observation into a camera-frame landmark with the
     full 3x3 covariance."""
-    positions, covs = project_covariances(cam, obs.u, obs.v, obs.sigma_u2, obs.sigma_v2, obs.d, obs.sigma_d2)
+    positions, covs = project_covariances(cam, *obs)
     return Landmark3D(positions[0], covs[0], frame="camera")
 
 

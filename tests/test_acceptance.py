@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import random_spd
-from reference import nms_filter, rotation_angle, uncertainty_filter
+from reference import PixelObservation, nms_filter, rotation_angle, uncertainty_filter
 from test_evaluation import make_traj, oracle_metrics, perturb
 from test_selector import brute_force_nms, kp
 
@@ -34,7 +34,6 @@ from stereovo.optimizer import (
 )
 from stereovo.pipeline import KeypointMode, RunConfig, match_sequence, run
 from stereovo.selector import SelectorConfig, select
-from stereovo.uncertainty import DisparityEstimate, PixelObservation
 
 
 @contextmanager
@@ -74,7 +73,7 @@ def test_criterion_1_projection_covariance_vs_monte_carlo():
         assert len(grid) >= 27
         worst = 0.0
         for i, obs in enumerate(grid):
-            rep = mc_projection_covariance(VGA, obs, n=1_000_000, seed=i)
+            rep = mc_projection_covariance(VGA, *obs, n=1_000_000, seed=i)
             worst = max(worst, float(np.max(np.abs(rep.per_entry_z))))
         assert worst < 3.0, f"max standardized discrepancy {worst:.2f} >= 3"
 
@@ -83,7 +82,7 @@ def test_criterion_2_depth_approximation_regime():
     with criterion(2, "depth approximation error regime", budget_s=30):
         rels = []
         for gamma in (0.05, 0.1, 0.2, 0.25):
-            rep = mc_depth_distribution(VGA, DisparityEstimate(80.0, gamma), n=1_000_000, seed=11)
+            rep = mc_depth_distribution(VGA, 80.0, gamma, n=1_000_000, seed=11)
             sigma_mc = np.sqrt(rep.empirical[1])
             sigma_cf = np.sqrt(rep.closed_form[1])
             rels.append(abs(sigma_mc - sigma_cf) / sigma_cf)

@@ -173,6 +173,9 @@ class TestExitCodes:
         for modes in ("full", "", "full,", " , full"):
             assert main(["ablate", str(cfg), "--modes", modes]) == EXIT_CONFIG, modes
             assert "config error: --modes" in capsys.readouterr().err
+        # a repeated mode would be solved, and written, twice
+        assert main(["ablate", str(cfg), "--modes", "full,full,identity"]) == EXIT_CONFIG
+        assert "config error: --modes: 'full' is given more than once" in capsys.readouterr().err
         for which, samples in (("depth", "5000"), ("projection", "50000")):
             assert main(["mc-verify", "--which", which, "--samples", samples]) == EXIT_CONFIG
             assert "--samples" in capsys.readouterr().err
@@ -303,6 +306,44 @@ class TestExitCodes:
                 assert message in err and "Traceback" not in err
                 assert not (out / "poses_est.txt").exists() and not (out / "ablation.csv").exists()
             last.write_bytes(original)
+
+    def test_observation_directory_holds_one_sequence(self, workspace, capsys):
+        tmp, scene = workspace
+        obs, out = tmp / "obs", tmp / "out"
+        cfg = tmp / "run.cfg"
+        cfg.write_text(RUN_YAML.format(out=out, obs=obs))
+        assert main(["simulate", str(scene), "-o", str(obs)]) == EXIT_OK
+        # a copy of a frame file is not a frame
+        stray = obs / "copy_of_frame_000002.obs"
+        stray.write_bytes((obs / "frame_000002.obs").read_bytes())
+        assert main(["run", str(cfg)]) == EXIT_OK
+        assert len((out / "poses_est.txt").read_text().splitlines()) == 6
+        # a gap in the numbering is not two consecutive frames
+        (obs / "frame_000005.obs").rename(obs / "frame_000009.obs")
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == EXIT_IO
+        assert "frame_000009.obs: frame 5 must be named frame_000005.obs" in capsys.readouterr().err
+        # a shorter sequence written over a longer one removes the frames past its end, and only those
+        scene.write_text(SCENE_YAML.replace("num_frames: 6", "num_frames: 4"))
+        assert main(["simulate", str(scene), "-o", str(obs)]) == EXIT_OK
+        assert sorted(p.name for p in obs.iterdir() if p.name.startswith("frame_")) == [
+            f"frame_{i:06d}.obs" for i in range(4)
+        ]
+        assert stray.exists()
+        assert main(["run", str(cfg)]) == EXIT_OK
+        assert len((out / "poses_est.txt").read_text().splitlines()) == 4
+
+    def test_eval_half_turn_frame_exit_0(self, tmp_path, capsys):
+        gt, est = tmp_path / "gt.txt", tmp_path / "est.txt"
+        gt.write_text("0 0 0 0 0 0 0 1\n1 0 0 1 0 0 0 1\n2 0 0 2 0 0 0 1\n")
+        # the middle estimate is turned by 180 degrees about x
+        est.write_text("0 0 0 0 0 0 0 1\n1 0 0 1 1 0 0 0\n2 0 0 2 0 0 0 1\n")
+        per_frame = tmp_path / "pf.csv"
+        argv = ["eval", "--gt", str(gt), "--est", str(est), "--per-frame", str(per_frame), "-o", str(tmp_path / "m.csv")]
+        assert main(argv) == EXIT_OK
+        rows = list(csv.DictReader(per_frame.open()))
+        assert [abs(float(row["r_err"]) - 180.0) < 1e-9 for row in rows] == [True, True]
+        assert "r_rel: 180" in capsys.readouterr().out
 
     def test_numerical_error_exit_3(self, workspace):
         tmp, scene = workspace

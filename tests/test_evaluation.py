@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from conftest import random_rotation
+from reference import rotation_errors_by_log
 from stereovo.errors import NumericalError
 from stereovo.evaluation import (
     Trajectory,
@@ -121,6 +122,24 @@ class TestRrel:
             [PoseSE3(so3_exp([0, 0, np.radians(1.0) * t]), np.zeros(3)) for t in range(n)],
         )
         assert abs(r_rel(gt, est) - 1.0) < 1e-9
+
+    def test_matches_the_log_reference_away_from_pi(self):
+        rng = np.random.default_rng(21)
+        for rot_step, r_noise in ((0.04, 0.01), (0.3, 0.5), (0.01, 1e-7)):
+            gt = make_traj(rng, n=30, rot_step=rot_step)
+            est = perturb(gt, rng, r_noise=r_noise)
+            _, r_err = per_frame_errors(gt, est)
+            want = rotation_errors_by_log(gt.poses, est.poses)
+            assert np.all(np.abs(r_err - want) <= 1e-14 * want)
+
+    def test_half_turn_frame(self):
+        # so3_log is undefined at pi; the geodesic angle is 180 degrees
+        ts = np.arange(3, dtype=float)
+        gt = Trajectory(ts, [PoseSE3(np.eye(3), [t, 0.0, 0.0]) for t in ts])
+        flipped = PoseSE3(np.diag([1.0, -1.0, -1.0]), gt.poses[1].translation)
+        est = Trajectory(ts, [gt.poses[0], flipped, gt.poses[2]])
+        _, r_err = per_frame_errors(gt, est)
+        assert np.all(np.abs(r_err - 180.0) < 1e-9)
 
 
 class TestInvariances:

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_rotation, random_spd
 from reference import (
     Landmark3D,
+    PixelObservation,
     mahalanobis_cost,
     pair_covariances,
     project_covariance,
@@ -36,7 +37,6 @@ from stereovo.optimizer import (
     scale_agnostic_normalizers,
     solve_pose,
 )
-from stereovo.uncertainty import PixelObservation
 
 
 def make_pairs(p, q, cov_p, cov_q):
@@ -193,6 +193,17 @@ class TestMatchedLandmarks:
                 MatchedLandmarks(points, points, bad, covs)
             with pytest.raises(ValueError, match=match):
                 MatchedLandmarks(points, points, covs, bad)
+
+    def test_rejects_non_finite_positions(self):
+        # unchecked, a NaN in p made FramePairProblem's SVD fail, and an
+        # inf in q made solve_pose's eigenvalues fail to converge
+        rng = np.random.default_rng(16)
+        covs = np.stack([np.eye(3)] * 4)
+        for name, value in (("p", np.nan), ("q", np.inf), ("p", -np.inf), ("q", np.nan)):
+            points = {"p": rng.normal(size=(4, 3)), "q": rng.normal(size=(4, 3))}
+            points[name][2, 1] = value
+            with pytest.raises(ValueError, match=f"^{name}: position has a non-finite entry"):
+                MatchedLandmarks(points["p"], points["q"], covs, covs)
 
     def test_rejects_mismatched_shapes(self):
         covs = np.stack([np.eye(3)] * 4)

@@ -32,8 +32,7 @@ from stereovo.pipeline import (
     write_run_outputs,
 )
 from stereovo.selector import Keypoints, SelectorConfig, select
-from stereovo.uncertainty import PixelObservation
-from reference import correct_depth_uncertainty, project_covariance, rotation_angle
+from reference import PixelObservation, correct_depth_uncertainty, project_covariance, rotation_angle
 from test_acceptance import ABLATION_SELECTOR, ablation_scene
 from test_uncertainty import clipped_patch
 
@@ -370,17 +369,25 @@ class TestMatchSequence:
 
 class TestAblate:
     def test_identical_modes_identical_rows(self):
+        # a mode's row does not depend on the other modes or their order
         scene = plane_scene(seed=8, noise=NoiseModel(sigma_flow=0.2, gamma_disp=0.04))
         cfg = RunConfig(seed=9, output_dir="/tmp/u", simulate=scene, selector=small_selector())
-        rows = ablate(cfg, [CovarianceMode.FULL, CovarianceMode.FULL])
-        assert rows[0][1] == rows[1][1]
-        assert rows[0][2] == rows[1][2]
+        first = ablate(cfg, [CovarianceMode.FULL, CovarianceMode.IDENTITY])
+        second = ablate(cfg, [CovarianceMode.DIAGONAL, CovarianceMode.FULL])
+        assert first[0] == second[1]
 
     def test_needs_two_modes(self):
         scene = plane_scene(seed=8)
         cfg = RunConfig(seed=9, output_dir="/tmp/u", simulate=scene, selector=small_selector())
         with pytest.raises(ConfigError):
             ablate(cfg, [CovarianceMode.FULL])
+
+    def test_rejects_a_repeated_mode(self, monkeypatch):
+        scene = plane_scene(seed=8)
+        cfg = RunConfig(seed=9, output_dir="/tmp/u", simulate=scene, selector=small_selector())
+        monkeypatch.setattr(pipeline, "match_sequence", lambda cfg: pytest.fail("matched before checking"))
+        with pytest.raises(ConfigError, match="^--modes: 'full' is given more than once"):
+            ablate(cfg, ["full", CovarianceMode.IDENTITY, CovarianceMode.FULL])
 
     def test_needs_two_frames(self, tmp_path):
         scene = plane_scene(num_frames=2)

@@ -5,6 +5,7 @@ import pytest
 
 from reference import (
     DepthPatch,
+    PixelObservation,
     correct_depth_uncertainty,
     covariance_from_observation,
     patch_weights,
@@ -12,8 +13,6 @@ from reference import (
 )
 from stereovo.geometry import backproject
 from stereovo.uncertainty import (
-    DisparityEstimate,
-    PixelObservation,
     disparity_to_depth,
     ensure_psd,
     project_covariances,
@@ -24,37 +23,40 @@ from stereovo.uncertainty import (
 class TestDisparityToDepth:
     def test_worked_example(self, cam_vga):
         # b*fx = 80: depth 80/80 = 1, var (80*0.1)^2/80^2 = 0.01
-        est = disparity_to_depth(cam_vga, DisparityEstimate(mu=80.0, gamma=0.1))
-        assert abs(est.mu - 1.0) < 1e-12
-        assert abs(est.var - 0.01) < 1e-12
-        assert not est.approx_degraded
+        mean, var = disparity_to_depth(cam_vga, mu=80.0, gamma=0.1)
+        assert abs(mean - 1.0) < 1e-12
+        assert abs(var - 0.01) < 1e-12
         # equivalently (gamma * mu_d)^2
-        assert abs(est.var - (0.1 * est.mu) ** 2) < 1e-15
+        assert abs(var - (0.1 * mean) ** 2) < 1e-15
 
     def test_gamma_to_zero_limit(self, cam_vga):
-        est = disparity_to_depth(cam_vga, DisparityEstimate(mu=80.0, gamma=1e-12))
-        assert abs(est.mu - 1.0) < 1e-12
-        assert est.var < 1e-20
+        mean, var = disparity_to_depth(cam_vga, mu=80.0, gamma=1e-12)
+        assert abs(mean - 1.0) < 1e-12
+        assert var < 1e-20
 
-    def test_high_gamma_flagged_not_rejected(self, cam_vga):
-        est = disparity_to_depth(cam_vga, DisparityEstimate(mu=80.0, gamma=0.35))
-        assert est.approx_degraded
-        est = disparity_to_depth(cam_vga, DisparityEstimate(mu=80.0, gamma=0.29))
-        assert not est.approx_degraded
+    def test_high_gamma_not_rejected(self, cam_vga):
+        for gamma in (0.29, 0.35, 0.99):
+            mean, var = disparity_to_depth(cam_vga, mu=80.0, gamma=gamma)
+            assert mean == 1.0 and abs(var - gamma**2) < 1e-15
 
-    def test_nonpositive_disparity_rejected(self):
-        with pytest.raises(ValueError):
-            DisparityEstimate(mu=0.0, gamma=0.1)
-        with pytest.raises(ValueError):
-            DisparityEstimate(mu=-3.0, gamma=0.1)
+    def test_nonpositive_disparity_rejected(self, cam_vga):
+        for mu in (0.0, -3.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="mean disparity"):
+                disparity_to_depth(cam_vga, mu=mu, gamma=0.1)
+        for gamma in (0.0, 1.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="gamma"):
+                disparity_to_depth(cam_vga, mu=80.0, gamma=gamma)
+        with pytest.raises(ValueError, match="mean disparity"):
+            disparity_to_depth(cam_vga, mu=[80.0, 0.0], gamma=0.1)
 
     def test_variance_scales_inverse_square(self, cam_vga):
         # sigma_d2 ~ 1/mu_D^2 at fixed gamma*b*fx
         mus = np.array([20.0, 40.0, 80.0, 160.0, 320.0])
-        vars_ = np.array(
-            [disparity_to_depth(cam_vga, DisparityEstimate(mu=m, gamma=0.1)).var for m in mus]
-        )
+        _, vars_ = disparity_to_depth(cam_vga, mus, 0.1)
+        assert vars_.shape == mus.shape
         assert np.allclose(vars_ * mus**2, vars_[0] * mus[0] ** 2, rtol=1e-12)
+        for m, var in zip(mus, vars_):
+            assert disparity_to_depth(cam_vga, m, 0.1)[1] == var
 
 
 class TestDepthCorrection:
@@ -269,15 +271,6 @@ class TestProjectCovariance:
         fixed = ensure_psd(c)
         assert np.linalg.eigvalsh(fixed)[0] >= -1e-16
         assert abs(fixed[0, 0] - 1.0) < 1e-12
-
-    def test_observation_invariants(self):
-        with pytest.raises(ValueError):
-            PixelObservation(u=0, v=0, sigma_u2=-1.0, sigma_v2=0, d=1.0, sigma_d2=0)
-        with pytest.raises(ValueError):
-            PixelObservation(u=0, v=0, sigma_u2=0, sigma_v2=0, d=0.0, sigma_d2=0)
-        for bad in (dict(u=np.nan), dict(v=np.inf), dict(sigma_v2=np.nan), dict(sigma_d2=np.nan)):
-            with pytest.raises(ValueError):
-                PixelObservation(**{**dict(u=0, v=0, sigma_u2=0, sigma_v2=0, d=1.0, sigma_d2=0), **bad})
 
     def test_ensure_psd_on_a_stack_clamps_only_the_bad_members(self):
         good = np.diag([1.0, 2.0, 3.0])
