@@ -27,7 +27,7 @@ from .frontend import (
     ingest_observations,
     write_observations,
 )
-from .geometry import PoseSE3, StereoCamera, backproject, se3_exp, so3_exp, so3_log
+from .geometry import PoseSE3, StereoCamera, backproject, se3_exp, so3_exp
 from .mc import McReport, mc_depth_distribution, mc_projection_covariance
 from .optimizer import (
     CovarianceMode,

@@ -23,6 +23,7 @@ dotted path of the value, such as ``walls[0].x_range``,
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 import types
 import typing
@@ -58,6 +59,14 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                     raise yaml.composer.ComposerError(None, None, f"duplicate key {key.value!r}", key.start_mark)
                 seen.add((key.tag, key.value))
         return node
+
+
+# floats with an exponent that YAML 1.1, unlike 1.2, reads as strings: 8e-2, 1E3
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 def load_yaml(path, what: str):

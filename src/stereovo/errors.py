@@ -25,11 +25,11 @@ class NumericalError(StereoVoError):
 
 
 class DegenerateGeometryError(NumericalError):
-    """Matched points are collinear; the pose is not observable."""
+    """A FramePairProblem's points are collinear; its pose is not observable."""
 
 
 class InsufficientKeypointsError(NumericalError):
-    """Fewer keypoints survived selection than the optimizer needs."""
+    """A FramePairProblem has fewer pairs than a pose needs (optimizer.MIN_PAIRS)."""
 
 
 @contextmanager

@@ -101,7 +101,7 @@ def associate(gt: Trajectory, est: Trajectory, tol: float = ASSOCIATION_TOL) -> 
         longer, shorter = (gt, est) if len(gt) > len(est) else (est, gt)
         for ts in longer.timestamps:
             if np.min(np.abs(shorter.timestamps - ts), initial=np.inf) > tol:
-                unmatched.append(ts)
+                unmatched.append(float(ts))
         raise NumericalError(
             f"trajectory lengths differ ({len(gt)} vs {len(est)}); "
             f"unmatched timestamps: {unmatched}"
@@ -109,7 +109,7 @@ def associate(gt: Trajectory, est: Trajectory, tol: float = ASSOCIATION_TOL) -> 
     bad = np.abs(gt.timestamps - est.timestamps) > tol
     if bad.any():
         raise NumericalError(
-            f"timestamp association failed; unmatched timestamps: {list(gt.timestamps[bad])}"
+            f"timestamp association failed; unmatched timestamps: {gt.timestamps[bad].tolist()}"
         )
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .config import from_dict, load_yaml
 from .errors import ConfigError, DataFormatError
 from .evaluation import Trajectory, read_tum, write_tum
-from .geometry import PoseSE3, StereoCamera, quat_to_matrix, se3_exp
+from .geometry import PoseSE3, StereoCamera, backproject, quat_to_matrix, se3_exp
 
 OBS_MAGIC = b"MACVOOBS"
 # map layout in the .obs container: name -> channel count
@@ -80,6 +80,11 @@ class Wall:
     z: float
     x_range: tuple[float, float]
     y_range: tuple[float, float]
+
+    def __post_init__(self):
+        for name, (lo, hi) in (("x_range", self.x_range), ("y_range", self.y_range)):
+            if not hi > lo:
+                raise ConfigError(f"{name}: max must exceed min, got [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -235,21 +240,7 @@ def _sample_landmarks(cfg: SceneConfig, pose0: PoseSE3, rng: np.random.Generator
     d = rng.uniform(lo + 0.1 * (hi - lo), 0.85 * hi, size=n)
     u = rng.uniform(0.1 * cam.width, 0.9 * cam.width, size=n)
     v = rng.uniform(0.1 * cam.height, 0.9 * cam.height, size=n)
-    pts_cam = np.stack([(u - cam.cx) * d / cam.fx, (v - cam.cy) * d / cam.fy, d], axis=1)
-    return pose0.apply(pts_cam)
-
-
-def _pixel_rays(cam: StereoCamera) -> np.ndarray:
-    """(H, W, 3) camera-frame rays with unit z through pixel centers."""
-    u = np.arange(cam.width, dtype=float)
-    v = np.arange(cam.height, dtype=float)
-    xu = (u - cam.cx) / cam.fx
-    yv = (v - cam.cy) / cam.fy
-    rays = np.empty((cam.height, cam.width, 3))
-    rays[..., 0] = xu[None, :]
-    rays[..., 1] = yv[:, None]
-    rays[..., 2] = 1.0
-    return rays
+    return pose0.apply(backproject(cam, u, v, d))
 
 
 def _render_depth(
@@ -333,7 +324,9 @@ def generate_frames(cfg: SceneConfig) -> Iterator[FrameObservation]:
 
     walls = list(cfg.walls) if cfg.walls is not None else _auto_walls(cfg, poses, rng_world)
     landmarks = _sample_landmarks(cfg, poses[0], rng_world)
-    rays = _pixel_rays(cam)
+    # camera-frame rays with unit z through the pixel centers, (H, W, 3)
+    u, v = np.arange(cam.width, dtype=float), np.arange(cam.height, dtype=float)
+    rays = backproject(cam, u[None, :], v[:, None], 1.0)
     splats = landmarks if cfg.render_landmarks else None
 
     field = _noise_field(cam, cfg.noise.heteroscedastic, rng_field)

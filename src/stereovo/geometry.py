@@ -25,8 +25,8 @@ import numpy as np
 # Below this rotation angle the closed-form exp/log coefficients are
 # replaced by their series expansions to avoid catastrophic cancellation.
 _SMALL_ANGLE = 1e-4
-# so3_log is undefined (axis ambiguous) this close to pi.
-_MAX_LOG_ANGLE = np.pi - 1e-6
+# A covariance eigenvalue this far below zero is rounding, not a defect.
+_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,26 +94,6 @@ def so3_exp_and_left_jacobian(phi) -> tuple[np.ndarray, np.ndarray]:
 def so3_exp(phi) -> np.ndarray:
     """Axis-angle 3-vector to rotation matrix (``so3_exp_and_left_jacobian``'s first)."""
     return so3_exp_and_left_jacobian(phi)[0]
-
-
-def so3_log(rotation) -> np.ndarray:
-    """Axis-angle 3-vector of a rotation matrix.
-
-    Raises ValueError when the rotation angle is within 1e-6 of pi, where
-    the axis is not recoverable from the skew part.
-    """
-    r = np.asarray(rotation, dtype=float)
-    # 0.5 * vee(R - R^T) == sin(theta) * axis
-    w = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    s = float(np.linalg.norm(w))
-    c = float(np.clip(0.5 * (np.trace(r) - 1.0), -1.0, 1.0))
-    theta = float(np.arctan2(s, c))
-    if theta >= _MAX_LOG_ANGLE:
-        raise ValueError(f"rotation angle {theta:.9f} too close to pi for a stable log")
-    if theta < 1e-7:
-        # second-order fallback of theta/sin(theta)
-        return w * (1.0 + theta * theta / 6.0)
-    return w * (theta / s)
 
 
 @dataclass(frozen=True)
@@ -231,8 +211,8 @@ def se3_exp(xi) -> PoseSE3:
     return PoseSE3(rotation, left_jacobian @ xi[:3])
 
 
-def psd_within_sym3(c: np.ndarray, tol: float = 1e-10):
-    """True where a symmetric 3x3 matrix has no eigenvalue below -tol:
+def psd_within_sym3(c: np.ndarray):
+    """True where a symmetric 3x3 matrix has no eigenvalue below -_PSD_TOL:
     a bool for one matrix (3, 3), a bool array for a stack (..., 3, 3).
 
     Closed-form Cholesky of C + ridge*I (succeeds iff PD); orders of
@@ -241,7 +221,7 @@ def psd_within_sym3(c: np.ndarray, tol: float = 1e-10):
     c = np.asarray(c, dtype=float)
     a00, a11, a22 = c[..., 0, 0], c[..., 1, 1], c[..., 2, 2]
     a01, a02, a12 = c[..., 0, 1], c[..., 0, 2], c[..., 1, 2]
-    ridge = tol + 1e-14 * np.maximum(np.maximum(np.abs(a00), np.abs(a11)), np.abs(a22))
+    ridge = _PSD_TOL + 1e-14 * np.maximum(np.maximum(np.abs(a00), np.abs(a11)), np.abs(a22))
     # a non-positive pivot makes the later terms nan or inf; the pivot
     # test below rejects those matrices anyway
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -257,7 +237,7 @@ def psd_within_sym3(c: np.ndarray, tol: float = 1e-10):
 
 def check_covariances(c: np.ndarray) -> None:
     """Check one covariance (3, 3) or a stack (N, 3, 3): finite, symmetric
-    within 1e-12, no eigenvalue below -1e-10; ValueError otherwise."""
+    within 1e-12, no eigenvalue below -_PSD_TOL; ValueError otherwise."""
     if c.shape[-2:] != (3, 3) or c.ndim not in (2, 3):
         raise ValueError(f"covariance must be 3x3, got {c.shape}")
     # inf - inf would turn the symmetry test into NaN > 1e-12, which passes
@@ -266,7 +246,7 @@ def check_covariances(c: np.ndarray) -> None:
     if c.size and np.max(np.abs(c - np.swapaxes(c, -1, -2))) > 1e-12:
         raise ValueError("covariance is not symmetric within 1e-12")
     if not np.all(psd_within_sym3(c)):
-        raise ValueError("covariance has an eigenvalue below -1e-10")
+        raise ValueError(f"covariance has an eigenvalue below -{_PSD_TOL:g}")
 
 
 def backproject(cam: StereoCamera, u, v, d) -> np.ndarray:

@@ -50,7 +50,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, InsufficientKeypointsError
 from .geometry import PoseSE3, check_covariances, skew, so3_exp_and_left_jacobian
 
 # Combined covariances worse-conditioned than this get a trace-scaled
@@ -64,6 +64,8 @@ _DET_REL_TOL = 64 * np.finfo(float).eps
 # Collinearity threshold on the second singular value of the centered
 # previous-frame positions.
 _COLLINEAR_TOL = 1e-9
+# The fewest pairs that fix a pose: three non-collinear points.
+MIN_PAIRS = 3
 # The LM schedule: at most _MAX_ITERS linearizations; the damping starts
 # at _LAMBDA_INIT and is multiplied by _LAMBDA_UP after a rejected trial
 # and by _LAMBDA_DOWN after an accepted one; LM has converged when the
@@ -135,8 +137,8 @@ class FramePairProblem:
 
     def __post_init__(self):
         self.covariance_mode = CovarianceMode(self.covariance_mode)
-        if len(self.pairs) < 3:
-            raise DegenerateGeometryError(f"need at least 3 pairs, got {len(self.pairs)}")
+        if len(self.pairs) < MIN_PAIRS:
+            raise InsufficientKeypointsError(f"need at least {MIN_PAIRS} pairs, got {len(self.pairs)}")
         p = self.pairs.p
         # collinear points leave rotation about the line unobservable
         s = np.linalg.svd(p - p.mean(axis=0), compute_uv=False)

@@ -12,8 +12,8 @@ record of stacked positions and covariances, from their projection to
 the solver. Each two-frame problem is solved in the previous camera's
 frame, so it depends on the two frames alone, not on the trajectory or
 the world frame; ``run`` chains the solved motions into the trajectory.
-A frame whose selection or optimization fails falls back to the
-constant-velocity motion model instead of aborting the run.
+A frame whose pairs the solver rejects or fails to solve falls back to
+the constant-velocity motion model instead of aborting the run.
 
 A run has two stages. The front half selects and matches each frame
 pair; it depends on the run config up to its covariance mode, and not
@@ -140,23 +140,23 @@ def build_matched_pairs(
 @dataclass
 class MatchedSequence:
     """The mode-independent front half of a run: each frame pair's
-    matched landmarks, or the NumericalError that stopped them, in frame
-    order, plus the ground truth and the run config they came from."""
+    matched landmarks in frame order, however few, plus the ground truth
+    and the run config they came from."""
 
     cfg: RunConfig
     gt: Trajectory
-    pairs: list[MatchedLandmarks | NumericalError]
+    pairs: list[MatchedLandmarks]
 
 
 def _matched_pairs(
     cfg: RunConfig, frames: Iterable[FrameObservation] | None, passed: list[tuple[float, PoseSE3]]
-) -> Iterator[MatchedLandmarks | NumericalError]:
-    """Each frame pair's matched landmarks, or the NumericalError that
-    stopped its selection, selected and matched as its later frame
-    arrives, holding at most two frames; frames default to the config's,
-    generated or read one at a time. Each frame is checked against the
-    camera and its (timestamp, pose) appended to passed when it arrives;
-    a stream of fewer than two frames is a ConfigError when it ends."""
+) -> Iterator[MatchedLandmarks]:
+    """Each frame pair's matched landmarks, however few, selected and
+    matched as its later frame arrives, holding at most two frames;
+    frames default to the config's, generated or read one at a time.
+    Each frame is checked against the camera and its (timestamp, pose)
+    appended to passed when it arrives; a stream of fewer than two
+    frames is a ConfigError when it ends."""
     if frames is None:
         if cfg.simulate is not None:
             frames = generate_frames(cfg.simulate)
@@ -171,13 +171,7 @@ def _matched_pairs(
         passed.append((dst.timestamp, dst.pose))
         if src is not None:
             rng = np.random.default_rng([cfg.seed, t]) if cfg.keypoint_mode is KeypointMode.RANDOM else None
-            try:
-                keypoints = select(src, cam, cfg.selector, rng)
-                landmarks = build_matched_pairs(cam, src, dst, keypoints)
-            except NumericalError as exc:
-                # without its traceback, which would keep both frames alive
-                landmarks = exc.with_traceback(None)
-            yield landmarks
+            yield build_matched_pairs(cam, src, dst, select(src, cam, cfg.selector, rng))
         src = dst
     if len(passed) < 2:
         raise ConfigError("input: need at least 2 frames")
@@ -223,15 +217,10 @@ def run(cfg: RunConfig, frames: Iterable[FrameObservation] | MatchedSequence | N
     motions: list[PoseSE3] = []
 
     for t, pairs in enumerate(matched, start=1):
-        # the NumericalError that stopped the pair's selection or solve
-        failure = pairs if isinstance(pairs, NumericalError) else None
-        if failure is None:
-            try:
-                solution = solve_pose(FramePairProblem(pairs, delta, cfg.covariance_mode))
-            except NumericalError as exc:
-                failure = exc
-        if failure is not None:
-            frame = FrameDiagnostics(t, 0, float("nan"), 0, ["fallback_motion_model", type(failure).__name__])
+        try:
+            solution = solve_pose(FramePairProblem(pairs, delta, cfg.covariance_mode))
+        except NumericalError as exc:
+            frame = FrameDiagnostics(t, 0, float("nan"), 0, ["fallback_motion_model", type(exc).__name__])
         else:
             delta = solution.pose
             flags = []
@@ -326,7 +315,14 @@ def run_config_from_dict(d: dict) -> RunConfig:
         selector = dict(selector)
         depth_range = selector.pop("depth_range", (SelectorConfig.depth_min, SelectorConfig.depth_max))
         bounds["depth_min"], bounds["depth_max"] = read(tuple[float, float], depth_range, "selector.depth_range")
-    selector = from_dict(SelectorConfig, selector, "selector", **bounds)
+    try:
+        selector = from_dict(SelectorConfig, selector, "selector", **bounds)
+    except ConfigError as exc:
+        # the bounds' range checks name them as the file writes them
+        if not str(exc).startswith(("selector.depth_min: must", "selector.depth_max: must")):
+            raise
+        message = str(exc).replace("depth_min", "depth_range[0]").replace("depth_max", "depth_range[1]")
+        raise ConfigError(message) from exc
     return from_dict(RunConfig, d, simulate=simulate, ingest=ingest, selector=selector)
 
 

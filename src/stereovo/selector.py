@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientKeypointsError
+from .errors import ConfigError
 from .frontend import FrameObservation
 from .geometry import StereoCamera
+from .optimizer import MIN_PAIRS
 
-# The optimizer needs at least 3 non-degenerate matches.
-MIN_KEYPOINTS = 3
 # positions of the NMS order screened against the suppression map at once
 _NMS_BLOCK = 256
 
@@ -63,8 +62,8 @@ class SelectorConfig:
         if not self.unc_multiplier > 0:
             raise ConfigError(f"unc_multiplier: must be positive, got {self.unc_multiplier}")
         # fewer keypoints than the optimizer needs make every frame fall back
-        if not isinstance(self.max_keypoints, (int, np.integer)) or self.max_keypoints < MIN_KEYPOINTS:
-            raise ConfigError(f"max_keypoints: must be an integer >= {MIN_KEYPOINTS}, got {self.max_keypoints!r}")
+        if not isinstance(self.max_keypoints, (int, np.integer)) or self.max_keypoints < MIN_PAIRS:
+            raise ConfigError(f"max_keypoints: must be an integer >= {MIN_PAIRS}, got {self.max_keypoints!r}")
 
 
 def combined_scores(flow_unc: np.ndarray, depth_unc: np.ndarray) -> np.ndarray:
@@ -128,7 +127,7 @@ def select(
 ) -> Keypoints:
     """Full selection pipeline on a frame's maps: NMS -> geometry ->
     uncertainty, then truncation to max_keypoints by ascending score;
-    the survivors come back in canonical (score, u, v) order.
+    the survivors, however few, come back in canonical (score, u, v) order.
 
     Given an rng, the NMS and uncertainty stages are bypassed and the
     survivors are drawn uniformly without replacement from the
@@ -159,8 +158,6 @@ def select(
         mult = cfg.unc_multiplier
         confident = (f_unc <= mult * np.median(f_unc)) & (d_unc <= mult * np.median(d_unc))
         vv, uu, score = vv[confident], uu[confident], score[confident]
-    if vv.size < MIN_KEYPOINTS:
-        raise InsufficientKeypointsError(f"insufficient keypoints: {vv.size} < {MIN_KEYPOINTS}")
     if rng is not None:
         take = np.sort(rng.choice(vv.size, size=min(cfg.max_keypoints, vv.size), replace=False))
     else:

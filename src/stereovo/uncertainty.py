@@ -8,7 +8,9 @@ Three independent pieces:
   that absorb scene structure (depth edges) into the depth variance,
 * 2D -> 3D projection: the exact covariance of the backprojection of
   independent Gaussian (u, v, d), including the off-diagonal terms that
-  couple the lateral axes with depth.
+  couple the lateral axes with depth, returned as built: exactly
+  symmetric, PSD for non-negative variances, and checked only by
+  ``optimizer.MatchedLandmarks``.
 
 Each takes plain values or arrays, in the argument order
 ``project_covariances`` uses. The depth correction
@@ -26,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import StereoCamera, backproject, psd_within_sym3
+from .geometry import StereoCamera, backproject
 
 # Floor on the Gaussian patch-weight std, in pixels, so sub-pixel
 # matching uncertainty still spreads weight beyond a single sample.
@@ -109,21 +111,6 @@ def backprojection_covariances(cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, s
     )
 
 
-def ensure_psd(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Symmetrize and, only where an eigenvalue dips below -tol, clamp
-    the spectrum at zero; cov is (3, 3) or a stack (..., 3, 3). The
-    closed forms here are PSD in exact arithmetic, so this is a
-    float-rounding guard."""
-    sym = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    bad = np.logical_not(psd_within_sym3(sym, tol))
-    if not bad.any():
-        return sym
-    vals, vecs = np.linalg.eigh(sym[bad])
-    clipped = (vecs * np.maximum(vals, 0.0)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    sym[bad] = 0.5 * (clipped + np.swapaxes(clipped, -1, -2))
-    return sym
-
-
 def project_covariances(
     cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, sigma_d2
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,5 +123,4 @@ def project_covariances(
     if (sigma_u2 < 0).any() or (sigma_v2 < 0).any() or (sigma_d2 < 0).any():
         raise ValueError("variances must be non-negative")
     positions = backproject(cam, u, v, d)
-    covs = backprojection_covariances(cam, u, v, sigma_u2, sigma_v2, d, sigma_d2)
-    return positions, ensure_psd(covs)
+    return positions, backprojection_covariances(cam, u, v, sigma_u2, sigma_v2, d, sigma_d2)

@@ -18,9 +18,9 @@ them:
   ``covariance_from_observation`` is one observation's raw closed-form
   covariance, and ``transform_landmark`` moves one landmark into the
   world frame;
-* geometry: ``project``, ``rotation_angle`` and ``se3_log``, the
-  inverses and measures the geometry tests check ``backproject`` and
-  ``se3_exp`` with; ``exp_rotation`` and ``left_jacobian``, the two
+* geometry: ``project``, ``rotation_angle``, ``so3_log`` and
+  ``se3_log``, the inverses and measures the geometry tests check
+  ``backproject``, ``so3_exp`` and ``se3_exp`` with; ``exp_rotation`` and ``left_jacobian``, the two
   Rodrigues evaluations ``geometry.so3_exp_and_left_jacobian`` shares;
 * evaluation: ``rotation_errors_by_log``, the per-frame rotation errors
   as the norm of ``so3_log``, against ``evaluation.per_frame_errors``;
@@ -41,7 +41,6 @@ from stereovo.geometry import (
     StereoCamera,
     check_covariances,
     skew,
-    so3_log,
 )
 from stereovo.optimizer import (
     _FULL,
@@ -61,6 +60,9 @@ from stereovo.uncertainty import (
 )
 
 # --- geometry ---------------------------------------------------------------
+
+# so3_log is undefined (axis ambiguous) this close to pi.
+_MAX_LOG_ANGLE = np.pi - 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,26 @@ class Landmark3D:
             raise ValueError(f"frame must be 'camera' or 'world', got {self.frame!r}")
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "covariance", c)
+
+
+def so3_log(rotation) -> np.ndarray:
+    """Axis-angle 3-vector of a rotation matrix.
+
+    Raises ValueError when the rotation angle is within 1e-6 of pi, where
+    the axis is not recoverable from the skew part.
+    """
+    r = np.asarray(rotation, dtype=float)
+    # 0.5 * vee(R - R^T) == sin(theta) * axis
+    w = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    s = float(np.linalg.norm(w))
+    c = float(np.clip(0.5 * (np.trace(r) - 1.0), -1.0, 1.0))
+    theta = float(np.arctan2(s, c))
+    if theta >= _MAX_LOG_ANGLE:
+        raise ValueError(f"rotation angle {theta:.9f} too close to pi for a stable log")
+    if theta < 1e-7:
+        # second-order fallback of theta/sin(theta)
+        return w * (1.0 + theta * theta / 6.0)
+    return w * (theta / s)
 
 
 def rotation_errors_by_log(gt_poses, est_poses) -> np.ndarray:
@@ -359,7 +381,7 @@ class PixelObservation(NamedTuple):
 
 def covariance_from_observation(cam: StereoCamera, obs: PixelObservation) -> np.ndarray:
     """Exact 3x3 covariance of backproject(u, v, d) for independent
-    Gaussian u, v, d, in (x, y, z) ordering, without the PSD guard."""
+    Gaussian u, v, d, in (x, y, z) ordering."""
     return backprojection_covariances(cam, *obs)
 
 

@@ -157,6 +157,16 @@ class TestExitCodes:
             # a waypoint row that is short, and one whose quaternion has zero norm
             (["simulate", SCENE_YAML.replace("kind: constant_velocity, velocity: [0.04, 0.02, 0.06]", WAYPOINTS + ", [0, 0, 0.6, 0, 0, 0]]")], "motion.waypoints[5]"),
             (["simulate", SCENE_YAML.replace("kind: constant_velocity, velocity: [0.04, 0.02, 0.06]", WAYPOINTS + ", [0, 0, 0.6, 0, 0, 0, 0]]")], "motion.waypoints[5]"),
+            # the selector's depth bounds, named as the file writes them
+            (["run", run_yaml.replace("[0.5, 100.0]", "[5.0, 2.0]")], "selector.depth_range[1]: must exceed"),
+            (["run", run_yaml.replace("[0.5, 100.0]", "[0.0, 2.0]")], "selector.depth_range[0]: must be positive"),
+            # a reversed wall range, which would render nothing
+            (["simulate", SCENE_YAML.replace("x_range: [-40.0, 40.0]", "x_range: [1.0, -1.0]")], "walls[0].x_range"),
+            # an exponent makes a float, which an integer field refuses
+            (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 1e2}")], "selector.max_keypoints"),
+            # a run file that is not a mapping, and an input it does not know
+            (["run", "- seed: 5\n"], "run config: expected a mapping"),
+            (["run", run_yaml.replace("  ingest:", "  stream: true\n  ingest:")], "input.stream: unknown key"),
             # 96x96 observations under a 120x96 camera
             (["run", run_yaml.replace("width: 96", "width: 120")], "camera: frame 0"),
             (["ablate", run_yaml.replace("width: 96", "width: 120")], "camera: frame 0"),

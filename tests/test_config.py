@@ -274,6 +274,38 @@ def test_negative_seed_is_a_config_error(case, path):
         ("seed", -1, "seed: must be >= 0, got -1"),
         # one waypoint row for six frames, found when the config loads
         ("motion", {"kind": "waypoints", "waypoints": [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]}, "motion.waypoints: need 6 rows, got 1"),
+        # the camera's checks raise ValueError, named by the camera's path
+        ("camera", {**CAMERA, "fy": 0.0}, "camera: focal lengths must be positive, got (90.0, 0.0)"),
+        ("camera", {**CAMERA, "baseline": -0.2}, "camera: baseline must be positive, got -0.2"),
+        ("camera", {**CAMERA, "height": 0}, "camera: image size must be positive, got 96x0"),
+        ("camera", {**CAMERA, "cx": 96.0}, "camera: principal point (96.0, 48.0) outside image 96x96"),
+        ("noise", {"sigma_flow": -0.1}, "noise.sigma_flow: must be >= 0, got -0.1"),
+        (
+            "anomaly_regions",
+            [{"rect": [10.0, 30.0, 30.0, 30.0], "multiplier": 8.0}],
+            "anomaly_regions[0].rect: empty rectangle (10.0, 30.0, 30.0, 30.0)",
+        ),
+        (
+            "anomaly_regions",
+            [{"rect": [10.0, 10.0, 30.0, 30.0], "multiplier": 0.0}],
+            "anomaly_regions[0].multiplier: must be positive, got 0.0",
+        ),
+        ("motion", {"kind": "spiral"}, "motion.kind: unknown kind 'spiral'"),
+        ("motion", {"kind": "orbit", "orbit_radius": 0.0}, "motion.orbit_radius: must be positive, got 0.0"),
+        ("depth_range", [15.0, 2.0], "depth_range: must be positive and increasing, got (15.0, 2.0)"),
+        ("wall_count", 0, "wall_count: must be >= 1, got 0"),
+        ("frame_dt", 0.0, "frame_dt: must be positive, got 0.0"),
+        # a wall whose range is reversed would render nothing
+        (
+            "walls",
+            [{"z": 5.0, "x_range": [1.0, -1.0], "y_range": [-1.0, 1.0]}],
+            "walls[0].x_range: max must exceed min, got [1.0, -1.0]",
+        ),
+        (
+            "walls",
+            [{"z": 5.0, "x_range": [-1.0, 1.0], "y_range": [2.0, 2.0]}],
+            "walls[0].y_range: max must exceed min, got [2.0, 2.0]",
+        ),
     ],
 )
 def test_scene_check_errors_carry_their_dotted_path(field, value, message):
@@ -287,6 +319,47 @@ def test_scene_check_errors_carry_their_dotted_path(field, value, message):
     scene[field] = value
     with pytest.raises(ConfigError) as err:
         from_dict(SceneConfig, scene)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "selector, file_message, kwargs, message",
+    [
+        (
+            {"border_margin": -1.0},
+            "selector.border_margin: must be >= 0, got -1.0",
+            {"border_margin": -1.0},
+            "border_margin: must be >= 0, got -1.0",
+        ),
+        (
+            {"depth_range": [0.0, 2.0]},
+            "selector.depth_range[0]: must be positive, got 0.0",
+            {"depth_min": 0.0, "depth_max": 2.0},
+            "depth_min: must be positive, got 0.0",
+        ),
+        (
+            {"depth_range": [5.0, 2.0]},
+            "selector.depth_range[1]: must exceed depth_range[0]",
+            {"depth_min": 5.0, "depth_max": 2.0},
+            "depth_max: must exceed depth_min",
+        ),
+        (
+            {"unc_multiplier": 0.0},
+            "selector.unc_multiplier: must be positive, got 0.0",
+            {"unc_multiplier": 0.0},
+            "unc_multiplier: must be positive, got 0.0",
+        ),
+    ],
+)
+def test_selector_check_errors_name_what_the_file_says(selector, file_message, kwargs, message):
+    # a run file writes the depth bounds as depth_range; Python names them
+    run = copy.deepcopy(RUN_INGEST)
+    run["selector"].update(selector)
+    with pytest.raises(ConfigError) as err:
+        run_config_from_dict(run)
+    assert str(err.value) == file_message
+    with pytest.raises(ConfigError) as err:
+        SelectorConfig(**kwargs)
     assert str(err.value) == message
 
 
@@ -335,6 +408,26 @@ def test_merge_key_still_merges_with_own_keys_winning(tmp_path):
     text = yaml.safe_dump(run, sort_keys=False).replace("    camera:\n", "    camera: &cam\n", 1)
     path.write_text(text + "camera: {<<: *cam, width: 96}\n")
     assert load_run_config(path) == RunConfig(simulate=SCENE_OBJ, **COMMON_OBJ)
+
+
+@pytest.mark.parametrize("case", sorted(FILE_LOADERS))
+def test_floats_with_an_exponent_load_as_numbers(tmp_path, case):
+    # YAML 1.1 reads 8e-2 and 2.2E1 as strings; YAML 1.2, and this loader, as floats
+    valid, load = FILE_LOADERS[case]
+    valid = copy.deepcopy(valid)
+    scene = valid if case == "scene" else valid["input"]["simulate"]
+    scene["noise"]["gamma_disp"], scene["depth_range"] = 0.08, [2.0, 22.0]
+    decimal = yaml.safe_dump(valid, sort_keys=False)
+    assert decimal.count(" 0.08\n") == decimal.count(" 22.0\n") == 1
+    path = tmp_path / "config.yaml"
+    path.write_text(decimal.replace(" 0.08\n", " 8e-2\n").replace(" 22.0\n", " 2.2E1\n"))
+    exponent = load(path)
+    path.write_text(decimal)
+    assert exponent == load(path)
+    # an integer field still takes integers only
+    path.write_text(decimal.replace("num_frames: 6", "num_frames: 6e0"))
+    with pytest.raises(ConfigError, match="num_frames: expected an integer, got 6.0"):
+        load(path)
 
 
 def test_cli_exits_1_without_a_traceback(tmp_path):

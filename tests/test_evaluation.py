@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -224,14 +226,14 @@ class TestAssociation:
         rng = np.random.default_rng(11)
         gt = make_traj(rng, n=5)
         est = Trajectory(gt.timestamps[:-1].copy(), gt.poses[:-1])
-        with pytest.raises(NumericalError, match="4.0"):
+        with pytest.raises(NumericalError, match=re.escape("(5 vs 4); unmatched timestamps: [4.0]")):
             t_rel(gt, est)
 
     def test_shifted_timestamps_rejected(self):
         rng = np.random.default_rng(12)
         gt = make_traj(rng, n=5)
         est = Trajectory(gt.timestamps + 0.5, gt.poses)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=re.escape("unmatched timestamps: [0.0, 1.0, 2.0, 3.0, 4.0]")):
             t_rel(gt, est)
 
     def test_within_tolerance_ok(self):
@@ -299,6 +301,8 @@ class TestTumIO:
             "1.0 nan 0 0 0 0 0 1",
             "1.0 1 0 inf 0 0 0 1",
             "1.0 1 0 0 0 nan 0 1",
+            "1.0 1 0 0 x 0 0 1",
+            "1.0 1 0 0 0 0 0 0",
         ],
     )
     def test_malformed_line_names_path_and_line(self, tmp_path, line):
@@ -306,7 +310,9 @@ class TestTumIO:
 
         path = tmp_path / "traj.txt"
         path.write_text(f"# header\n0.0 0 0 0 0 0 0 1\n{line}\n2.0 0 0 0 0 0 0 1\n")
-        with pytest.raises(DataFormatError, match="traj.txt:3: (non-finite field|timestamp .* does not increase)"):
+        with pytest.raises(
+            DataFormatError, match="traj.txt:3: (non-finite field|non-numeric field|timestamp .* does not increase|degenerate quaternion)"
+        ):
             read_tum(path)
 
     def test_per_frame_errors_shape(self):

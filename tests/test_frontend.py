@@ -14,6 +14,7 @@ from stereovo.frontend import (
     NoiseModel,
     SceneConfig,
     Wall,
+    _sample_landmarks,
     generate_sequence,
     ingest_observations,
     load_scene_config,
@@ -157,6 +158,21 @@ class TestGeneration:
         wp_poses = motion_poses(MotionSpec(kind="waypoints", waypoints=wps), 2)
         assert np.allclose(wp_poses[1].translation, [1, 0, 0])
 
+    def test_landmark_splats_hold_landmark_depths(self):
+        # render_landmarks (on by default) z-buffers each landmark into its
+        # pixel; the same seed without splats renders the walls alone
+        scene = plane_scene(seed=3, num_frames=4)
+        splatted = generate_sequence(replace(scene, render_landmarks=True))
+        poses = motion_poses(scene.motion, scene.num_frames)
+        landmarks = _sample_landmarks(scene, poses[0], np.random.default_rng([scene.seed, 0]))
+        for t, (a, b) in enumerate(zip(splatted, generate_sequence(scene))):
+            differs = a.depth != b.depth
+            depths = poses[t].inverse().apply(landmarks)[:, 2]
+            assert np.isin(a.depth[differs & a.valid], depths).all() and (differs & a.valid).sum() >= 10
+            # the rest lost validity: a splat is occluded in the next frame, or occludes a wall pixel there
+            assert not a.depth[differs & ~a.valid].any()
+        assert not (differs & ~a.valid).any()  # the last frame has no next frame
+
     def test_waypoint_count_checked_with_the_scene(self):
         wps = ((0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1))
         with pytest.raises(ConfigError, match="motion.waypoints: need 3 rows, got 2"):
@@ -234,6 +250,23 @@ class TestObservationIO:
         victim.write_bytes(data[: len(data) // 2])
         with pytest.raises(DataFormatError, match="frame_000002.obs"):
             ingest_observations(tmp_path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda data: data[:20], "truncated header"),
+            # depth_var's channel count, the fourth of five u32 after the size
+            (lambda data: data[:28] + (2).to_bytes(4, "little") + data[32:], "channel layout [2, 2, 1, 2, 1] != [2, 2, 1, 1, 1]"),
+        ],
+        ids=["truncated_header", "channel_layout"],
+    )
+    def test_bad_header_names_file(self, tmp_path, corrupt, message):
+        write_observations(generate_sequence(plane_scene(seed=6, num_frames=3)), tmp_path)
+        victim = tmp_path / "frame_000001.obs"
+        victim.write_bytes(corrupt(victim.read_bytes()))
+        with pytest.raises(DataFormatError) as err:
+            ingest_observations(tmp_path)
+        assert str(err.value) == f"{victim}: {message}"
 
     def test_bad_magic(self, tmp_path):
         frames = generate_sequence(plane_scene(seed=6))

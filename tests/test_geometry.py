@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import random_rotation, random_spd
-from reference import Landmark3D, exp_rotation, left_jacobian, project, rotation_angle, se3_log, transform_landmark
+from reference import (
+    Landmark3D,
+    exp_rotation,
+    left_jacobian,
+    project,
+    rotation_angle,
+    se3_log,
+    so3_log,
+    transform_landmark,
+)
 from stereovo.geometry import (
     _SMALL_ANGLE,
     PoseSE3,
@@ -17,7 +26,6 @@ from stereovo.geometry import (
     se3_exp,
     so3_exp,
     so3_exp_and_left_jacobian,
-    so3_log,
 )
 
 

@@ -11,7 +11,7 @@ from reference import (
     rotation_angle,
     transform_landmark,
 )
-from stereovo.errors import DegenerateGeometryError
+from stereovo.errors import DegenerateGeometryError, InsufficientKeypointsError
 from stereovo.geometry import PoseSE3, StereoCamera, se3_exp, so3_exp
 import stereovo.optimizer as optimizer
 from stereovo.optimizer import (
@@ -389,6 +389,17 @@ class TestSolvePose:
                 assert rotation_angle(sol.pose.rotation.T @ t_gt.rotation) < 1e-8
                 assert sol.cost < 1e-16
 
+    def test_zero_cost_start_takes_no_iteration(self):
+        # both frames' points coincide under the initial pose: the cost is exactly 0
+        rng = np.random.default_rng(9)
+        p = rng.uniform(-3, 3, size=(6, 3)) + [0, 0, 6]
+        covs = [random_spd(rng, 0.3) for _ in range(6)]
+        for mode in CovarianceMode:
+            sol = solve_pose(FramePairProblem(make_pairs(p, p, covs, covs), PoseSE3.identity(), mode))
+            assert (sol.iterations, sol.converged, sol.cost) == (0, True, 0.0)
+            assert np.array_equal(sol.pose.rotation, np.eye(3)) and not sol.pose.translation.any()
+            assert not sol.residuals.any()
+
     def test_fixed_point_one_iteration(self):
         rng = np.random.default_rng(8)
         problem, t_gt = noiseless_problem(rng)
@@ -483,7 +494,7 @@ class TestSolvePose:
 
     def test_too_few_pairs_rejected(self):
         pairs = make_pairs([[0, 0, 1]] * 2, [[0, 0, 1]] * 2, [np.eye(3)] * 2, [np.eye(3)] * 2)
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(InsufficientKeypointsError, match="need at least 3 pairs, got 2"):
             FramePairProblem(pairs, PoseSE3.identity())
 
     def test_statistical_consistency_full_vs_identity(self):

@@ -6,7 +6,7 @@ import pytest
 import stereovo.optimizer as optimizer
 import stereovo.pipeline as pipeline
 import stereovo.selector as selector
-from stereovo.errors import ConfigError, DegenerateGeometryError
+from stereovo.errors import ConfigError, InsufficientKeypointsError
 from stereovo.evaluation import r_rel, t_rel
 from stereovo.frontend import (
     MotionSpec,
@@ -219,7 +219,7 @@ class TestBuildMatchedPairs:
         pairs = build_matched_pairs(small_cam(), frames[0], frames[1], Keypoints(*np.empty((3, 0))))
         assert len(pairs) == 0
         assert pairs.p.shape == (0, 3) and pairs.sq.shape == (0, 3, 3)
-        with pytest.raises(DegenerateGeometryError, match="got 0"):
+        with pytest.raises(InsufficientKeypointsError, match="need at least 3 pairs, got 0"):
             FramePairProblem(pairs, PoseSE3.identity())
 
 
@@ -323,7 +323,8 @@ class TestMatchSequence:
     def test_solves_like_a_streamed_run(self, keypoint_mode):
         scene = plane_scene(num_frames=8, noise=NoiseModel(sigma_flow=0.3, gamma_disp=0.05))
         frames = generate_sequence(scene)
-        # matching into frame 3 finds no depth, selection on it none at all
+        # matching into frame 3 finds no depth, selection on it none at all:
+        # the solver's problem rejects both pairs as too few
         frames[3].valid[:] = False
         cfg = RunConfig(
             seed=6, output_dir="/tmp/unused", simulate=scene, selector=small_selector(),
@@ -336,7 +337,7 @@ class TestMatchSequence:
             assert_same_run(streamed, shared)
             failed = {d.frame_index: d.flags for d in shared.diagnostics if "fallback_motion_model" in d.flags}
             assert failed == {
-                3: ["fallback_motion_model", "DegenerateGeometryError"],
+                3: ["fallback_motion_model", "InsufficientKeypointsError"],
                 4: ["fallback_motion_model", "InsufficientKeypointsError"],
             }, mode
 

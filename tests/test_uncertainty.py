@@ -11,10 +11,9 @@ from reference import (
     patch_weights,
     project_covariance,
 )
-from stereovo.geometry import backproject
+from stereovo.geometry import backproject, check_covariances, psd_within_sym3
 from stereovo.uncertainty import (
     disparity_to_depth,
-    ensure_psd,
     project_covariances,
     windowed_depth_moments,
 )
@@ -246,6 +245,20 @@ class TestProjectCovariance:
             )
             raw = covariance_from_observation(cam_vga, obs)
             assert np.linalg.eigvalsh(raw)[0] >= -1e-10 * max(1.0, np.abs(raw).max())
+        # project_covariances returns the closed form unrepaired, so the
+        # gate MatchedLandmarks applies must pass it as built: pixels far
+        # outside the image, depths over ten decades, variances relative
+        # to the depth or absolute, and half the pixel variances exactly 0
+        # (the rank-1 previous-frame case)
+        n = 400_000
+        u, v = rng.uniform(-1e4, 1e4, size=(2, n))
+        d = 10.0 ** rng.uniform(-4, 6, size=n)
+        su2, sv2 = rng.uniform(0, 9, size=(2, n)) * (rng.random(n) < 0.5)
+        sd2 = np.where(rng.random(n) < 0.5, (rng.uniform(0, 0.3, size=n) * d) ** 2, rng.uniform(0, 4, size=n))
+        _, covs = project_covariances(cam_vga, u, v, su2, sv2, d, sd2)
+        assert np.array_equal(covs, np.swapaxes(covs, 1, 2))
+        assert psd_within_sym3(covs).all()
+        check_covariances(covs)
 
     def test_monotone_in_inputs(self, cam_vga):
         base = dict(u=500, v=100, sigma_u2=1.0, sigma_v2=1.0, d=5.0, sigma_d2=0.5)
@@ -261,22 +274,6 @@ class TestProjectCovariance:
         assert sx1 > sx0 and sy1 > sy0
         sx2, sy2 = sx_sy(d=6.0)
         assert sx2 > sx0 and sy2 > sy0
-
-    def test_ensure_psd_leaves_psd_untouched(self):
-        c = np.diag([1.0, 2.0, 3.0])
-        assert np.array_equal(ensure_psd(c), c)
-
-    def test_ensure_psd_clamps_negative(self):
-        c = np.diag([1.0, 1.0, -1e-6])
-        fixed = ensure_psd(c)
-        assert np.linalg.eigvalsh(fixed)[0] >= -1e-16
-        assert abs(fixed[0, 0] - 1.0) < 1e-12
-
-    def test_ensure_psd_on_a_stack_clamps_only_the_bad_members(self):
-        good = np.diag([1.0, 2.0, 3.0])
-        fixed = ensure_psd(np.stack([good, np.diag([1.0, 1.0, -1e-6]), good]))
-        assert np.array_equal(fixed[0], good) and np.array_equal(fixed[2], good)
-        assert np.linalg.eigvalsh(fixed[1])[0] >= -1e-16
 
     def test_batch_matches_single_observations(self, cam_vga):
         rng = np.random.default_rng(3)
