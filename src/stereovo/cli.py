@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, DataFormatError, NumericalError, config_field
-from .evaluation import per_frame_errors, read_tum, scale_align, write_metrics_csv, write_per_frame_csv
+from .evaluation import per_frame_errors, read_tum, scale_align, write_csv
 from .frontend import generate_frames, load_scene_config, write_observations
 from .geometry import StereoCamera
 from .mc import MIN_SAMPLES, mc_depth_distribution, mc_projection_covariance, summarize_report, write_report_csv
@@ -65,16 +65,15 @@ def _cmd_run(args) -> int:
 def _cmd_eval(args) -> int:
     gt = read_tum(args.gt)
     est = read_tum(args.est)
-    scale = 1.0
     if args.scale_align:
         est, scale = scale_align(gt, est)
     t_err, r_err = per_frame_errors(gt, est)
     metrics = {"t_rel": float(t_err.mean()), "r_rel": float(r_err.mean())}
     if args.scale_align:
         metrics["scale"] = scale
-    write_metrics_csv(args.output, metrics)
+    write_csv(args.output, ["metric", "value"], metrics.items())
     if args.per_frame:
-        write_per_frame_csv(args.per_frame, t_err, r_err)
+        write_csv(args.per_frame, ["frame_index", "t_err", "r_err"], zip(range(t_err.size), t_err, r_err))
     for name, value in metrics.items():
         print(f"{name}: {value:.9g}")
     return EXIT_OK
@@ -85,9 +84,9 @@ def _cmd_ablate(args) -> int:
     with config_field("--modes"):
         modes = [CovarianceMode(m.strip()) for m in args.modes.split(",") if m.strip()]
     rows = ablate(cfg, modes)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    out = args.output or cfg.output_dir / "ablation.csv"
-    write_ablation_csv(rows, out)
+    if not args.output:  # only the default path lives in output_dir
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    write_ablation_csv(rows, args.output or cfg.output_dir / "ablation.csv")
     for mode, t, r in rows:
         print(f"{mode}: t_rel={t:.6g} r_rel={r:.6g}")
     return EXIT_OK

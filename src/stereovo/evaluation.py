@@ -6,13 +6,15 @@ Metrics are per-frame relative errors between consecutive poses:
     r_rel = (180/pi) * mean_t angle(R_hat_{t,t+1}^T R_{t,t+1})                    [deg/frame]
 
 with R_{t,t+1} = R_t^T R_{t+1} and angle(E) = atan2(|vee(E)|/2, (tr E - 1)/2),
-which is || log(E) || up to and including 180 degrees. Files use the TUM
-text format: ``timestamp tx ty tz qx qy qz qw``, one pose per line.
+which is || log(E) || up to and including 180 degrees. Trajectory files
+use the TUM text format: ``timestamp tx ty tz qx qy qz qw``, one pose per
+line; ``write_csv`` writes every other output file.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,18 +169,11 @@ def scale_align(gt: Trajectory, est: Trajectory) -> tuple[Trajectory, float]:
     return Trajectory(est.timestamps.copy(), scaled), s
 
 
-def write_metrics_csv(path, metrics: dict[str, float]) -> None:
-    """Emit `metric,value` rows."""
+def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write a header and rows as CSV. A float (numpy's float64 too) is
+    written with 17 significant digits, so it reads back exactly; every
+    other value is written as it is."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for name, value in metrics.items():
-            writer.writerow([name, f"{value:.17g}"])
-
-
-def write_per_frame_csv(path, t_err: np.ndarray, r_err: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_index", "t_err", "r_err"])
-        for i, (te, re) in enumerate(zip(t_err, r_err)):
-            writer.writerow([i, f"{te:.17g}", f"{re:.17g}"])
+        writer.writerow(header)
+        writer.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import from_dict, load_yaml
 from .errors import ConfigError, DataFormatError
-from .evaluation import Trajectory, read_tum, write_tum
+from .evaluation import ASSOCIATION_TOL, Trajectory, read_tum, write_tum
 from .geometry import PoseSE3, StereoCamera, backproject, quat_to_matrix, se3_exp
 
 OBS_MAGIC = b"MACVOOBS"
@@ -135,8 +135,8 @@ class SceneConfig:
             raise ConfigError(f"depth_range: must be positive and increasing, got {self.depth_range}")
         if self.wall_count < 1:
             raise ConfigError(f"wall_count: must be >= 1, got {self.wall_count}")
-        if not self.frame_dt > 0:
-            raise ConfigError(f"frame_dt: must be positive, got {self.frame_dt}")
+        if not self.frame_dt >= ASSOCIATION_TOL:  # closer timestamps would not pair one to one
+            raise ConfigError(f"frame_dt: must be >= {ASSOCIATION_TOL:g} s, got {self.frame_dt}")
         if self.motion.kind == "waypoints" and len(self.motion.waypoints) != self.num_frames:
             raise ConfigError(f"motion.waypoints: need {self.num_frames} rows, got {len(self.motion.waypoints)}")
 

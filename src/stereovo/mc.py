@@ -11,12 +11,12 @@ bounded by one block.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .evaluation import write_csv
 from .geometry import StereoCamera
 from .uncertainty import backprojection_covariances, disparity_to_depth
 
@@ -192,18 +192,13 @@ def _entries(report: McReport):
 
 
 def write_report_csv(report: McReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entry", "closed_form", "empirical", "stderr", "z"])
-        for name, c, e, s, z in _entries(report):
-            writer.writerow([name, f"{c:.17g}", f"{e:.17g}", f"{s:.17g}", f"{z:.17g}"])
-        writer.writerow(["samples", report.samples, "", "", ""])
-        writer.writerow(["max_rel_err", f"{report.max_rel_err:.17g}", "", "", ""])
-        if report.rejection_rate:
-            writer.writerow(["rejection_rate", f"{report.rejection_rate:.17g}", "", "", ""])
-        if report.coverage_full is not None:
-            writer.writerow(["coverage_full", f"{report.coverage_full:.17g}", "", "", ""])
-            writer.writerow(["coverage_diag", f"{report.coverage_diag:.17g}", "", "", ""])
+    scalars = [("samples", report.samples), ("max_rel_err", report.max_rel_err)]
+    if report.rejection_rate:
+        scalars.append(("rejection_rate", report.rejection_rate))
+    if report.coverage_full is not None:
+        scalars += [("coverage_full", report.coverage_full), ("coverage_diag", report.coverage_diag)]
+    rows = [*_entries(report), *((name, value, "", "", "") for name, value in scalars)]
+    write_csv(path, ["entry", "closed_form", "empirical", "stderr", "z"], rows)
 
 
 def summarize_report(report: McReport) -> str:

@@ -15,20 +15,19 @@ the world frame; ``run`` chains the solved motions into the trajectory.
 A frame whose pairs the solver rejects or fails to solve falls back to
 the constant-velocity motion model instead of aborting the run.
 
-A run has two stages. The front half selects and matches each frame
-pair; it depends on the run config up to its covariance mode, and not
-on the running pose. The back half solves each pair in one covariance
-mode. Frames come from any iterable, one at a time, and the ground
-truth is gathered as they pass: ``run`` on frames holds at most two
-frames and streams a pair through both stages at a time;
-``match_sequence`` keeps only the front half's landmarks of a whole
-sequence, so that ``ablate`` selects and matches once and solves once
-per mode.
+A run has two stages. The front half takes frames from any iterable,
+one at a time, and yields each frame's timestamp, ground-truth pose and
+matched landmarks; it depends on the run config up to its covariance
+mode, and not on the running pose. The back half solves each pair in one
+covariance mode; ``run`` builds the estimate and the ground truth in the
+loop that solves. ``run`` on frames holds at most two frames and streams
+a pair through both stages at a time; ``match_sequence`` keeps the front
+half of a whole sequence, so that ``ablate`` selects and matches once
+and solves once per mode.
 """
 
 from __future__ import annotations
 
-import csv
 import shutil
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -39,7 +38,7 @@ import numpy as np
 
 from .config import from_dict, load_yaml, read
 from .errors import ConfigError, NumericalError
-from .evaluation import Trajectory, per_frame_errors, write_tum
+from .evaluation import Trajectory, per_frame_errors, write_csv, write_tum
 from .frontend import (
     FrameObservation,
     SceneConfig,
@@ -139,55 +138,49 @@ def build_matched_pairs(
 
 @dataclass
 class MatchedSequence:
-    """The mode-independent front half of a run: each frame pair's
-    matched landmarks in frame order, however few, plus the ground truth
-    and the run config they came from."""
+    """The mode-independent front half of a run: per frame, in frame
+    order, its (timestamp, ground-truth pose, matched landmarks of the
+    pair it ends or None for the first frame), plus the run config."""
 
     cfg: RunConfig
-    gt: Trajectory
-    pairs: list[MatchedLandmarks]
+    frames: list[tuple[float, PoseSE3, MatchedLandmarks | None]]
 
 
 def _matched_pairs(
-    cfg: RunConfig, frames: Iterable[FrameObservation] | None, passed: list[tuple[float, PoseSE3]]
-) -> Iterator[MatchedLandmarks]:
-    """Each frame pair's matched landmarks, however few, selected and
-    matched as its later frame arrives, holding at most two frames;
-    frames default to the config's, generated or read one at a time.
-    Each frame is checked against the camera and its (timestamp, pose)
-    appended to passed when it arrives; a stream of fewer than two
-    frames is a ConfigError when it ends."""
+    cfg: RunConfig, frames: Iterable[FrameObservation] | None
+) -> Iterator[tuple[float, PoseSE3, MatchedLandmarks | None]]:
+    """Each frame's (timestamp, pose, landmarks) as it arrives: the pair
+    it ends is selected and matched then, however few its landmarks,
+    holding at most two frames; the first frame has none. Frames default
+    to the config's, generated or read one at a time. Each frame is
+    checked against the camera when it arrives; a stream of fewer than
+    two frames is a ConfigError when it ends."""
     if frames is None:
         if cfg.simulate is not None:
             frames = generate_frames(cfg.simulate)
         else:
             frames = ingest_observations(cfg.ingest)
     cam = cfg.resolved_camera()
-    src = None
+    src, t = None, 0
     for t, dst in enumerate(frames):
         if dst.depth.shape != (cam.height, cam.width):
             h, w = dst.depth.shape
             raise ConfigError(f"camera: frame {t} maps are {w}x{h} but camera expects {cam.width}x{cam.height}")
-        passed.append((dst.timestamp, dst.pose))
+        landmarks = None
         if src is not None:
             rng = np.random.default_rng([cfg.seed, t]) if cfg.keypoint_mode is KeypointMode.RANDOM else None
-            yield build_matched_pairs(cam, src, dst, select(src, cam, cfg.selector, rng))
+            landmarks = build_matched_pairs(cam, src, dst, select(src, cam, cfg.selector, rng))
+        yield dst.timestamp, dst.pose, landmarks
         src = dst
-    if len(passed) < 2:
+    if t < 1:
         raise ConfigError("input: need at least 2 frames")
-
-
-def _trajectory(passed: list[tuple[float, PoseSE3]]) -> Trajectory:
-    return Trajectory(np.array([ts for ts, _ in passed]), [pose for _, pose in passed])
 
 
 def match_sequence(cfg: RunConfig, frames: Iterable[FrameObservation] | None = None) -> MatchedSequence:
     """Select and match every frame pair once, for ``run`` to solve in
     any number of covariance modes; frames default to the config's.
-    Frames are read one at a time and only the landmarks are kept."""
-    passed: list[tuple[float, PoseSE3]] = []
-    pairs = list(_matched_pairs(cfg, frames, passed))
-    return MatchedSequence(cfg, _trajectory(passed), pairs)
+    Frames are read one at a time and only their stream is kept."""
+    return MatchedSequence(cfg, list(_matched_pairs(cfg, frames)))
 
 
 def run(cfg: RunConfig, frames: Iterable[FrameObservation] | MatchedSequence | None = None) -> RunResult:
@@ -196,27 +189,33 @@ def run(cfg: RunConfig, frames: Iterable[FrameObservation] | MatchedSequence | N
     frames may be any iterable of frames, such as an already loaded or
     generated sequence, or a ``match_sequence`` built from the run config
     up to its covariance mode (a ConfigError otherwise); the ablation
-    driver passes one to each mode. Given frames, each frame pair is
-    selected and matched just after its later frame arrives and is
-    solved at once, so at most two frames and one pair's landmarks are
-    held at a time.
+    driver passes one to each mode. One loop solves each frame's pair
+    and appends the frame to the ground truth and the estimate; given
+    frames, a pair is selected and matched just after its later frame
+    arrives, so at most two frames and one pair's landmarks are held.
     """
-    passed: list[tuple[float, PoseSE3]] = []
     if isinstance(frames, MatchedSequence):
         if replace(frames.cfg, covariance_mode=cfg.covariance_mode) != cfg:
             raise ConfigError("matched sequence: built from a run config that differs in more than its covariance mode")
-        matched = frames.pairs
+        stream = frames.frames
     else:
-        matched = _matched_pairs(cfg, frames, passed)
+        stream = _matched_pairs(cfg, frames)
 
+    timestamps: list[float] = []
+    gt_poses: list[PoseSE3] = []
+    est_poses: list[PoseSE3] = []
     diagnostics: list[FrameDiagnostics] = []
     # motion of the current camera in the previous camera's frame: the
     # constant-velocity initial guess, replaced by each solve and kept
     # as it is when a frame falls back
     delta = PoseSE3.identity()
-    motions: list[PoseSE3] = []
 
-    for t, pairs in enumerate(matched, start=1):
+    for t, (timestamp, gt_pose, pairs) in enumerate(stream):
+        timestamps.append(timestamp)
+        gt_poses.append(gt_pose)
+        if pairs is None:  # the first frame: the estimate starts at the ground truth
+            est_poses.append(gt_pose)
+            continue
         try:
             solution = solve_pose(FramePairProblem(pairs, delta, cfg.covariance_mode))
         except NumericalError as exc:
@@ -230,15 +229,10 @@ def run(cfg: RunConfig, frames: Iterable[FrameObservation] | MatchedSequence | N
                 flags.append("cov_regularized")
             frame = FrameDiagnostics(t, len(pairs), solution.cost, solution.iterations, flags)
         diagnostics.append(frame)
-        motions.append(delta)
+        # keep the rotation exactly on SO(3) so drift cannot compound
+        est_poses.append(est_poses[-1].compose(delta).orthonormalized())
 
-    gt = frames.gt if isinstance(frames, MatchedSequence) else _trajectory(passed)
-    # the estimate chains through every later frame; keep the rotation
-    # exactly on SO(3) so drift cannot compound
-    est_poses = [gt.poses[0]]
-    for motion in motions:
-        est_poses.append(est_poses[-1].compose(motion).orthonormalized())
-    return RunResult(est=Trajectory(gt.timestamps, est_poses), gt=gt, diagnostics=diagnostics)
+    return RunResult(Trajectory(timestamps, est_poses), Trajectory(timestamps, gt_poses), diagnostics)
 
 
 def write_run_outputs(result: RunResult, output_dir, ingest: Path | None = None) -> None:
@@ -251,13 +245,11 @@ def write_run_outputs(result: RunResult, output_dir, ingest: Path | None = None)
         write_tum(result.gt, out / "poses_gt.txt")
     elif Path(ingest).resolve() != out.resolve():
         shutil.copyfile(Path(ingest) / "poses_gt.txt", out / "poses_gt.txt")
-    with open(out / "diagnostics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_index", "keypoints_used", "final_cost", "lm_iterations", "flags"])
-        for d in result.diagnostics:
-            writer.writerow(
-                [d.frame_index, d.keypoints_used, f"{d.final_cost:.17g}", d.lm_iterations, ";".join(d.flags)]
-            )
+    header = ["frame_index", "keypoints_used", "final_cost", "lm_iterations", "flags"]
+    rows = (
+        [d.frame_index, d.keypoints_used, d.final_cost, d.lm_iterations, ";".join(d.flags)] for d in result.diagnostics
+    )
+    write_csv(out / "diagnostics.csv", header, rows)
 
 
 def ablate(cfg: RunConfig, modes: list[CovarianceMode]) -> list[tuple[str, float, float]]:
@@ -281,11 +273,7 @@ def ablate(cfg: RunConfig, modes: list[CovarianceMode]) -> list[tuple[str, float
 
 
 def write_ablation_csv(rows: list[tuple[str, float, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "t_rel", "r_rel"])
-        for mode, t, r in rows:
-            writer.writerow([mode, f"{t:.17g}", f"{r:.17g}"])
+    write_csv(path, ["mode", "t_rel", "r_rel"], rows)
 
 
 # ---------------------------------------------------------------------------

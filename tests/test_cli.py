@@ -78,6 +78,21 @@ class TestExitCodes:
         assert "t_rel" in text and "r_rel" in text
         assert per_frame.read_text().startswith("frame_index,t_err,r_err")
 
+    def test_smallest_frame_dt_survives_the_trajectory_files(self, workspace):
+        # frames frame_dt apart keep distinct, associable timestamps from
+        # simulate through run to eval
+        tmp, scene = workspace
+        scene.write_text(SCENE_YAML + "frame_dt: 1.0e-6\n")
+        obs, out = tmp / "obs", tmp / "out"
+        assert main(["simulate", str(scene), "-o", str(obs)]) == EXIT_OK
+        run_cfg = tmp / "run.cfg"
+        run_cfg.write_text(RUN_YAML.format(out=out, obs=obs))
+        assert main(["run", str(run_cfg)]) == EXIT_OK
+        argv = ["eval", "--gt", str(out / "poses_gt.txt"), "--est", str(out / "poses_est.txt"), "-o", str(tmp / "m.csv")]
+        assert main(argv) == EXIT_OK
+        stamps = [line.split()[0] for line in (out / "poses_est.txt").read_text().splitlines()]
+        assert stamps == [f"{i * 1e-6:.9f}" for i in range(6)]
+
     def test_eval_scale_align_flag(self, workspace):
         tmp, scene = workspace
         obs = tmp / "obs"
@@ -162,6 +177,8 @@ class TestExitCodes:
             (["run", run_yaml.replace("[0.5, 100.0]", "[0.0, 2.0]")], "selector.depth_range[0]: must be positive"),
             # a reversed wall range, which would render nothing
             (["simulate", SCENE_YAML.replace("x_range: [-40.0, 40.0]", "x_range: [1.0, -1.0]")], "walls[0].x_range"),
+            # frames closer than eval's timestamp tolerance
+            (["simulate", SCENE_YAML + "frame_dt: 1.0e-10\n"], "frame_dt: must be >="),
             # an exponent makes a float, which an integer field refuses
             (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 1e2}")], "selector.max_keypoints"),
             # a run file that is not a mapping, and an input it does not know
@@ -449,6 +466,16 @@ class TestAblateCli:
         text = (tmp / "out" / "ablation.csv").read_text()
         assert text.startswith("mode,t_rel,r_rel")
         assert "full" in text and "identity" in text
+
+    def test_ablate_output_flag_leaves_output_dir_alone(self, workspace):
+        tmp, scene = workspace
+        obs = tmp / "obs"
+        main(["simulate", str(scene), "-o", str(obs)])
+        cfg = tmp / "run.cfg"
+        cfg.write_text(RUN_YAML.format(out=tmp / "out", obs=obs))
+        assert main(["ablate", str(cfg), "--modes", "full,identity", "-o", str(tmp / "abl.csv")]) == EXIT_OK
+        assert (tmp / "abl.csv").read_text().startswith("mode,t_rel,r_rel")
+        assert not (tmp / "out").exists()
 
     def test_unknown_mode_names_the_flag(self, workspace, capsys):
         tmp, scene = workspace

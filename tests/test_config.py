@@ -294,7 +294,7 @@ def test_negative_seed_is_a_config_error(case, path):
         ("motion", {"kind": "orbit", "orbit_radius": 0.0}, "motion.orbit_radius: must be positive, got 0.0"),
         ("depth_range", [15.0, 2.0], "depth_range: must be positive and increasing, got (15.0, 2.0)"),
         ("wall_count", 0, "wall_count: must be >= 1, got 0"),
-        ("frame_dt", 0.0, "frame_dt: must be positive, got 0.0"),
+        ("frame_dt", 0.0, "frame_dt: must be >= 1e-06 s, got 0.0"),
         # a wall whose range is reversed would render nothing
         (
             "walls",
@@ -306,6 +306,9 @@ def test_negative_seed_is_a_config_error(case, path):
             [{"z": 5.0, "x_range": [-1.0, 1.0], "y_range": [2.0, 2.0]}],
             "walls[0].y_range: max must exceed min, got [2.0, 2.0]",
         ),
+        # closer frames than eval pairs timestamps by; at 1e-10 s the
+        # trajectory file's 9-decimal timestamps would all read 0
+        ("frame_dt", 1.0e-10, "frame_dt: must be >= 1e-06 s, got 1e-10"),
     ],
 )
 def test_scene_check_errors_carry_their_dotted_path(field, value, message):

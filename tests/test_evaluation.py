@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.spatial.transform import Rotation
 
 from conftest import random_rotation
 from reference import rotation_errors_by_log
+from stereovo.cli import EXIT_OK, main
 from stereovo.errors import NumericalError
 from stereovo.evaluation import (
     Trajectory,
@@ -14,6 +16,7 @@ from stereovo.evaluation import (
     read_tum,
     scale_align,
     t_rel,
+    write_csv,
     write_tum,
 )
 from stereovo.geometry import PoseSE3, so3_exp
@@ -321,3 +324,48 @@ class TestTumIO:
         est = perturb(gt, rng)
         t_err, r_err = per_frame_errors(gt, est)
         assert t_err.shape == (6,) and r_err.shape == (6,)
+
+
+class TestWriteCsv:
+    def test_floats_take_17_significant_digits(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["x", "y"], [[0.1, float("nan")], [1.0, 1 / 3]])
+        assert path.read_bytes() == b"x,y\r\n0.10000000000000001,nan\r\n1,0.33333333333333331\r\n"
+
+    def test_numpy_float64_is_written_as_float(self, tmp_path):
+        values = [0.1, 1.0 / 3.0, 1e300, -0.0, float("inf"), float("nan")]
+        write_csv(tmp_path / "f.csv", ["v"], [[v] for v in values])
+        write_csv(tmp_path / "n.csv", ["v"], [[v] for v in np.array(values)])
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "n.csv").read_bytes()
+
+    def test_other_values_pass_through(self, tmp_path):
+        # ints, strings and the empty cells of the Monte Carlo report
+        path = tmp_path / "a.csv"
+        write_csv(path, ["entry", "value", "pad"], [("samples", 100000, ""), ("mode", "full", ""), ("flags", "a;b", 7)])
+        assert list(csv.reader(path.open())) == [
+            ["entry", "value", "pad"], ["samples", "100000", ""], ["mode", "full", ""], ["flags", "a;b", "7"]
+        ]
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_eval_csvs_read_back_exactly(self, tmp_path, align):
+        rng = np.random.default_rng(17)
+        gt = make_traj(rng, n=12)
+        est = perturb(gt, rng)
+        write_tum(gt, tmp_path / "gt.txt")
+        write_tum(est, tmp_path / "est.txt")
+        metrics, per_frame = tmp_path / "m.csv", tmp_path / "pf.csv"
+        argv = ["eval", "--gt", str(tmp_path / "gt.txt"), "--est", str(tmp_path / "est.txt")]
+        argv += ["--per-frame", str(per_frame), "-o", str(metrics)] + (["--scale-align"] if align else [])
+        assert main(argv) == EXIT_OK
+        gt, est = read_tum(tmp_path / "gt.txt"), read_tum(tmp_path / "est.txt")
+        scale = 1.0
+        if align:
+            est, scale = scale_align(gt, est)
+        t_err, r_err = per_frame_errors(gt, est)
+        rows = list(csv.DictReader(per_frame.open()))
+        assert [int(row["frame_index"]) for row in rows] == list(range(t_err.size))
+        assert [float(row["t_err"]) for row in rows] == t_err.tolist()
+        assert [float(row["r_err"]) for row in rows] == r_err.tolist()
+        written = {row["metric"]: float(row["value"]) for row in csv.DictReader(metrics.open())}
+        expected = {"t_rel": t_err.mean(), "r_rel": r_err.mean()} | ({"scale": scale} if align else {})
+        assert written == expected

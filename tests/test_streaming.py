@@ -32,7 +32,8 @@ def frame_bytes(frame):
 
 
 def landmark_bytes(matched):
-    return sum(p.p.nbytes + p.q.nbytes + p.sp.nbytes + p.sq.nbytes for p in matched.pairs)
+    pairs = [p for _, _, p in matched.frames if p is not None]
+    return sum(p.p.nbytes + p.q.nbytes + p.sp.nbytes + p.sq.nbytes for p in pairs)
 
 
 def traced_peak(fn):
