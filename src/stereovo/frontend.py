@@ -9,15 +9,18 @@ anomaly regions (overconfident mode), so downstream modules can be
 tested against both.
 
 A frame's flow maps pixel centers of frame t to their corresponding
-(float) locations in frame t+1; the last frame carries zero flow.
-All maps are float64 in memory; the on-disk format is float32. Frames
-stream: ``generate_frames`` yields them one at a time, ``ingest_observations``
-reads a frame's file only when the frame is indexed, and
-``write_observations`` writes each frame as it arrives.
+(float) locations in frame t+1; the last frame carries zero flow. Only
+``FrameObservation`` decides which pixels are usable: a valid pixel has
+finite positive depth and finite non-negative variances, and no other
+pixel is read. All maps are float64 in memory; the on-disk format is
+float32. Frames stream: ``generate_frames`` yields them one at a time,
+``ingest_observations`` reads a frame's file only when the frame is
+indexed, and ``write_observations`` writes each frame as it arrives.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -137,6 +140,17 @@ class SceneConfig:
             raise ConfigError(f"wall_count: must be >= 1, got {self.wall_count}")
         if not self.frame_dt >= ASSOCIATION_TOL:  # closer timestamps would not pair one to one
             raise ConfigError(f"frame_dt: must be >= {ASSOCIATION_TOL:g} s, got {self.frame_dt}")
+        if not (self.num_frames - 1) * self.frame_dt < math.inf:
+            raise ConfigError(f"frame_dt: the last timestamp (num_frames - 1) * frame_dt overflows, got {self.frame_dt}")
+        # the largest emitted flow variance, (sigma_flow * field * multipliers)^2,
+        # must be finite; a float product overflows to inf
+        std = 1 + _FIELD_AMPLITUDE
+        factors = [("noise.sigma_flow", self.noise.sigma_flow)]
+        factors += [(f"anomaly_regions[{i}].multiplier", r.multiplier) for i, r in enumerate(self.anomaly_regions)]
+        for name, factor in factors:
+            std *= factor
+            if not std * std < math.inf:
+                raise ConfigError(f"{name}: the flow variance (sigma_flow * {1 + _FIELD_AMPLITUDE:g} * multipliers)^2 overflows, got {factor}")
         if self.motion.kind == "waypoints" and len(self.motion.waypoints) != self.num_frames:
             raise ConfigError(f"motion.waypoints: need {self.num_frames} rows, got {len(self.motion.waypoints)}")
 
@@ -163,10 +177,12 @@ class FrameObservation:
         )
         if not same:
             raise ValueError("observation maps do not share dimensions")
-        # a NaN or infinite variance would make the frame's uncertainty
-        # scores or its landmarks' covariances non-finite
-        for var in (self.flow_var[self.valid], self.depth_var[self.valid]):
-            if not ((var >= 0) & (var < np.inf)).all():
+        # selection and matching trust valid pixels unchecked; NaN fails every comparison
+        invalid = ~self.valid
+        if not ((self.depth > 0) & (self.depth < np.inf) | invalid).all():
+            raise ValueError("depth must be finite and positive on valid pixels")
+        for var in (self.depth_var, self.flow_var[..., 0], self.flow_var[..., 1]):
+            if not ((var >= 0) & (var < np.inf) | invalid).all():
                 raise ValueError("variance maps must be finite and non-negative on valid pixels")
 
 
@@ -373,22 +389,14 @@ def generate_frames(cfg: SceneConfig) -> Iterator[FrameObservation]:
 
         eps_flow = rng_t.standard_normal((cam.height, cam.width, 2))
         eps_depth = rng_t.standard_normal((cam.height, cam.width))
-        flow = flow_true + sigma_flow_true[..., None] * eps_flow
-        depth = np.where(depth_ok, dt_map, 0.0) * (1.0 + gamma_true * eps_depth)
+        depth_true = np.where(depth_ok, dt_map, 0.0)
+        depth = depth_true * (1.0 + gamma_true * eps_depth)
         valid = valid & (depth > 0)
-
-        flow_var = np.broadcast_to((sigma_flow_emit**2)[..., None], flow.shape).copy()
-        depth_var = np.where(depth_ok, (gamma_emit * np.where(depth_ok, dt_map, 0.0)) ** 2, 0.0)
-        flow[~valid] = 0.0
-        flow_var[~valid] = 0.0
-        depth = np.where(valid, depth, 0.0)
-        depth_var = np.where(valid, depth_var, 0.0)
-
         yield FrameObservation(
-            flow=flow,
-            flow_var=flow_var,
-            depth=depth,
-            depth_var=depth_var,
+            flow=np.where(valid[..., None], flow_true + sigma_flow_true[..., None] * eps_flow, 0.0),
+            flow_var=np.where(valid, sigma_flow_emit**2, 0.0)[..., None].repeat(2, axis=-1),
+            depth=np.where(valid, depth, 0.0),
+            depth_var=np.where(valid, (gamma_emit * depth_true) ** 2, 0.0),
             valid=valid,
             pose=poses[t],
             timestamp=t * cfg.frame_dt,
@@ -460,16 +468,9 @@ def _read_frame(path: Path, pose: PoseSE3, timestamp: float) -> FrameObservation
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(float)
         offset += 4 * count
         maps[name] = arr.reshape((h, w, c)) if c > 1 else arr.reshape((h, w))
+    valid = maps.pop("mask") > 0.5
     try:
-        return FrameObservation(
-            flow=maps["flow"],
-            flow_var=maps["flow_var"],
-            depth=maps["depth"],
-            depth_var=maps["depth_var"],
-            valid=maps["mask"] > 0.5,
-            pose=pose,
-            timestamp=timestamp,
-        )
+        return FrameObservation(**maps, valid=valid, pose=pose, timestamp=timestamp)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 

@@ -114,24 +114,24 @@ def build_matched_pairs(
     into dst by src's flow, as one record: each frame's positions and
     covariances in its own camera's frame.
 
-    Keypoints whose match leaves the image or lands on invalid depth are
+    ``select`` keeps src's depth positive (``depth_min > 0``). Keypoints
+    whose match leaves the image or finds no valid depth around it are
     dropped silently (the selector oversamples for this reason); with
     none left the record is empty.
     """
     u, v = keypoints.u, keypoints.v
     ui, vi = u.astype(int), v.astype(int)
     mu, mv = u + src.flow[vi, ui, 0], v + src.flow[vi, ui, 1]
-    d_src = src.depth[vi, ui]
-    keep = (0 <= mu) & (mu <= cam.width - 1) & (0 <= mv) & (mv <= cam.height - 1) & (d_src > 0)
-    u, v, ui, vi, mu, mv, d_src = (x[keep] for x in (u, v, ui, vi, mu, mv, d_src))
+    keep = (0 <= mu) & (mu <= cam.width - 1) & (0 <= mv) & (mv <= cam.height - 1)
+    u, v, ui, vi, mu, mv = (x[keep] for x in (u, v, ui, vi, mu, mv))
     su2, sv2 = src.flow_var[vi, ui, 0], src.flow_var[vi, ui, 1]
 
     # the matched location is only known up to the flow variance, so its
     # depth comes from the patch statistics around it
     mu_d, var_d, supported = windowed_depth_moments(dst.depth, dst.valid, mu, mv, su2, sv2, PATCH_KERNEL)
-    keep = supported & (mu_d > 0)
+    keep = supported & (mu_d > 0)  # a weighted mean of positive depths can underflow to 0
     # the earlier frame's pixel is chosen, not matched: zero matching variance
-    p, sp = project_covariances(cam, u[keep], v[keep], 0.0, 0.0, d_src[keep], src.depth_var[vi, ui][keep])
+    p, sp = project_covariances(cam, u[keep], v[keep], 0.0, 0.0, src.depth[vi, ui][keep], src.depth_var[vi, ui][keep])
     q, sq = project_covariances(cam, mu[keep], mv[keep], su2[keep], sv2[keep], mu_d[keep], var_d[keep])
     return MatchedLandmarks(p, q, sp, sq)
 

@@ -125,7 +125,8 @@ def select(
     cfg: SelectorConfig,
     rng: np.random.Generator | None = None,
 ) -> Keypoints:
-    """Full selection pipeline on a frame's maps: NMS -> geometry ->
+    """Full selection pipeline on a frame's valid pixels, whose depth and
+    variances ``FrameObservation`` checked: NMS -> geometry ->
     uncertainty, then truncation to max_keypoints by ascending score;
     the survivors, however few, come back in canonical (score, u, v) order.
 
@@ -137,7 +138,7 @@ def select(
     h, w = frame.depth.shape
     if (h, w) != (cam.height, cam.width):
         raise ValueError(f"maps are {w}x{h} but camera expects {cam.width}x{cam.height}")
-    vv, uu = np.nonzero(frame.valid & np.isfinite(frame.depth))
+    vv, uu = np.nonzero(frame.valid)
     flow_unc = frame.flow_var[..., 0] + frame.flow_var[..., 1]
     score = combined_scores(flow_unc[vv, uu], frame.depth_var[vv, uu])
     if rng is None:

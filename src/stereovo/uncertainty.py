@@ -62,6 +62,7 @@ def windowed_depth_moments(
     rounded location, clipped at the image borders. The weights are
     separable, wv_i wu_j ok_ij, so each moment is a batched wv @ X @ wu
     over gathered windows X, and no (N, k, k) weight stack is built.
+    Valid depths must be finite and positive, as ``FrameObservation`` checks.
 
     Returns (mean, var, supported); where a window holds no valid pixel,
     supported is False and mean and var are 0.
@@ -70,7 +71,7 @@ def windowed_depth_moments(
     # windows clipped at the low borders start at 0; rows and columns
     # past the high borders are padding, 0 like an invalid pixel
     d = np.zeros((h + kernel, w + kernel))
-    np.copyto(d[:h, :w], depth, where=np.isfinite(depth) & (depth > 0) & valid)
+    np.copyto(d[:h, :w], depth, where=valid)
     u0 = np.maximum(np.rint(u).astype(int) - kernel // 2, 0)
     v0 = np.maximum(np.rint(v).astype(int) - kernel // 2, 0)
     d_win = sliding_window_view(d, (kernel, kernel))[v0, u0]

@@ -179,6 +179,14 @@ class TestExitCodes:
             (["simulate", SCENE_YAML.replace("x_range: [-40.0, 40.0]", "x_range: [1.0, -1.0]")], "walls[0].x_range"),
             # frames closer than eval's timestamp tolerance
             (["simulate", SCENE_YAML + "frame_dt: 1.0e-10\n"], "frame_dt: must be >="),
+            # the last of six timestamps, 5 * frame_dt, overflows
+            (["simulate", SCENE_YAML + "frame_dt: 1.0e308\n"], "frame_dt: the last timestamp"),
+            # the largest flow variance, (sigma_flow * 1.4 * multipliers)^2, overflows
+            (["simulate", SCENE_YAML.replace("sigma_flow: 0.1", "sigma_flow: 1.0e200")], "noise.sigma_flow: the flow variance"),
+            (
+                ["simulate", SCENE_YAML + "anomaly_regions: [{rect: [0, 0, 9, 9], multiplier: 1.0e3}, {rect: [0, 0, 9, 9], multiplier: 1.0e300}]\n"],
+                "anomaly_regions[1].multiplier: the flow variance",
+            ),
             # an exponent makes a float, which an integer field refuses
             (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 1e2}")], "selector.max_keypoints"),
             # a run file that is not a mapping, and an input it does not know
@@ -194,6 +202,8 @@ class TestExitCodes:
             argv = [command, str(cfg)] + (["-o", str(tmp / "sim")] if command == "simulate" else [])
             assert main(argv) == EXIT_CONFIG, text
             assert field in capsys.readouterr().err
+        # a scene is checked before anything is written
+        assert not (tmp / "sim").exists()
         # a simulated run whose camera equals the scene's, with too few modes to ablate
         cfg = tmp / "simulate.cfg"
         cfg.write_text(simulate_yaml)
@@ -282,6 +292,25 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["run", str(cfg)]) == EXIT_IO
         assert "frame_000001.obs" in capsys.readouterr().err
+
+    def test_bad_ingested_depth_exit_2(self, workspace, capsys):
+        # a valid pixel of an ingested frame whose depth is not finite and positive
+        tmp, scene = workspace
+        obs = tmp / "obs"
+        assert main(["simulate", str(scene), "-o", str(obs)]) == EXIT_OK
+        victim = obs / "frame_000002.obs"
+        original = victim.read_bytes()
+        cfg = tmp / "run.cfg"
+        cfg.write_text(RUN_YAML.format(out=tmp / "o", obs=obs))
+        for value in (0.0, -1.0, np.nan, np.inf):
+            overwrite_at_first_valid_pixel(victim, "depth", value)
+            capsys.readouterr()
+            assert main(["run", str(cfg)]) == EXIT_IO, value
+            err = capsys.readouterr().err
+            assert "frame_000002.obs: depth must be finite and positive on valid pixels" in err
+            assert "Traceback" not in err
+            victim.write_bytes(original)
+        assert not (tmp / "o" / "poses_est.txt").exists()
 
     def test_malformed_trajectory_exit_2(self, workspace, capsys):
         tmp, scene = workspace

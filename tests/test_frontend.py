@@ -216,6 +216,28 @@ class TestObservationIO:
                 ignored[iv, iu] = value
                 replace(frame, **{name: ignored})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_depth_must_be_finite_and_positive_on_valid_pixels(self, value):
+        frame = generate_sequence(plane_scene(seed=1, num_frames=2))[0]
+        (v, u), (iv, iu) = np.argwhere(frame.valid)[0], np.argwhere(~frame.valid)[0]
+        bad = frame.depth.copy()
+        bad[v, u] = value
+        with pytest.raises(ValueError, match="depth must be finite and positive on valid pixels"):
+            replace(frame, depth=bad)
+        # an invalid pixel's depth is never read
+        ignored = frame.depth.copy()
+        ignored[iv, iu] = value
+        replace(frame, depth=ignored)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_ingested_depth_names_the_file(self, tmp_path, value):
+        write_observations(generate_sequence(plane_scene(seed=1, num_frames=3)), tmp_path)
+        overwrite_at_first_valid_pixel(tmp_path / "frame_000001.obs", "depth", value)
+        frames = ingest_observations(tmp_path)
+        assert frames[0].valid.any()  # the other frames still read
+        with pytest.raises(DataFormatError, match="frame_000001.obs: depth must be finite and positive"):
+            frames[1]
+
     def test_bad_ingested_variance_names_the_file(self, tmp_path):
         write_observations(generate_sequence(plane_scene(seed=1)), tmp_path)
         victim = tmp_path / "frame_000002.obs"

@@ -180,7 +180,7 @@ def matched_pairs_one_by_one(cam, src, dst, keypoints, kernel):
     for u, v in zip(keypoints.u.tolist(), keypoints.v.tolist()):
         ui, vi = int(u), int(v)
         mu, mv = u + src.flow[vi, ui, 0], v + src.flow[vi, ui, 1]
-        if not (0 <= mu <= cam.width - 1 and 0 <= mv <= cam.height - 1) or src.depth[vi, ui] <= 0:
+        if not (0 <= mu <= cam.width - 1 and 0 <= mv <= cam.height - 1):
             continue
         su2, sv2 = src.flow_var[vi, ui]
         try:
@@ -202,14 +202,16 @@ class TestBuildMatchedPairs:
         cam = scene.camera
         for src, dst in zip(frames, frames[1:]):
             kps = select(src, cam, small_selector())
-            # dropped: a keypoint whose flow leaves the image, one without depth
+            # dropped: a keypoint whose flow leaves the image, and one
+            # whose match has no valid depth in its window
             flow = src.flow.copy()
             flow[int(kps.v[1]), int(kps.u[1])] = (1000.0, 0.0)
             src = replace(src, flow=flow)
-            kps = Keypoints(
-                np.append(kps.u, cam.width - 1.0), np.append(kps.v, 0.0), np.append(kps.score, kps.score[0])
-            )
-            assert src.depth[0, cam.width - 1] <= 0
+            vi, ui = int(kps.v[2]), int(kps.u[2])
+            r, c = np.rint([vi + src.flow[vi, ui, 1], ui + src.flow[vi, ui, 0]]).astype(int)
+            valid = dst.valid.copy()
+            valid[max(r - PATCH_KERNEL, 0) : r + PATCH_KERNEL, max(c - PATCH_KERNEL, 0) : c + PATCH_KERNEL] = False
+            dst = replace(dst, valid=valid)
             got = build_matched_pairs(cam, src, dst, kps)
             want = matched_pairs_one_by_one(cam, src, dst, kps, PATCH_KERNEL)
             assert 0 < len(got) == len(want) <= len(kps) - 2
@@ -217,6 +219,25 @@ class TestBuildMatchedPairs:
                 for position, cov, b in ((got.p[i], got.sp[i], prev), (got.q[i], got.sq[i], curr)):
                     assert np.allclose(position, b.position, rtol=1e-12, atol=0)
                     assert np.allclose(cov, b.covariance, rtol=1e-9, atol=1e-18)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_pixels_depth_is_never_read(self, value):
+        # selection and matching read a depth only where the frame says valid
+        noise = NoiseModel(sigma_flow=0.3, gamma_disp=0.05, heteroscedastic=True)
+        scene = plane_scene(seed=4, num_frames=3, noise=noise)
+        src, dst, _ = generate_sequence(scene)
+        assert not src.valid.all() and not dst.valid.all()
+        cam, cfg = scene.camera, small_selector()
+        kps = select(src, cam, cfg)
+        pairs = build_matched_pairs(cam, src, dst, kps)
+        assert len(pairs) > 0
+        poisoned = [replace(f, depth=np.where(f.valid, f.depth, value)) for f in (src, dst)]
+        kps_poisoned = select(poisoned[0], cam, cfg)
+        for a, b in zip((kps.u, kps.v, kps.score), (kps_poisoned.u, kps_poisoned.v, kps_poisoned.score)):
+            assert np.array_equal(a, b)
+        got = build_matched_pairs(cam, *poisoned, kps_poisoned)
+        for a, b in zip((pairs.p, pairs.q, pairs.sp, pairs.sq), (got.p, got.q, got.sp, got.sq)):
+            assert np.array_equal(a, b)
 
     def test_no_keypoints_no_pairs(self):
         frames = generate_sequence(plane_scene(num_frames=2))

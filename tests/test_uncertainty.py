@@ -132,7 +132,8 @@ class TestWindowedDepthMoments:
         rng = np.random.default_rng(12)
         depth = rng.uniform(1.0, 9.0, size=(40, 50))
         depth[rng.random(depth.shape) < 0.1] = np.nan
-        valid = rng.random(depth.shape) > 0.2
+        # a valid pixel's depth is finite and positive, as in a FrameObservation
+        valid = (rng.random(depth.shape) > 0.2) & np.isfinite(depth)
         n = 200
         u = rng.uniform(0.0, 49.0, size=n)
         v = rng.uniform(0.0, 39.0, size=n)
