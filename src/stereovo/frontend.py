@@ -142,17 +142,49 @@ class SceneConfig:
             raise ConfigError(f"frame_dt: must be >= {ASSOCIATION_TOL:g} s, got {self.frame_dt}")
         if not (self.num_frames - 1) * self.frame_dt < math.inf:
             raise ConfigError(f"frame_dt: the last timestamp (num_frames - 1) * frame_dt overflows, got {self.frame_dt}")
-        # the largest emitted flow variance, (sigma_flow * field * multipliers)^2,
-        # must be finite; a float product overflows to inf
-        std = 1 + _FIELD_AMPLITUDE
-        factors = [("noise.sigma_flow", self.noise.sigma_flow)]
-        factors += [(f"anomaly_regions[{i}].multiplier", r.multiplier) for i, r in enumerate(self.anomaly_regions)]
-        for name, factor in factors:
-            std *= factor
-            if not std * std < math.inf:
-                raise ConfigError(f"{name}: the flow variance (sigma_flow * {1 + _FIELD_AMPLITUDE:g} * multipliers)^2 overflows, got {factor}")
         if self.motion.kind == "waypoints" and len(self.motion.waypoints) != self.num_frames:
             raise ConfigError(f"motion.waypoints: need {self.num_frames} rows, got {len(self.motion.waypoints)}")
+        # the largest emitted variances, (sigma_flow * field * multipliers)^2
+        # and (gamma_disp * field * multipliers * depth)^2, must be finite;
+        # a float product overflows to inf
+        field = 1 + _FIELD_AMPLITUDE
+        multipliers = [(f"anomaly_regions[{i}].multiplier", r.multiplier) for i, r in enumerate(self.anomaly_regions)]
+        flow = [("noise.sigma_flow", self.noise.sigma_flow)] + multipliers
+        depth = [("noise.gamma_disp", self.noise.gamma_disp)] + multipliers
+        for what, std, factors in (
+            (f"flow variance (sigma_flow * {field:g} * multipliers)^2", field, flow),
+            (f"depth variance (gamma_disp * {field:g} * multipliers * largest depth)^2", field * self._largest_depth(), depth),
+        ):
+            for name, factor in factors:
+                std *= factor
+                if not std * std < math.inf:
+                    raise ConfigError(f"{name}: the {what} overflows, got {factor}")
+
+    def _largest_depth(self) -> float:
+        """A bound on every depth ``generate_frames`` can render: a depth
+        is at most the distance from the camera to the wall point or
+        landmark it sees, and the camera stays within ``travel`` of the
+        world origin, where the walls and landmarks are placed."""
+        cam, motion, hi = self.camera, self.motion, self.depth_range[1]
+        if motion.kind == "constant_velocity":  # a step moves |V(phi) v| <= |v|
+            travel = (self.num_frames - 1) * math.hypot(*motion.velocity)
+        elif motion.kind == "orbit":
+            travel = 2 * motion.orbit_radius
+        elif motion.kind == "waypoints":
+            travel = max(math.hypot(*row[:3]) for row in motion.waypoints)
+        else:
+            travel = 0.0
+        tan_u = max(cam.cx, cam.width - cam.cx) / cam.fx
+        tan_v = max(cam.cy, cam.height - cam.cy) / cam.fy
+        if self.walls is not None:
+            corners = [(max(map(abs, w.x_range)), max(map(abs, w.y_range)), w.z) for w in self.walls]
+        else:  # _auto_walls' backdrop is the farthest and widest wall
+            z = 0.9 * hi
+            corners = [(1.5 * (tan_u * z + travel), 1.5 * (tan_v * z + travel), z)]
+        reach = max((math.hypot(*c) for c in corners), default=0.0)
+        if self.render_landmarks:  # placed in view of the first pose, nearer than 0.85 * hi
+            reach = max(reach, travel + 0.85 * hi * math.hypot(tan_u, tan_v, 1.0))
+        return travel + reach
 
 
 @dataclass

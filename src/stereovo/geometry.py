@@ -27,6 +27,9 @@ import numpy as np
 _SMALL_ANGLE = 1e-4
 # A covariance eigenvalue this far below zero is rounding, not a defect.
 _PSD_TOL = 1e-10
+# the identity term of Rodrigues' formulas, built once
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def so3_exp_and_left_jacobian(phi) -> tuple[np.ndarray, np.ndarray]:
         a = sin / theta
         b = (1.0 - np.cos(theta)) / theta2
         c = (theta - sin) / (theta2 * theta)
-    return np.eye(3) + a * k + b * kk, np.eye(3) + b * k + c * kk
+    return _EYE3 + a * k + b * kk, _EYE3 + b * k + c * kk
 
 
 def so3_exp(phi) -> np.ndarray:

@@ -23,8 +23,12 @@ The inner loop's 3x3 algebra is closed-form. A symmetric covariance is
 held as its six unique entries, and _sym3_cofactors gives their cofactors
 and determinants. R Sigma R^T of a whole stack is one (N, 9) @ (9, 6)
 product with rows of kron(R, R), and J^T W J one (6, 3N) @ (3N, 6)
-product. The conditioning check screens S with a bound that holds
-exactly: for S positive definite (a00 > 0, a00 a11 - a01^2 > 0),
+product. What stays fixed is built once: skew(q) per solve, from which
+each linearization's Jacobian is R @ skew(q), and diag(J^T W J) per
+linearization, which every damped trial adds scaled.
+
+The conditioning check screens S with a bound that holds exactly: for
+S positive definite (a00 > 0, a00 a11 - a01^2 > 0),
 det <= lambda_min lambda_max^2 and trace >= lambda_max, so
 det > 2 trace^3 / _COND_LIMIT gives lambda_min / lambda_max >
 2 / _COND_LIMIT; the 2 absorbs det's rounding error (~eps trace^3). Only
@@ -218,31 +222,32 @@ def _combined_covariances(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S_i = Sigma_prev + R Sigma_curr R^T from _mode_adjusted's stacks, with
     a trace-scaled ridge where eigvalsh finds S worse-conditioned than
-    _COND_LIMIT: (S (N, 6), S^-1 (N, 3, 3), mask of the ridged)."""
+    _COND_LIMIT: (S (N, 6), S^-1 (N, 3, 3), indices of the ridged)."""
     # rows of kron(R, R) for S's six entries: (R X R^T)_ij = sum_kl R_ik X_kl R_jl
     s = sp + sq @ (rotation[_UPPER_ROWS, :, None] * rotation[_UPPER_COLS, None, :]).reshape(6, 9).T
     cof, det = _sym3_cofactors(s)
     trace = s[:, 0] + s[:, 3] + s[:, 5]
     # the bound is at least 0, so det > 0: all three leading minors positive
     certified = (s[:, 0] > 0) & (cof[:, 5] > 0) & (det > np.maximum(trace, 0.0) ** 3 * (2 / _COND_LIMIT))
+    unsure = np.flatnonzero(~certified)
+    if not unsure.size:  # then no member is ridged either
+        return s, (cof[:, _FULL] / det[:, None]).reshape(-1, 3, 3), unsure
     w = cof[:, _FULL] / np.where(certified, det, 1.0)[:, None]
-    ridged = np.zeros(len(s), dtype=bool)
-    if not certified.all():
-        unsure = np.flatnonzero(~certified)
-        vals = np.linalg.eigvalsh(s[unsure][:, _FULL].reshape(-1, 3, 3))
-        bad = unsure[vals[:, 0] <= vals[:, 2] / _COND_LIMIT]
-        s[bad[:, None], _DIAG] += np.maximum(_RIDGE_REL * trace[bad] / 3.0, _RIDGE_ABS)[:, None]
-        ridged[bad] = True
-        w[unsure] = np.linalg.inv(s[unsure][:, _FULL].reshape(-1, 3, 3)).reshape(-1, 9)
-    return s, w.reshape(-1, 3, 3), ridged
+    vals = np.linalg.eigvalsh(s[unsure][:, _FULL].reshape(-1, 3, 3))
+    bad = unsure[vals[:, 0] <= vals[:, 2] / _COND_LIMIT]
+    s[bad[:, None], _DIAG] += np.maximum(_RIDGE_REL * trace[bad] / 3.0, _RIDGE_ABS)[:, None]
+    w[unsure] = np.linalg.inv(s[unsure][:, _FULL].reshape(-1, 3, 3)).reshape(-1, 9)
+    return s, w.reshape(-1, 3, 3), bad
 
 
-def residual_jacobian(rotation: np.ndarray, curr_position: np.ndarray) -> np.ndarray:
+def residual_jacobian(rotation: np.ndarray, curr_skew: np.ndarray) -> np.ndarray:
     """d r / d xi of r = p - T*exp(xi)(q) at xi = 0, for T of the given
-    rotation: shape (3, 6) for one point q, (N, 3, 6) for a stack (N, 3)."""
-    qx = skew(curr_position)
-    r = np.broadcast_to(rotation, qx.shape)
-    return np.concatenate([-r, rotation @ qx], axis=-1)
+    rotation, from skew(q): shape (3, 6) for one point, whose skew is
+    (3, 3), and (N, 3, 6) for a stack of skews (N, 3, 3)."""
+    jac = np.empty(curr_skew.shape[:-1] + (6,))
+    jac[..., :3] = -rotation
+    jac[..., 3:] = rotation @ curr_skew
+    return jac
 
 
 def _problem_arrays(problem: FramePairProblem) -> tuple[np.ndarray, ...]:
@@ -258,7 +263,7 @@ def _weighted_cost(
     with the combined covariances evaluated at its rotation."""
     _, w, ridged = _combined_covariances(sp, sq, rotation)
     res = p - (q @ rotation.T + translation)
-    return float(np.einsum("ni,nij,nj->", res, w, res)), res, w, bool(ridged.any())
+    return float(np.einsum("ni,nij,nj->", res, w, res)), res, w, ridged.size > 0
 
 
 def solve_pose(problem: FramePairProblem) -> PoseSolution:
@@ -272,6 +277,7 @@ def solve_pose(problem: FramePairProblem) -> PoseSolution:
     built (and checked) as a PoseSE3.
     """
     p, q, sp, sq = _problem_arrays(problem)
+    q_skew = skew(q)
     rot, trans = problem.initial_pose.rotation, problem.initial_pose.translation
     cost, res, weights, regularized = _weighted_cost(p, q, sp, sq, rot, trans)
     lam = _LAMBDA_INIT
@@ -284,17 +290,18 @@ def solve_pose(problem: FramePairProblem) -> PoseSolution:
             iterations -= 1
             break
         # J^T W J and J^T W r as flat (6, 3N) @ (3N, .) products
-        jac = residual_jacobian(rot, q)
+        jac = residual_jacobian(rot, q_skew)
         wjac = (weights @ jac).reshape(-1, 6)
         h = jac.reshape(-1, 6).T @ wjac
         g = wjac.T @ res.reshape(-1)
+        h_diag, descent = np.diag(h), -g
 
         accepted = False
         step = np.zeros(6)
         while lam <= _LAMBDA_MAX:
-            h_lm = h + lam * np.diag(np.diag(h))
+            h_lm = h + np.diag(lam * h_diag)
             try:
-                step = np.linalg.solve(h_lm, -g)
+                step = np.linalg.solve(h_lm, descent)
             except np.linalg.LinAlgError:
                 lam *= _LAMBDA_UP
                 continue

@@ -55,7 +55,10 @@ from .optimizer import (
 from .selector import Keypoints, SelectorConfig, select
 from .uncertainty import project_covariances, windowed_depth_moments
 
-PATCH_KERNEL = 32  # side in pixels of the window whose depth statistics a matched point takes
+# Largest side in pixels of the window whose depth statistics a matched
+# point takes; windowed_depth_moments gathers it only as far as the
+# pair's weights reach.
+PATCH_KERNEL = 32
 
 
 class KeypointMode(str, Enum):
@@ -130,10 +133,13 @@ def build_matched_pairs(
     # depth comes from the patch statistics around it
     mu_d, var_d, supported = windowed_depth_moments(dst.depth, dst.valid, mu, mv, su2, sv2, PATCH_KERNEL)
     keep = supported & (mu_d > 0)  # a weighted mean of positive depths can underflow to 0
-    # the earlier frame's pixel is chosen, not matched: zero matching variance
-    p, sp = project_covariances(cam, u[keep], v[keep], 0.0, 0.0, src.depth[vi, ui][keep], src.depth_var[vi, ui][keep])
-    q, sq = project_covariances(cam, mu[keep], mv[keep], su2[keep], sv2[keep], mu_d[keep], var_d[keep])
-    return MatchedLandmarks(p, q, sp, sq)
+    u, v, ui, vi, mu, mv, su2, sv2, mu_d, var_d = (x[keep] for x in (u, v, ui, vi, mu, mv, su2, sv2, mu_d, var_d))
+    n, zero = len(u), np.zeros(len(u))
+    # both frames in one projection, src's first; the earlier frame's
+    # pixel is chosen, not matched: zero matching variance
+    columns = ((u, mu), (v, mv), (zero, su2), (zero, sv2), (src.depth[vi, ui], mu_d), (src.depth_var[vi, ui], var_d))
+    pos, cov = project_covariances(cam, *(np.concatenate(c) for c in columns))
+    return MatchedLandmarks(pos[:n], pos[n:], cov[:n], cov[n:])
 
 
 @dataclass

@@ -14,9 +14,10 @@ Three independent pieces:
 
 Each takes plain values or arrays, in the argument order
 ``project_covariances`` uses. The depth correction
-(``windowed_depth_moments``, separable matrix products over gathered
-windows) and the projection (``project_covariances``) each run as one
-batch over a frame pair's keypoints; their one-item references
+(``windowed_depth_moments``, separable matrix products over windows
+gathered only as far as the weights reach) and the projection
+(``project_covariances``, both frames of a pair in one call) each run
+as one batch over a frame pair's keypoints; their one-item references
 (``correct_depth_uncertainty`` on a ``DepthPatch``, and
 ``project_covariance``) live in ``tests/reference.py``. The Monte Carlo
 oracles in ``mc`` check ``disparity_to_depth`` and
@@ -24,6 +25,8 @@ oracles in ``mc`` check ``disparity_to_depth`` and
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +36,12 @@ from .geometry import StereoCamera, backproject
 # Floor on the Gaussian patch-weight std, in pixels, so sub-pixel
 # matching uncertainty still spreads weight beyond a single sample.
 MIN_WEIGHT_STD_PX = 0.5
+# Beyond this many stds from its center a Gaussian weight is below 2^-53
+# of its peak: exp(-8.6^2 / 2) < 2^-53.
+_WEIGHT_REACH_STD = 8.6
+# A window whose weights sum below this has no valid depth near its
+# center, so the weights beyond its edge may decide the moments.
+_FAR_SUPPORT = 2.0**-20
 
 
 def disparity_to_depth(cam: StereoCamera, mu, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -59,10 +68,16 @@ def windowed_depth_moments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The reference correct_depth_uncertainty at many matched pixels
     (u, v) of one depth map, each on the kernel-sized window around its
-    rounded location, clipped at the image borders. The weights are
-    separable, wv_i wu_j ok_ij, so each moment is a batched wv @ X @ wu
-    over gathered windows X, and no (N, k, k) weight stack is built.
+    rounded location, clipped at the image borders.
     Valid depths must be finite and positive, as ``FrameObservation`` checks.
+
+    The window is gathered only as far as the weights reach: a side of
+    at most kernel that holds every pixel within _WEIGHT_REACH_STD of the
+    batch's largest weight std, so that each dropped weight is below
+    2^-53 of the peak and the moments change at rounding level only.
+    A keypoint whose small window weighs less than _FAR_SUPPORT in all
+    is gathered again at the full kernel, so support still ends only
+    where the weights underflow.
 
     Returns (mean, var, supported); where a window holds no valid pixel,
     supported is False and mean and var are 0.
@@ -72,15 +87,31 @@ def windowed_depth_moments(
     # past the high borders are padding, 0 like an invalid pixel
     d = np.zeros((h + kernel, w + kernel))
     np.copyto(d[:h, :w], depth, where=valid)
+    su = np.maximum(np.sqrt(np.maximum(sigma_u2, 0.0)), MIN_WEIGHT_STD_PX)
+    sv = np.maximum(np.sqrt(np.maximum(sigma_v2, 0.0)), MIN_WEIGHT_STD_PX)
+    reach = max(float(su.max()), float(sv.max())) if su.size else MIN_WEIGHT_STD_PX
+    side = min(kernel, 2 * (math.ceil(_WEIGHT_REACH_STD * reach) + 1))
+    mean, var, total = _window_moments(d, u, v, su, sv, side)
+    if side < kernel:
+        far = np.flatnonzero(total < _FAR_SUPPORT)
+        if far.size:
+            mean[far], var[far], total[far] = _window_moments(d, u[far], v[far], su[far], sv[far], kernel)
+    return mean, var, total > 0.0
+
+
+def _window_moments(d, u, v, su, sv, kernel):
+    """(mean, var, total weight) of the padded depth map d on the
+    kernel-sized windows around (u, v), weighted by the Gaussians of
+    stds (su, sv). The weights are separable, wv_i wu_j ok_ij, so each
+    moment is a batched wv @ X @ wu over gathered windows X, and no
+    (N, k, k) weight stack is built."""
     u0 = np.maximum(np.rint(u).astype(int) - kernel // 2, 0)
     v0 = np.maximum(np.rint(v).astype(int) - kernel // 2, 0)
     d_win = sliding_window_view(d, (kernel, kernel))[v0, u0]
     ok_win = d_win > 0.0  # valid depths are positive
     # one Gaussian per axis, placed by sample 0's offset from the center
-    su = np.maximum(np.sqrt(np.maximum(sigma_u2, 0.0)), MIN_WEIGHT_STD_PX)
-    sv = np.maximum(np.sqrt(np.maximum(sigma_v2, 0.0)), MIN_WEIGHT_STD_PX)
-    wu = np.exp(-0.5 * (((u0 - u)[:, None] + np.arange(kernel)) / np.reshape(su, (-1, 1))) ** 2)
-    wv = np.exp(-0.5 * (((v0 - v)[:, None] + np.arange(kernel)) / np.reshape(sv, (-1, 1))) ** 2)
+    wu = np.exp(-0.5 * (((u0 - u)[:, None] + np.arange(kernel)) / su[:, None]) ** 2)
+    wv = np.exp(-0.5 * (((v0 - v)[:, None] + np.arange(kernel)) / sv[:, None]) ** 2)
 
     def moment(x):
         return np.einsum("ni,ni->n", wv, np.einsum("nij,nj->ni", x, wu))
@@ -93,7 +124,7 @@ def windowed_depth_moments(
     np.square(d_win, out=d_win)
     d_win *= ok_win
     var = np.divide(moment(d_win), total, out=np.zeros_like(total), where=supported)
-    return mean, var, supported
+    return mean, var, total
 
 
 def backprojection_covariances(cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, sigma_d2) -> np.ndarray:

@@ -52,7 +52,7 @@ from stereovo.optimizer import (
     _problem_arrays,
     _weighted_cost,
 )
-from stereovo.selector import SelectorConfig, _canonical_order
+from stereovo.selector import SelectorConfig
 from stereovo.uncertainty import (
     MIN_WEIGHT_STD_PX,
     backprojection_covariances,
@@ -235,7 +235,7 @@ def nms_filter(candidates: list[KeypointCandidate], radius: float) -> list[Keypo
     u = np.array([c.u for c in candidates])
     v = np.array([c.v for c in candidates])
     score = np.array([c.score for c in candidates])
-    order = _canonical_order(score, u, v)
+    order = np.lexsort((v, u, score))
 
     # bucket accepted points on a radius-sized grid: any conflicting
     # point lives in one of the 3x3 neighboring buckets
@@ -411,4 +411,4 @@ def pair_covariances(
     which are statistics of all the pairs."""
     sp, sq = _mode_adjusted(pairs, CovarianceMode(mode))
     s, _, ridged = _combined_covariances(sp, sq, np.asarray(rotation, float))
-    return s[:, _FULL].reshape(-1, 3, 3), bool(ridged.any())
+    return s[:, _FULL].reshape(-1, 3, 3), ridged.size > 0

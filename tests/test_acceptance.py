@@ -23,7 +23,7 @@ from stereovo.frontend import (
     Wall,
     generate_sequence,
 )
-from stereovo.geometry import PoseSE3, StereoCamera, se3_exp, so3_exp
+from stereovo.geometry import PoseSE3, StereoCamera, se3_exp, skew, so3_exp
 from stereovo.mc import mc_depth_distribution, mc_projection_covariance
 from stereovo.optimizer import (
     CovarianceMode,
@@ -120,7 +120,7 @@ def test_criterion_4_jacobian_correctness():
             pose = PoseSE3(so3_exp(axis * rng.uniform(0, 2.5)), rng.normal(size=3))
             q = rng.uniform(-4, 4, size=3) + [0, 0, 5]
             p = rng.normal(size=3)
-            jac = residual_jacobian(pose.rotation, q)
+            jac = residual_jacobian(pose.rotation, skew(q))
             fd = np.zeros((3, 6))
             for k in range(6):
                 e = np.zeros(6)

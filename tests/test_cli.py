@@ -187,6 +187,13 @@ class TestExitCodes:
                 ["simulate", SCENE_YAML + "anomaly_regions: [{rect: [0, 0, 9, 9], multiplier: 1.0e3}, {rect: [0, 0, 9, 9], multiplier: 1.0e300}]\n"],
                 "anomaly_regions[1].multiplier: the flow variance",
             ),
+            # the largest depth variance, (gamma_disp * 1.4 * multipliers * largest depth)^2,
+            # overflows: through a multiplier without flow noise, and through a far wall
+            (
+                ["simulate", SCENE_YAML.replace("sigma_flow: 0.1", "sigma_flow: 0.0") + "anomaly_regions: [{rect: [0, 0, 9, 9], multiplier: 1.0e300}]\n"],
+                "anomaly_regions[0].multiplier: the depth variance",
+            ),
+            (["simulate", SCENE_YAML.replace("z: 10.0", "z: 1.0e160")], "noise.gamma_disp: the depth variance"),
             # an exponent makes a float, which an integer field refuses
             (["run", run_yaml.replace("max_keypoints: 80}", "max_keypoints: 1e2}")], "selector.max_keypoints"),
             # a run file that is not a mapping, and an input it does not know

@@ -173,6 +173,21 @@ class TestGeneration:
             assert not a.depth[differs & ~a.valid].any()
         assert not (differs & ~a.valid).any()  # the last frame has no next frame
 
+    def test_largest_depth_bounds_every_rendered_depth(self):
+        # the depth-variance overflow check rests on this bound
+        wps = tuple((0.3 * t, -0.2 * t, 0.5 * t, 0.05 * t, 0.1, 0.0, 1.0) for t in range(4))
+        motions = (
+            MotionSpec(kind="static"),
+            MotionSpec(kind="constant_velocity", velocity=(0.4, 0.1, 0.6), angular_velocity=(0.0, 0.1, 0.05)),
+            MotionSpec(kind="orbit", orbit_radius=4.0, orbit_rate=0.3),
+            MotionSpec(kind="waypoints", waypoints=wps),
+        )
+        for motion in motions:
+            for walls, splats in ((None, True), (None, False), (plane_scene().walls, True)):
+                scene = replace(plane_scene(num_frames=4), motion=motion, walls=walls, render_landmarks=splats)
+                deepest = max(float(f.depth[f.valid].max()) for f in generate_sequence(scene))
+                assert 0 < deepest <= scene._largest_depth(), (motion.kind, walls, splats)
+
     def test_waypoint_count_checked_with_the_scene(self):
         wps = ((0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1))
         with pytest.raises(ConfigError, match="motion.waypoints: need 3 rows, got 2"):

@@ -12,7 +12,7 @@ from reference import (
     transform_landmark,
 )
 from stereovo.errors import DegenerateGeometryError, InsufficientKeypointsError
-from stereovo.geometry import PoseSE3, StereoCamera, se3_exp, so3_exp
+from stereovo.geometry import PoseSE3, StereoCamera, se3_exp, skew, so3_exp
 import stereovo.optimizer as optimizer
 from stereovo.optimizer import (
     _COND_LIMIT,
@@ -121,7 +121,7 @@ def reference_solve_pose(problem):
     for _ in range(_MAX_ITERS):
         if cost == 0.0:
             break
-        jac = residual_jacobian(pose.rotation, q)
+        jac = residual_jacobian(pose.rotation, skew(q))
         jtw = np.einsum("nij,nik->njk", jac, weights)
         h = np.einsum("nij,njk->ik", jtw, jac)
         g = np.einsum("nij,nj->i", jtw, res)
@@ -155,8 +155,12 @@ def six(s):
 
 
 def regularized(s):
-    """_combined_covariances of the stack S (N, 3, 3) itself: S + R 0 R^T."""
-    return _combined_covariances(six(s), np.zeros((len(s), 9)), np.eye(3))
+    """_combined_covariances of the stack S (N, 3, 3) itself, S + R 0 R^T,
+    with the ridged members as a mask."""
+    got_s, w, ridged = _combined_covariances(six(s), np.zeros((len(s), 9)), np.eye(3))
+    mask = np.zeros(len(s), dtype=bool)
+    mask[ridged] = True
+    return got_s, w, mask
 
 
 def with_eigenvalues(rng, vals):
@@ -366,7 +370,7 @@ class TestJacobian:
             pose = PoseSE3(random_rotation(rng, 2.0), rng.normal(size=3))
             q = rng.uniform(-4, 4, size=3) + [0, 0, 5]
             p = rng.normal(size=3)
-            jac = residual_jacobian(pose.rotation, q)
+            jac = residual_jacobian(pose.rotation, skew(q))
             fd = np.zeros((3, 6))
             for k in range(6):
                 e = np.zeros(6)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import frame_of
 from reference import KeypointCandidate, geometry_filter, nms_filter, uncertainty_filter
 from stereovo.geometry import StereoCamera
-from stereovo.selector import SelectorConfig, _greedy_nms, combined_scores, select
+from stereovo.selector import SelectorConfig, _greedy_nms, _median, combined_scores, select
 
 
 def kp(u, v, score=0.0, flow_unc=0.0, depth_unc=0.0, depth=5.0):
@@ -348,6 +348,20 @@ def test_greedy_nms_matches_nms_filter(case):
     cands = [kp(float(u), float(v), float(score[v, u])) for v, u in zip(vv, uu)]
     want = sorted(nms_filter(cands, radius), key=lambda c: (c.score, c.u, c.v))
     assert list(zip(uu[keep].tolist(), vv[keep].tolist())) == [(c.u, c.v) for c in want]
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 41),
+        elements=st.one_of(st.floats(0.0, 1.7e308), st.integers(0, 3).map(float), st.just(np.inf)),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_median_is_numpys(x):
+    # odd and even sizes, ties, inf and sums that overflow
+    with np.errstate(over="ignore"):
+        assert _median(x) == np.median(x)
 
 
 class TestCombinedScores:

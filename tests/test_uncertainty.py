@@ -139,11 +139,14 @@ class TestWindowedDepthMoments:
         v = rng.uniform(0.0, 39.0, size=n)
         u[:4], v[:4] = [0.0, 49.0, 0.0, 49.0], [0.0, 39.0, 39.0, 0.0]
         su2, sv2 = rng.uniform(0.0, 9.0, size=n), rng.uniform(0.0, 9.0, size=n)
-        for kernel in (5, 8):
-            mean, var, supported = windowed_depth_moments(depth, valid, u, v, su2, sv2, kernel)
+        # kernels 5 and 8 are gathered whole; at kernel 32, stds of at most
+        # 0.5 px reach 12 px, so only a 12x12 window is gathered
+        for kernel, scale in ((5, 1.0), (8, 1.0), (32, 0.25 / 9.0)):
+            mean, var, supported = windowed_depth_moments(depth, valid, u, v, scale * su2, scale * sv2, kernel)
             assert supported.all()
             for i in range(n):
-                mu, sd2 = correct_depth_uncertainty(clipped_patch(depth, valid, u[i], v[i], kernel), su2[i], sv2[i])
+                patch = clipped_patch(depth, valid, u[i], v[i], kernel)
+                mu, sd2 = correct_depth_uncertainty(patch, scale * su2[i], scale * sv2[i])
                 assert abs(mean[i] - mu) < 1e-12
                 assert abs(var[i] - sd2) < 1e-12
 
@@ -182,21 +185,23 @@ class TestWindowedDepthMoments:
 
     def test_peak_allocation_is_below_the_weight_stacks(self):
         # the (N, k, k) weight and squared-deviation stacks the separable
-        # moments replace peaked at 3.35 N k^2 float64s
+        # moments replace peaked at 3.35 N k^2 float64s; stds of at most
+        # 0.5 px reach 12 px, so then not even one (N, k, k) gather is made
         rng = np.random.default_rng(5)
         n, kernel = 120, 32
         depth = rng.uniform(1.0, 20.0, size=(128, 128))
         valid = rng.random(depth.shape) > 0.1
         u, v = rng.uniform(0.0, 127.0, size=(2, n))
-        su2, sv2 = rng.uniform(0.0, 4.0, size=(2, n))
-        windowed_depth_moments(depth, valid, u, v, su2, sv2, kernel)
-        tracemalloc.start()
-        try:
+        for max_var, bound in ((4.0, 2.5), (0.25, 1.0)):
+            su2, sv2 = rng.uniform(0.0, max_var, size=(2, n))
             windowed_depth_moments(depth, valid, u, v, su2, sv2, kernel)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * n * kernel * kernel * 8
+            tracemalloc.start()
+            try:
+                windowed_depth_moments(depth, valid, u, v, su2, sv2, kernel)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * n * kernel * kernel * 8, max_var
 
 
 class TestProjectCovariance:
