@@ -19,13 +19,24 @@ frames and the problem depends on those two frames alone.
 A problem's N landmark pairs are one MatchedLandmarks record of stacked
 arrays, checked once when it is built; every step works on whole stacks.
 
-The inner loop's 3x3 algebra is closed-form. A symmetric covariance is
-held as its six unique entries, and _sym3_cofactors gives their cofactors
-and determinants. R Sigma R^T of a whole stack is one (N, 9) @ (9, 6)
-product with rows of kron(R, R), and J^T W J one (6, 3N) @ (3N, 6)
-product. What stays fixed is built once: skew(q) per solve, from which
-each linearization's Jacobian is R @ skew(q), and diag(J^T W J) per
-linearization, which every damped trial adds scaled.
+A linearization is built in the current camera's frame: r~ = R^T r =
+R^T (p - t) - q and W~ = R^T W R, the inverse of Sigma_curr +
+R^T Sigma_prev R. With R held at the iterate, r~ has the Jacobian
+E_i = R^T J_i = [-I, skew(q_i)], built once per solve; H = E^T W~ E and
+g = E^T W~ r~ are the reference frame's J^T W J and J^T W r. W~ is one
+(N, 9) @ (9, 9) product with kron(R, R), then come the batched W~ @ E and
+one (6, 3N) @ (3N, 6) product. Trial costs are evaluated in the
+reference frame, where the inner 3x3 algebra is closed-form: a symmetric
+covariance is held as its six unique entries, _sym3_cofactors gives
+their cofactors and determinants, and R Sigma R^T of a whole stack is one
+(N, 9) @ (9, 6) product with rows of kron(R, R).
+
+LM has converged when the damped model cost + 2 g^T xi + xi^T H xi
+predicts no real decrease: the step of damping lam, (H + lam diag(H)) xi
+= -g, lowers it by xi^T (H xi + 2 lam diag(H) xi). Below _DECREASE_TOL
+times the cost the solve stops without evaluating the trial, since more
+damping only shrinks the step and its predicted decrease; a vanishing
+accepted step (_STEP_TOL) stops it too.
 
 The conditioning check screens S with a bound that holds exactly: for
 S positive definite (a00 > 0, a00 a11 - a01^2 > 0),
@@ -42,9 +53,9 @@ differ at rounding level, which can flip an accept/reject decision near
 the optimum. Final costs agree within 1e-9 relative, poses within 1e-6 m
 and 1e-6 rad, and cov_regularized flags are identical.
 
-One problem's cost and combined covariances at a given pose, evaluated
-outside the LM loop (``mahalanobis_cost`` and ``pair_covariances``), are
-references kept in ``tests/reference.py``.
+``tests/reference.py`` keeps as references one problem's cost and S at
+a pose (``mahalanobis_cost``, ``pair_covariances``), J
+(``residual_jacobian``) and the older stop rule (``tight_solve_pose``).
 """
 
 from __future__ import annotations
@@ -72,14 +83,14 @@ _COLLINEAR_TOL = 1e-9
 MIN_PAIRS = 3
 # The LM schedule: at most _MAX_ITERS linearizations; the damping starts
 # at _LAMBDA_INIT and is multiplied by _LAMBDA_UP after a rejected trial
-# and by _LAMBDA_DOWN after an accepted one; LM has converged when the
-# cost falls by less than _COST_TOL relative or the twist step is
-# shorter than _STEP_TOL.
+# and by _LAMBDA_DOWN after an accepted one; LM has converged when a
+# trial's predicted decrease is below _DECREASE_TOL relative to the cost
+# or an accepted twist step is shorter than _STEP_TOL.
 _MAX_ITERS = 100
 _LAMBDA_INIT = 1e-4
 _LAMBDA_UP = 10.0
 _LAMBDA_DOWN = 0.3
-_COST_TOL = 1e-10
+_DECREASE_TOL = 1e-8
 _STEP_TOL = 1e-10
 # Damping above this means no step decreases the cost: LM stops there.
 _LAMBDA_MAX = 1e12
@@ -240,16 +251,6 @@ def _combined_covariances(
     return s, w.reshape(-1, 3, 3), bad
 
 
-def residual_jacobian(rotation: np.ndarray, curr_skew: np.ndarray) -> np.ndarray:
-    """d r / d xi of r = p - T*exp(xi)(q) at xi = 0, for T of the given
-    rotation, from skew(q): shape (3, 6) for one point, whose skew is
-    (3, 3), and (N, 3, 6) for a stack of skews (N, 3, 3)."""
-    jac = np.empty(curr_skew.shape[:-1] + (6,))
-    jac[..., :3] = -rotation
-    jac[..., 3:] = rotation @ curr_skew
-    return jac
-
-
 def _problem_arrays(problem: FramePairProblem) -> tuple[np.ndarray, ...]:
     """Positions p, q (N,3) and _mode_adjusted's covariances sp, sq."""
     pairs = problem.pairs
@@ -271,13 +272,16 @@ def solve_pose(problem: FramePairProblem) -> PoseSolution:
 
     Only cost-decreasing steps are accepted, so the returned cost never
     exceeds the cost at the initial pose. Damping is multiplicative on
-    the diagonal of the normal equations. The iterate is held as the
-    arrays (R, t); a trial is (R, t) * exp(step), the arithmetic of
-    ``PoseSE3.compose(se3_exp(step))``, and only the returned pose is
-    built (and checked) as a PoseSE3.
+    the diagonal of the normal equations, and a trial is evaluated only
+    if the model predicts it to lower the cost by _DECREASE_TOL relative.
+    The iterate is held as the arrays (R, t); a trial is (R, t) * exp(step),
+    the arithmetic of ``PoseSE3.compose(se3_exp(step))``, and only the
+    returned pose is built (and checked) as a PoseSE3.
     """
     p, q, sp, sq = _problem_arrays(problem)
-    q_skew = skew(q)
+    # E = d(R^T r)/d xi with R held at the iterate's rotation: [-I, skew(q)]
+    jac = np.concatenate([np.broadcast_to(-np.eye(3), q.shape + (3,)), skew(q)], axis=2)
+    flat_jac = jac.reshape(-1, 6)
     rot, trans = problem.initial_pose.rotation, problem.initial_pose.translation
     cost, res, weights, regularized = _weighted_cost(p, q, sp, sq, rot, trans)
     lam = _LAMBDA_INIT
@@ -289,42 +293,38 @@ def solve_pose(problem: FramePairProblem) -> PoseSolution:
             converged = True
             iterations -= 1
             break
-        # J^T W J and J^T W r as flat (6, 3N) @ (3N, .) products
-        jac = residual_jacobian(rot, q_skew)
-        wjac = (weights @ jac).reshape(-1, 6)
-        h = jac.reshape(-1, 6).T @ wjac
-        g = wjac.T @ res.reshape(-1)
-        h_diag, descent = np.diag(h), -g
+        # W~ = R^T W R from rows of kron(R, R), then H = E^T W~ E and
+        # g = E^T W~ r~ with r~ = R^T r, as flat (6, 3N) @ (3N, .) products
+        kron = (rot[:, None, :, None] * rot[None, :, None, :]).reshape(9, 9)
+        wjac = ((weights.reshape(-1, 9) @ kron).reshape(-1, 3, 3) @ jac).reshape(-1, 6)
+        h = flat_jac.T @ wjac
+        h_diag, descent = np.diag(h), -(wjac.T @ (res @ rot).reshape(-1))
 
         accepted = False
         step = np.zeros(6)
         while lam <= _LAMBDA_MAX:
-            h_lm = h + np.diag(lam * h_diag)
             try:
-                step = np.linalg.solve(h_lm, descent)
+                step = np.linalg.solve(h + np.diag(lam * h_diag), descent)
             except np.linalg.LinAlgError:
                 lam *= _LAMBDA_UP
                 continue
+            # the model's predicted decrease, xi^T (H xi + 2 lam D xi)
+            if step @ (h @ step + 2 * lam * h_diag * step) < _DECREASE_TOL * cost:
+                break
             step_rot, step_jac = so3_exp_and_left_jacobian(step[3:])
             new_rot = rot @ step_rot
             new_trans = rot @ (step_jac @ step[:3]) + trans
             new_cost, new_res, new_w, flagged = _weighted_cost(p, q, sp, sq, new_rot, new_trans)
             if new_cost < cost:
-                rot, trans, res, weights = new_rot, new_trans, new_res, new_w
-                prev_cost, cost = cost, new_cost
+                rot, trans, res, weights, cost = new_rot, new_trans, new_res, new_w, new_cost
                 regularized |= flagged
                 lam = max(lam * _LAMBDA_DOWN, 1e-15)
                 accepted = True
                 break
             lam *= _LAMBDA_UP
 
-        if not accepted:
-            converged = True  # damping exhausted: no descent direction left
-            break
-        if float(np.linalg.norm(step)) < _STEP_TOL:
-            converged = True
-            break
-        if prev_cost - cost < _COST_TOL * max(prev_cost, np.finfo(float).tiny):
+        # no predicted decrease, no damping left, or a vanishing step
+        if not accepted or float(np.linalg.norm(step)) < _STEP_TOL:
             converged = True
             break
 

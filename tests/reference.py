@@ -25,7 +25,11 @@ them:
 * evaluation: ``rotation_errors_by_log``, the per-frame rotation errors
   as the norm of ``so3_log``, against ``evaluation.per_frame_errors``;
 * optimization: ``mahalanobis_cost`` and ``pair_covariances``, one
-  problem's cost and combined covariances at a given pose.
+  problem's cost and combined covariances at a given pose;
+  ``residual_jacobian``, the Jacobian of the reference-frame residual
+  that ``optimizer.solve_pose`` linearizes in the current camera's frame;
+  ``tight_solve_pose``, ``solve_pose`` with the stop rule it had before
+  its predicted-decrease test, the tight-convergence reference.
 """
 
 from __future__ import annotations
@@ -41,12 +45,20 @@ from stereovo.geometry import (
     StereoCamera,
     check_covariances,
     skew,
+    so3_exp_and_left_jacobian,
 )
 from stereovo.optimizer import (
     _FULL,
+    _LAMBDA_DOWN,
+    _LAMBDA_INIT,
+    _LAMBDA_MAX,
+    _LAMBDA_UP,
+    _MAX_ITERS,
+    _STEP_TOL,
     CovarianceMode,
     FramePairProblem,
     MatchedLandmarks,
+    PoseSolution,
     _combined_covariances,
     _mode_adjusted,
     _problem_arrays,
@@ -412,3 +424,67 @@ def pair_covariances(
     sp, sq = _mode_adjusted(pairs, CovarianceMode(mode))
     s, _, ridged = _combined_covariances(sp, sq, np.asarray(rotation, float))
     return s[:, _FULL].reshape(-1, 3, 3), ridged.size > 0
+
+
+def residual_jacobian(rotation: np.ndarray, curr_skew: np.ndarray) -> np.ndarray:
+    """d r / d xi of r = p - T*exp(xi)(q) at xi = 0, for T of the given
+    rotation, from skew(q): shape (3, 6) for one point, whose skew is
+    (3, 3), and (N, 3, 6) for a stack of skews (N, 3, 3). R^T times it is
+    [-I, skew(q)], the Jacobian solve_pose builds once per solve."""
+    jac = np.empty(curr_skew.shape[:-1] + (6,))
+    jac[..., :3] = -rotation
+    jac[..., 3:] = rotation @ curr_skew
+    return jac
+
+
+# The stop rule of tight_solve_pose: LM has converged when an accepted
+# step lowers the cost by less than this, relative.
+COST_TOL = 1e-10
+
+
+def tight_solve_pose(problem: FramePairProblem) -> PoseSolution:
+    """solve_pose as it was before its predicted-decrease test: every
+    trial of the damping ladder is evaluated, and LM stops when an
+    accepted step lowers the cost by less than COST_TOL relative, is
+    shorter than _STEP_TOL, or no damping finds a lower cost. Same
+    evaluation, schedule and accept rule, linearized in the reference
+    frame with residual_jacobian; it converges more tightly and
+    evaluates the cost about twice as often."""
+    p, q, sp, sq = _problem_arrays(problem)
+    q_skew = skew(q)
+    rot, trans = problem.initial_pose.rotation, problem.initial_pose.translation
+    cost, res, weights, regularized = _weighted_cost(p, q, sp, sq, rot, trans)
+    lam, converged, iterations = _LAMBDA_INIT, False, 0
+    for iterations in range(1, _MAX_ITERS + 1):
+        if cost == 0.0:
+            converged, iterations = True, iterations - 1
+            break
+        jac = residual_jacobian(rot, q_skew)
+        wjac = (weights @ jac).reshape(-1, 6)
+        h = jac.reshape(-1, 6).T @ wjac
+        descent = -(wjac.T @ res.reshape(-1))
+        accepted, step = False, np.zeros(6)
+        while lam <= _LAMBDA_MAX:
+            try:
+                step = np.linalg.solve(h + lam * np.diag(np.diag(h)), descent)
+            except np.linalg.LinAlgError:
+                lam *= _LAMBDA_UP
+                continue
+            step_rot, step_jac = so3_exp_and_left_jacobian(step[3:])
+            new_rot, new_trans = rot @ step_rot, rot @ (step_jac @ step[:3]) + trans
+            new_cost, new_res, new_w, flagged = _weighted_cost(p, q, sp, sq, new_rot, new_trans)
+            if new_cost < cost:
+                rot, trans, res, weights = new_rot, new_trans, new_res, new_w
+                prev_cost, cost = cost, new_cost
+                regularized |= flagged
+                lam = max(lam * _LAMBDA_DOWN, 1e-15)
+                accepted = True
+                break
+            lam *= _LAMBDA_UP
+        if not accepted or np.linalg.norm(step) < _STEP_TOL:
+            converged = True
+            break
+        if prev_cost - cost < COST_TOL * max(prev_cost, np.finfo(float).tiny):
+            converged = True
+            break
+    return PoseSolution(PoseSE3(rot, trans), cost, iterations, res, converged, regularized)

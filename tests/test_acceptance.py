@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import random_spd
-from reference import PixelObservation, nms_filter, rotation_angle, uncertainty_filter
+from reference import PixelObservation, nms_filter, residual_jacobian, rotation_angle, uncertainty_filter
 from test_evaluation import make_traj, oracle_metrics, perturb
 from test_selector import brute_force_nms, kp
 
@@ -29,7 +29,6 @@ from stereovo.optimizer import (
     CovarianceMode,
     FramePairProblem,
     MatchedLandmarks,
-    residual_jacobian,
     solve_pose,
 )
 from stereovo.pipeline import KeypointMode, RunConfig, match_sequence, run

@@ -8,6 +8,7 @@ from reference import (
     mahalanobis_cost,
     pair_covariances,
     project_covariance,
+    residual_jacobian,
     rotation_angle,
     transform_landmark,
 )
@@ -16,7 +17,7 @@ from stereovo.geometry import PoseSE3, StereoCamera, se3_exp, skew, so3_exp
 import stereovo.optimizer as optimizer
 from stereovo.optimizer import (
     _COND_LIMIT,
-    _COST_TOL,
+    _DECREASE_TOL,
     _DET_REL_TOL,
     _FULL,
     _LAMBDA_DOWN,
@@ -33,7 +34,6 @@ from stereovo.optimizer import (
     MatchedLandmarks,
     _combined_covariances,
     _sym3_cofactors,
-    residual_jacobian,
     scale_agnostic_normalizers,
     solve_pose,
 )
@@ -112,7 +112,8 @@ def reference_weighted_cost(p, q, sp, sq, pose, mode):
 
 
 def reference_solve_pose(problem):
-    """solve_pose's LM loop over the reference evaluation."""
+    """solve_pose's LM loop, with its predicted-decrease stop, over the
+    reference evaluation in the reference frame."""
     p, q = problem.pairs.p, problem.pairs.q
     sp, sq = reference_mode_adjusted(problem.pairs, problem.covariance_mode)
     mode, pose = problem.covariance_mode, problem.initial_pose
@@ -132,19 +133,18 @@ def reference_solve_pose(problem):
             except np.linalg.LinAlgError:
                 lam *= _LAMBDA_UP
                 continue
+            if step @ (h @ step + 2 * lam * np.diag(h) * step) < _DECREASE_TOL * cost:
+                break
             candidate = pose.compose(se3_exp(step))
             new_cost, new_res, new_w, flagged = reference_weighted_cost(p, q, sp, sq, candidate, mode)
             if new_cost < cost:
-                pose, res, weights = candidate, new_res, new_w
-                prev_cost, cost = cost, new_cost
+                pose, res, weights, cost = candidate, new_res, new_w, new_cost
                 regularized |= flagged
                 lam = max(lam * _LAMBDA_DOWN, 1e-15)
                 accepted = True
                 break
             lam *= _LAMBDA_UP
         if not accepted or np.linalg.norm(step) < _STEP_TOL:
-            break
-        if prev_cost - cost < _COST_TOL * max(prev_cost, np.finfo(float).tiny):
             break
     return pose, cost, regularized
 
@@ -380,6 +380,26 @@ class TestJacobian:
                 fd[:, k] = (rp - rm) / (2 * h)
             denom = max(1.0, float(np.linalg.norm(jac)))
             assert np.linalg.norm(jac - fd) / denom < 1e-5
+
+    def test_current_frame_jacobian_is_fixed(self):
+        # R^T r, with R held at the linearization's rotation, has the
+        # Jacobian [-I, skew(q)] at every pose, the E solve_pose builds once
+        rng = np.random.default_rng(21)
+        h = 1e-6
+        for _ in range(100):
+            pose = PoseSE3(random_rotation(rng, 2.0), rng.normal(size=3))
+            q = rng.uniform(-4, 4, size=3) + [0, 0, 5]
+            p = rng.normal(size=3)
+            fd = np.zeros((3, 6))
+            for k in range(6):
+                e = np.zeros(6)
+                e[k] = h
+                rp = pose.rotation.T @ (p - pose.compose(se3_exp(e)).apply(q))
+                rm = pose.rotation.T @ (p - pose.compose(se3_exp(-e)).apply(q))
+                fd[:, k] = (rp - rm) / (2 * h)
+            want = np.hstack([-np.eye(3), skew(q)])
+            assert np.abs(fd - want).max() < 1e-5 * max(1.0, float(np.abs(want).max()))
+            assert np.allclose(pose.rotation.T @ residual_jacobian(pose.rotation, skew(q)), want, atol=1e-12)
 
 
 class TestSolvePose:
