@@ -25,7 +25,7 @@ class NumericalError(StereoVoError):
 
 
 class DegenerateGeometryError(NumericalError):
-    """A FramePairProblem's points are collinear; its pose is not observable."""
+    """A FramePairProblem's points are collinear in either frame; its pose is not observable."""
 
 
 class InsufficientKeypointsError(NumericalError):

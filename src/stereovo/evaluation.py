@@ -50,8 +50,8 @@ class Trajectory:
 def read_tum(path) -> Trajectory:
     """Parse a TUM trajectory file; '#' lines and blanks are skipped.
     A line with a wrong field count, a non-finite value, a timestamp not
-    after the previous line's or a zero quaternion is a DataFormatError
-    naming ``path:line``."""
+    after the previous line's or a quaternion whose norm is below 1e-12
+    or overflows is a DataFormatError naming ``path:line``."""
     times, poses = [], []
     path = Path(path)
     try:
@@ -74,9 +74,10 @@ def read_tum(path) -> Trajectory:
         if times and not vals[0] > times[-1]:
             raise DataFormatError(f"{path}:{lineno}: timestamp {parts[0]} does not increase")
         quat = np.array(vals[4:8])
-        norm = np.linalg.norm(quat)
-        if norm < 1e-12:
-            raise DataFormatError(f"{path}:{lineno}: degenerate quaternion")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(quat)
+        if not 1e-12 <= norm < np.inf:
+            raise DataFormatError(f"{path}:{lineno}: degenerate quaternion (norm {norm:g})")
         times.append(vals[0])
         poses.append(PoseSE3(quat_to_matrix(quat / norm), np.array(vals[1:4])))
     return Trajectory(np.array(times), poses)

@@ -3,10 +3,12 @@
 Replaces a learned matching network with a generator that renders dense
 depth, optical flow, validity and calibrated per-pixel variance maps for
 a scene of fronto-parallel walls plus a point-landmark cloud, moved
-through by a scripted camera. Emitted variance maps equal the generating
-noise variances (honest mode), or stay at the baseline level inside
-anomaly regions (overconfident mode), so downstream modules can be
-tested against both.
+through by a scripted camera. One function builds that world (poses,
+walls, landmarks); ``generate_frames`` renders it, and ``SceneConfig``
+bounds its depths by measuring it. Emitted variance maps equal the
+generating noise variances (honest mode), or stay at the baseline level
+inside anomaly regions (overconfident mode), so downstream modules can
+be tested against both.
 
 A frame's flow maps pixel centers of frame t to their corresponding
 (float) locations in frame t+1; the last frame carries zero flow. Only
@@ -107,8 +109,10 @@ class MotionSpec:
         for i, row in enumerate(self.waypoints):
             if len(row) != 7:
                 raise ConfigError(f"waypoints[{i}]: expected 7 values tx..qw, got {len(row)}")
-            if not np.linalg.norm(row[3:]) > 0:
-                raise ConfigError(f"waypoints[{i}]: the quaternion qx..qw must have a positive norm")
+            with np.errstate(over="ignore"):  # motion_poses divides by this norm
+                norm = np.linalg.norm(row[3:])
+            if not 0 < norm < math.inf:
+                raise ConfigError(f"waypoints[{i}]: the quaternion qx..qw must have a positive, finite norm, got {norm}")
 
 
 @dataclass(frozen=True)
@@ -161,30 +165,23 @@ class SceneConfig:
                     raise ConfigError(f"{name}: the {what} overflows, got {factor}")
 
     def _largest_depth(self) -> float:
-        """A bound on every depth ``generate_frames`` can render: a depth
-        is at most the distance from the camera to the wall point or
-        landmark it sees, and the camera stays within ``travel`` of the
-        world origin, where the walls and landmarks are placed."""
-        cam, motion, hi = self.camera, self.motion, self.depth_range[1]
-        if motion.kind == "constant_velocity":  # a step moves |V(phi) v| <= |v|
-            travel = (self.num_frames - 1) * math.hypot(*motion.velocity)
-        elif motion.kind == "orbit":
-            travel = 2 * motion.orbit_radius
-        elif motion.kind == "waypoints":
-            travel = max(math.hypot(*row[:3]) for row in motion.waypoints)
-        else:
-            travel = 0.0
-        tan_u = max(cam.cx, cam.width - cam.cx) / cam.fx
-        tan_v = max(cam.cy, cam.height - cam.cy) / cam.fy
-        if self.walls is not None:
-            corners = [(max(map(abs, w.x_range)), max(map(abs, w.y_range)), w.z) for w in self.walls]
-        else:  # _auto_walls' backdrop is the farthest and widest wall
-            z = 0.9 * hi
-            corners = [(1.5 * (tan_u * z + travel), 1.5 * (tan_v * z + travel), z)]
-        reach = max((math.hypot(*c) for c in corners), default=0.0)
-        if self.render_landmarks:  # placed in view of the first pose, nearer than 0.85 * hi
-            reach = max(reach, travel + 0.85 * hi * math.hypot(tan_u, tan_v, 1.0))
-        return travel + reach
+        """A bound on every depth ``generate_frames`` can render, measured
+        on the world it renders: a depth is at most the distance from the
+        camera to the wall point or landmark it sees, so at most the
+        camera's largest distance from the origin plus the farthest wall
+        corner's or rendered landmark's. inf where any of these overflows."""
+        # overflow shows as inf or nan, and so as an infinite bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                poses, walls, landmarks = _world(self)
+            except ConfigError:  # a generated wall's extent overflowed, or came from a non-finite path
+                return math.inf
+            reach = [math.hypot(max(map(abs, w.x_range)), max(map(abs, w.y_range)), w.z) for w in walls]
+            if self.render_landmarks:
+                reach.extend(np.hypot.reduce(landmarks, axis=1))
+            travel = [math.hypot(*p.translation) for p in poses]
+            bound = float(np.max(travel) + np.max(reach, initial=0.0))  # np.max keeps a nan
+        return bound if bound < math.inf else math.inf
 
 
 @dataclass
@@ -355,6 +352,15 @@ def _anomaly_multiplier(cam: StereoCamera, regions) -> np.ndarray:
     return mult
 
 
+def _world(cfg: SceneConfig) -> tuple[list[PoseSE3], list[Wall], np.ndarray]:
+    """The camera poses, walls and landmarks of the scene: cfg.walls, or
+    walls generated along the poses, then landmarks, from one generator."""
+    poses = motion_poses(cfg.motion, cfg.num_frames)
+    rng = np.random.default_rng([cfg.seed, 0])
+    walls = list(cfg.walls) if cfg.walls is not None else _auto_walls(cfg, poses, rng)
+    return poses, walls, _sample_landmarks(cfg, poses[0], rng)
+
+
 def generate_frames(cfg: SceneConfig) -> Iterator[FrameObservation]:
     """Render the scene along the scripted trajectory and add noise,
     yielding one frame at a time.
@@ -366,12 +372,8 @@ def generate_frames(cfg: SceneConfig) -> Iterator[FrameObservation]:
     one frame ahead, for the occlusion test against frame t+1.
     """
     cam = cfg.camera
-    poses = motion_poses(cfg.motion, cfg.num_frames)
-    rng_world = np.random.default_rng([cfg.seed, 0])
+    poses, walls, landmarks = _world(cfg)
     rng_field = np.random.default_rng([cfg.seed, 1])
-
-    walls = list(cfg.walls) if cfg.walls is not None else _auto_walls(cfg, poses, rng_world)
-    landmarks = _sample_landmarks(cfg, poses[0], rng_world)
     # camera-frame rays with unit z through the pixel centers, (H, W, 3)
     u, v = np.arange(cam.width, dtype=float), np.arange(cam.height, dtype=float)
     rays = backproject(cam, u[None, :], v[:, None], 1.0)

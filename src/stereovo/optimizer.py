@@ -76,8 +76,8 @@ _RIDGE_ABS = 1e-12
 # A determinant at or below this fraction of trace^3 is rounding noise of
 # a rank-deficient covariance (exact arithmetic gives 0).
 _DET_REL_TOL = 64 * np.finfo(float).eps
-# Collinearity threshold on the second singular value of the centered
-# previous-frame positions.
+# Collinearity threshold on the second singular value of each frame's
+# centered positions.
 _COLLINEAR_TOL = 1e-9
 # The fewest pairs that fix a pose: three non-collinear points.
 MIN_PAIRS = 3
@@ -154,13 +154,13 @@ class FramePairProblem:
         self.covariance_mode = CovarianceMode(self.covariance_mode)
         if len(self.pairs) < MIN_PAIRS:
             raise InsufficientKeypointsError(f"need at least {MIN_PAIRS} pairs, got {len(self.pairs)}")
-        p = self.pairs.p
-        # collinear points leave rotation about the line unobservable
-        s = np.linalg.svd(p - p.mean(axis=0), compute_uv=False)
-        if s[1] <= _COLLINEAR_TOL:
-            raise DegenerateGeometryError(
-                f"matched points are collinear (second singular value {s[1]:.3e})"
-            )
+        # collinear points, in either frame, leave rotation about the line unobservable
+        for name, x in (("previous", self.pairs.p), ("current", self.pairs.q)):
+            s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+            if s[1] <= _COLLINEAR_TOL:
+                raise DegenerateGeometryError(
+                    f"matched {name}-frame points are collinear (second singular value {s[1]:.3e})"
+                )
 
 
 @dataclass
@@ -168,7 +168,6 @@ class PoseSolution:
     pose: PoseSE3
     cost: float
     iterations: int
-    residuals: np.ndarray  # (N, 3) at the returned pose
     converged: bool
     cov_regularized: bool  # some combined covariance needed a ridge
 
@@ -332,7 +331,6 @@ def solve_pose(problem: FramePairProblem) -> PoseSolution:
         pose=PoseSE3(rot, trans),
         cost=cost,
         iterations=iterations,
-        residuals=res,
         converged=converged,
         cov_regularized=regularized,
     )

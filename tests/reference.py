@@ -487,4 +487,4 @@ def tight_solve_pose(problem: FramePairProblem) -> PoseSolution:
         if prev_cost - cost < COST_TOL * max(prev_cost, np.finfo(float).tiny):
             converged = True
             break
-    return PoseSolution(PoseSE3(rot, trans), cost, iterations, res, converged, regularized)
+    return PoseSolution(PoseSE3(rot, trans), cost, iterations, converged, regularized)

@@ -431,6 +431,44 @@ class TestExitCodes:
         assert code == EXIT_OK
 
 
+# a waypoint and a TUM line whose quaternion's norm overflows, though each value is finite
+HUGE_QUAT_WAYPOINTS = "kind: waypoints, waypoints: [[0.1, 0, 0, 1.0e300, 0, 0, 1.0e300]" + ", [0, 0, 0, 0, 0, 0, 1]" * 5 + "]"
+HUGE_QUAT_TUM = "1 0.1 0 0 1e300 0 0 1e300\n2 0.1 0 0 0 0 0 1\n"
+# a camera whose travel, and so the depth-variance bound, overflows
+HUGE_TRAVEL = "kind: constant_velocity, velocity: [1.0e307, 0.0, 0.0], angular_velocity: [0.0, 0.1, 0.0]"
+
+
+@pytest.mark.parametrize(
+    "case, code, message",
+    [
+        ("waypoint", EXIT_CONFIG, "config error: motion.waypoints[0]: the quaternion"),
+        ("eval", EXIT_IO, "gt.txt:1: degenerate quaternion"),
+        ("ingest", EXIT_IO, "poses_gt.txt:1: degenerate quaternion"),
+        ("travel", EXIT_CONFIG, "config error: noise.gamma_disp: the depth variance"),
+    ],
+)
+def test_overflowing_input_exits_without_traceback_or_warning(case, code, message, tmp_path):
+    # in a subprocess, whose stderr shows a warning or traceback as a shell would
+    (tmp_path / "obs_in").mkdir()
+    (tmp_path / "obs_in" / "poses_gt.txt").write_text(HUGE_QUAT_TUM)
+    (tmp_path / "run.cfg").write_text(RUN_YAML.format(out=tmp_path / "o", obs=tmp_path / "obs_in"))
+    frames, motion = (100, HUGE_TRAVEL) if case == "travel" else (6, HUGE_QUAT_WAYPOINTS)
+    scene = SCENE_YAML.replace("num_frames: 6", f"num_frames: {frames}")
+    (tmp_path / "scene.cfg").write_text(scene.replace("kind: constant_velocity, velocity: [0.04, 0.02, 0.06]", motion))
+    gt = str(tmp_path / "obs_in" / "poses_gt.txt")
+    argv = {
+        "eval": ["eval", "--gt", gt, "--est", gt, "-o", str(tmp_path / "m.csv")],
+        "ingest": ["run", str(tmp_path / "run.cfg")],
+    }.get(case, ["simulate", str(tmp_path / "scene.cfg"), "-o", str(tmp_path / "o")])
+    src = str(Path(stereovo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+    proc = subprocess.run([sys.executable, "-m", "stereovo.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+    assert not (tmp_path / "o").exists() and not (tmp_path / "m.csv").exists()
+
+
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency; the program runs on numpy and PyYAML
     src = str(Path(stereovo.__file__).resolve().parent.parent)

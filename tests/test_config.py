@@ -309,6 +309,12 @@ def test_negative_seed_is_a_config_error(case, path):
         # closer frames than eval pairs timestamps by; at 1e-10 s the
         # trajectory file's 9-decimal timestamps would all read 0
         ("frame_dt", 1.0e-10, "frame_dt: must be >= 1e-06 s, got 1e-10"),
+        # finite components whose norm overflows, which motion_poses would divide by
+        (
+            "motion",
+            {"kind": "waypoints", "waypoints": [[0.0, 0.0, 0.0, 1.0e300, 0.0, 0.0, 1.0e300]] * 6},
+            "motion.waypoints[0]: the quaternion qx..qw must have a positive, finite norm, got inf",
+        ),
     ],
 )
 def test_scene_check_errors_carry_their_dotted_path(field, value, message):

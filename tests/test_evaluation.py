@@ -224,6 +224,17 @@ class TestScaleAlign:
             scale_align(gt, still)
 
 
+class TestTrajectory:
+    def test_one_pose_per_timestamp(self):
+        with pytest.raises(ValueError, match="timestamp/pose count mismatch"):
+            Trajectory(np.array([0.0, 1.0]), [PoseSE3.identity()])
+
+    @pytest.mark.parametrize("timestamps", [[0.0, 0.0], [1.0, 0.5]])
+    def test_timestamps_strictly_increase(self, timestamps):
+        with pytest.raises(ValueError, match="timestamps must be strictly increasing"):
+            Trajectory(np.array(timestamps), [PoseSE3.identity()] * 2)
+
+
 class TestAssociation:
     def test_mismatched_lengths_listed(self):
         rng = np.random.default_rng(11)
@@ -306,6 +317,7 @@ class TestTumIO:
             "1.0 1 0 0 0 nan 0 1",
             "1.0 1 0 0 x 0 0 1",
             "1.0 1 0 0 0 0 0 0",
+            "1.0 1 0 0 1e300 0 0 1e300",  # finite, but the quaternion's norm overflows
         ],
     )
     def test_malformed_line_names_path_and_line(self, tmp_path, line):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from stereovo.frontend import (
     NoiseModel,
     SceneConfig,
     Wall,
-    _sample_landmarks,
+    _world,
     generate_sequence,
     ingest_observations,
     load_scene_config,
@@ -163,8 +164,7 @@ class TestGeneration:
         # pixel; the same seed without splats renders the walls alone
         scene = plane_scene(seed=3, num_frames=4)
         splatted = generate_sequence(replace(scene, render_landmarks=True))
-        poses = motion_poses(scene.motion, scene.num_frames)
-        landmarks = _sample_landmarks(scene, poses[0], np.random.default_rng([scene.seed, 0]))
+        poses, _, landmarks = _world(scene)
         for t, (a, b) in enumerate(zip(splatted, generate_sequence(scene))):
             differs = a.depth != b.depth
             depths = poses[t].inverse().apply(landmarks)[:, 2]
@@ -187,6 +187,21 @@ class TestGeneration:
                 scene = replace(plane_scene(num_frames=4), motion=motion, walls=walls, render_landmarks=splats)
                 deepest = max(float(f.depth[f.valid].max()) for f in generate_sequence(scene))
                 assert 0 < deepest <= scene._largest_depth(), (motion.kind, walls, splats)
+
+    def test_largest_depth_of_an_empty_or_overflowing_world(self):
+        scene = plane_scene(num_frames=4)
+        # no wall and no splat: the bound is the camera's travel alone
+        travel = max(np.linalg.norm(p.translation) for p in motion_poses(scene.motion, 4))
+        assert replace(scene, walls=())._largest_depth() == pytest.approx(travel, rel=1e-15)
+        # a path that overflows to nan, and a generated wall whose extent
+        # overflows, bound nothing: the depth variance is named, with no warning
+        spin = MotionSpec(kind="constant_velocity", angular_velocity=(1e200, 0.0, 0.0))
+        far = dict(camera=small_cam(f=1.0), depth_range=(1.0, 1e308), walls=None)
+        for kw in (dict(motion=spin), far):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match="noise.gamma_disp: the depth variance"):
+                    replace(scene, **kw)
 
     def test_waypoint_count_checked_with_the_scene(self):
         wps = ((0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1))
@@ -217,6 +232,12 @@ def overwrite_at_first_valid_pixel(path, channel, value):
 
 
 class TestObservationIO:
+    def test_maps_must_share_dimensions(self):
+        frame = generate_sequence(plane_scene(seed=1, num_frames=2))[0]
+        for name in ("flow", "flow_var", "depth_var", "valid"):
+            with pytest.raises(ValueError, match="observation maps do not share dimensions"):
+                replace(frame, **{name: getattr(frame, name)[:-1]})
+
     def test_variance_must_be_non_negative_on_valid_pixels(self):
         frame = generate_sequence(plane_scene(seed=1, num_frames=2))[0]
         (v, u), (iv, iu) = np.argwhere(frame.valid)[0], np.argwhere(~frame.valid)[0]

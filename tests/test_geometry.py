@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -116,6 +118,8 @@ class TestSE3:
             assert np.max(np.abs(left.translation - right.translation)) < 1e-9
 
     def test_bad_rotation_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("rotation must be 3x3, got (2, 2)")):
+            PoseSE3(np.eye(2), np.zeros(3))
         with pytest.raises(ValueError):
             PoseSE3(np.eye(3) * 1.5, np.zeros(3))
         with pytest.raises(ValueError):
@@ -195,6 +199,11 @@ class TestLandmark:
     def test_covariance_must_be_psd(self):
         with pytest.raises(ValueError):
             Landmark3D(np.zeros(3), -1e-6 * np.eye(3))
+
+    def test_covariance_must_be_3x3(self):
+        for c in (np.eye(2), np.zeros((3, 3, 2)), np.zeros((2, 2, 3, 3))):
+            with pytest.raises(ValueError, match=re.escape(f"covariance must be 3x3, got {c.shape}")):
+                check_covariances(c)
 
     def test_covariance_must_be_finite(self):
         # inf - inf in the symmetry test is NaN, which no comparison fails

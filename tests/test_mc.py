@@ -12,6 +12,7 @@ from stereovo.mc import (
     _block_totals,
     mc_depth_distribution,
     mc_projection_covariance,
+    summarize_report,
     write_report_csv,
 )
 
@@ -55,11 +56,17 @@ class TestDepthOracle:
             with pytest.raises(ValueError):
                 mc_depth_distribution(cam_vga, mu, gamma, n=100_000, seed=0)
 
-    def test_high_rejection_rate_flagged(self, cam_vga):
+    def test_high_rejection_rate_flagged(self, cam_vga, tmp_path):
         # gamma = 0.45: P(D <= 0) = Phi(-1/0.45) ~ 1.3% > 1%
         rep = mc_depth_distribution(cam_vga, 80.0, 0.45, n=100_000, seed=12)
         assert rep.rejection_flagged
         assert rep.rejection_rate > 0.01
+        # the report's CSV row and printed warning
+        out = tmp_path / "report.csv"
+        write_report_csv(rep, out)
+        rows = dict(line.split(",")[:2] for line in out.read_text().splitlines()[1:])
+        assert float(rows["rejection_rate"]) == rep.rejection_rate
+        assert f"  WARNING: rejection rate {rep.rejection_rate:.2%} exceeds 1%" in summarize_report(rep).splitlines()
 
 
 class TestProjectionOracle:

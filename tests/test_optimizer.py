@@ -422,7 +422,6 @@ class TestSolvePose:
             sol = solve_pose(FramePairProblem(make_pairs(p, p, covs, covs), PoseSE3.identity(), mode))
             assert (sol.iterations, sol.converged, sol.cost) == (0, True, 0.0)
             assert np.array_equal(sol.pose.rotation, np.eye(3)) and not sol.pose.translation.any()
-            assert not sol.residuals.any()
 
     def test_fixed_point_one_iteration(self):
         rng = np.random.default_rng(8)
@@ -514,6 +513,16 @@ class TestSolvePose:
         pts = [[0.0, 0.0, float(i)] for i in range(5)]
         pairs = make_pairs(pts, pts, [np.eye(3)] * 5, [np.eye(3)] * 5)
         with pytest.raises(DegenerateGeometryError):
+            FramePairProblem(pairs, PoseSE3.identity())
+
+    def test_collinear_current_points_rejected(self):
+        # q on the optical axis, p a rigid motion of it plus 5 cm noise: p
+        # passes the check, and rotation about the axis is unobservable
+        q = np.stack([np.zeros(8), np.zeros(8), np.linspace(2.0, 9.0, 8)], axis=1)
+        p = q + [0.103, 0.0, 0.299] + np.random.default_rng(4).normal(scale=0.05, size=q.shape)
+        assert np.linalg.svd(p - p.mean(axis=0), compute_uv=False)[1] > 0.05
+        pairs = make_pairs(p, q, [0.01 * np.eye(3)] * 8, [0.01 * np.eye(3)] * 8)
+        with pytest.raises(DegenerateGeometryError, match="current-frame points are collinear"):
             FramePairProblem(pairs, PoseSE3.identity())
 
     def test_too_few_pairs_rejected(self):
