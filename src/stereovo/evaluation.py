@@ -1,6 +1,8 @@
 """Trajectory metrics and trajectory file I/O.
 
-Metrics are per-frame relative errors between consecutive poses:
+Metrics are per-frame relative errors between consecutive poses, taken
+for every frame at once over the stacked poses; they agree with a loop
+over frames to rounding, within 1e-12 relative:
 
     t_rel = mean_t || (p_{t+1} - p_t) - R_t R_hat_t^T (p_hat_{t+1} - p_hat_t) ||   [m/frame]
     r_rel = (180/pi) * mean_t angle(R_hat_{t,t+1}^T R_{t,t+1})                    [deg/frame]
@@ -94,52 +96,39 @@ def write_tum(traj: Trajectory, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def associate(gt: Trajectory, est: Trajectory, tol: float = ASSOCIATION_TOL) -> None:
-    """Check the two trajectories pair 1:1 by timestamp within tol.
-
-    Raises NumericalError listing every unmatched timestamp.
-    """
-    unmatched = []
+def _check_pair(gt: Trajectory, est: Trajectory) -> None:
+    """Check the trajectories have 2 poses or more and pair 1:1 by timestamp
+    within ASSOCIATION_TOL; a NumericalError lists every unmatched one."""
+    if len(gt) < 2:
+        raise NumericalError("relative metrics need at least 2 poses")
     if len(gt) != len(est):
-        longer, shorter = (gt, est) if len(gt) > len(est) else (est, gt)
-        for ts in longer.timestamps:
-            if np.min(np.abs(shorter.timestamps - ts), initial=np.inf) > tol:
-                unmatched.append(float(ts))
+        longer, shorter = (gt.timestamps, est.timestamps) if len(gt) > len(est) else (est.timestamps, gt.timestamps)
+        # both increase, so a timestamp's nearest neighbours sit either side of its insertion point
+        near = np.searchsorted(shorter, longer)
+        padded = np.concatenate([[-np.inf], shorter, [np.inf]])
+        gap = np.minimum(longer - padded[near], padded[near + 1] - longer)
         raise NumericalError(
             f"trajectory lengths differ ({len(gt)} vs {len(est)}); "
-            f"unmatched timestamps: {unmatched}"
+            f"unmatched timestamps: {longer[gap > ASSOCIATION_TOL].tolist()}"
         )
-    bad = np.abs(gt.timestamps - est.timestamps) > tol
+    bad = np.abs(gt.timestamps - est.timestamps) > ASSOCIATION_TOL
     if bad.any():
         raise NumericalError(
             f"timestamp association failed; unmatched timestamps: {gt.timestamps[bad].tolist()}"
         )
 
 
-def _check_pair(gt: Trajectory, est: Trajectory) -> None:
-    if len(gt) < 2:
-        raise NumericalError("relative metrics need at least 2 poses")
-    associate(gt, est)
-
-
 def per_frame_errors(gt: Trajectory, est: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair translation (m) and rotation (deg) errors, length N-1."""
+    """Per-pair translation (m) and rotation (deg) errors, length N-1,
+    over the stacked poses of both trajectories at once."""
     _check_pair(gt, est)
-    n = len(gt) - 1
-    t_err = np.empty(n)
-    r_err = np.empty(n)
-    for t in range(n):
-        pg0, pg1 = gt.poses[t], gt.poses[t + 1]
-        pe0, pe1 = est.poses[t], est.poses[t + 1]
-        d_gt = pg1.translation - pg0.translation
-        d_est = pe1.translation - pe0.translation
-        t_err[t] = np.linalg.norm(d_gt - pg0.rotation @ pe0.rotation.T @ d_est)
-        rel_gt = pg0.rotation.T @ pg1.rotation
-        rel_est = pe0.rotation.T @ pe1.rotation
-        e = rel_est.T @ rel_gt
-        sin_angle = 0.5 * np.linalg.norm([e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1]])
-        r_err[t] = np.degrees(np.arctan2(sin_angle, 0.5 * (np.trace(e) - 1.0)))
-    return t_err, r_err
+    r_gt, r_est = (np.stack([p.rotation for p in traj.poses]) for traj in (gt, est))
+    d_gt, d_est = np.diff(gt.positions(), axis=0), np.diff(est.positions(), axis=0)
+    t_err = np.linalg.norm(d_gt - (r_gt[:-1] @ r_est[:-1].transpose(0, 2, 1) @ d_est[..., None])[..., 0], axis=1)
+    rel_gt, rel_est = (r[:-1].transpose(0, 2, 1) @ r[1:] for r in (r_gt, r_est))
+    e = rel_est.transpose(0, 2, 1) @ rel_gt
+    sin_angle = 0.5 * np.linalg.norm(e[:, [2, 0, 1], [1, 2, 0]] - e[:, [1, 2, 0], [2, 0, 1]], axis=1)
+    return t_err, np.degrees(np.arctan2(sin_angle, 0.5 * (np.trace(e, axis1=1, axis2=2) - 1.0)))
 
 
 def t_rel(gt: Trajectory, est: Trajectory) -> float:
@@ -160,8 +149,7 @@ def scale_align(gt: Trajectory, est: Trajectory) -> tuple[Trajectory, float]:
     every position multiplied by s, rotations untouched.
     """
     _check_pair(gt, est)
-    q_gt = gt.positions() - gt.positions()[0]
-    q_est = est.positions() - est.positions()[0]
+    q_gt, q_est = (p - p[0] for p in (gt.positions(), est.positions()))
     denom = float(np.sum(q_est * q_est))
     if denom <= 0.0:
         raise NumericalError("degenerate scale: estimated trajectory has no motion")

@@ -169,19 +169,15 @@ class SceneConfig:
         on the world it renders: a depth is at most the distance from the
         camera to the wall point or landmark it sees, so at most the
         camera's largest distance from the origin plus the farthest wall
-        corner's or rendered landmark's. inf where any of these overflows."""
-        # overflow shows as inf or nan, and so as an infinite bound
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                poses, walls, landmarks = _world(self)
-            except ConfigError:  # a generated wall's extent overflowed, or came from a non-finite path
-                return math.inf
+        corner's or rendered landmark's; inf where that sum overflows.
+        ``_world`` names a world that is not finite."""
+        poses, walls, landmarks = _world(self)
+        with np.errstate(over="ignore"):  # a distance or sum that overflows is inf
             reach = [math.hypot(max(map(abs, w.x_range)), max(map(abs, w.y_range)), w.z) for w in walls]
             if self.render_landmarks:
                 reach.extend(np.hypot.reduce(landmarks, axis=1))
             travel = [math.hypot(*p.translation) for p in poses]
-            bound = float(np.max(travel) + np.max(reach, initial=0.0))  # np.max keeps a nan
-        return bound if bound < math.inf else math.inf
+            return float(np.max(travel) + np.max(reach, initial=0.0))
 
 
 @dataclass
@@ -267,6 +263,8 @@ def _auto_walls(cfg: SceneConfig, poses: list[PoseSE3], rng: np.random.Generator
     z_far = 0.9 * hi
     ext_x = 1.5 * (tan_u * z_far + span)
     ext_y = 1.5 * (tan_v * z_far + span)
+    if not max(ext_x, ext_y) < math.inf:  # the other walls lie inside the backdrop's extent
+        raise ConfigError("depth_range: the generated walls overflow: the backdrop's extent is not finite")
     walls = [Wall(z=z_far, x_range=(-ext_x, ext_x), y_range=(-ext_y, ext_y))]
     for _ in range(cfg.wall_count - 1):
         z = float(rng.uniform(lo + 0.15 * (hi - lo), 0.7 * hi))
@@ -354,11 +352,22 @@ def _anomaly_multiplier(cam: StereoCamera, regions) -> np.ndarray:
 
 def _world(cfg: SceneConfig) -> tuple[list[PoseSE3], list[Wall], np.ndarray]:
     """The camera poses, walls and landmarks of the scene: cfg.walls, or
-    walls generated along the poses, then landmarks, from one generator."""
-    poses = motion_poses(cfg.motion, cfg.num_frames)
-    rng = np.random.default_rng([cfg.seed, 0])
-    walls = list(cfg.walls) if cfg.walls is not None else _auto_walls(cfg, poses, rng)
-    return poses, walls, _sample_landmarks(cfg, poses[0], rng)
+    walls generated along the poses, then landmarks, from one generator.
+    A ConfigError names motion when the camera path overflows, and
+    depth_range when the generated walls or rendered landmarks do."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or nan, named below
+        try:  # PoseSE3 refuses a rotation that is not finite
+            poses = motion_poses(cfg.motion, cfg.num_frames)
+        except ValueError:
+            poses = []
+        if not (poses and np.isfinite([p.translation for p in poses]).all()):
+            raise ConfigError("motion: the camera path overflows: a pose is not finite")
+        rng = np.random.default_rng([cfg.seed, 0])
+        walls = list(cfg.walls) if cfg.walls is not None else _auto_walls(cfg, poses, rng)
+        landmarks = _sample_landmarks(cfg, poses[0], rng)
+    if cfg.render_landmarks and not np.isfinite(landmarks).all():
+        raise ConfigError("depth_range: the rendered landmarks overflow: one is not finite")
+    return poses, walls, landmarks
 
 
 def generate_frames(cfg: SceneConfig) -> Iterator[FrameObservation]:

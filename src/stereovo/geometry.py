@@ -111,9 +111,10 @@ class PoseSE3:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
+        # written so that a NaN, which fails every comparison, fails them too
+        if not np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-9:
             raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > 1e-9:
+        if not abs(np.linalg.det(r) - 1.0) <= 1e-9:
             raise ValueError("rotation determinant is not +1 within 1e-9")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)

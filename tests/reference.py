@@ -22,8 +22,11 @@ them:
   ``se3_log``, the inverses and measures the geometry tests check
   ``backproject``, ``so3_exp`` and ``se3_exp`` with; ``exp_rotation`` and ``left_jacobian``, the two
   Rodrigues evaluations ``geometry.so3_exp_and_left_jacobian`` shares;
-* evaluation: ``rotation_errors_by_log``, the per-frame rotation errors
-  as the norm of ``so3_log``, against ``evaluation.per_frame_errors``;
+* evaluation: ``relative_errors_by_loop``, the per-frame errors one
+  pair of poses at a time with the formulas of
+  ``evaluation.per_frame_errors``, and ``rotation_errors_by_log``, the
+  per-frame rotation errors as the norm of ``so3_log``, both against
+  ``evaluation.per_frame_errors``;
 * optimization: ``mahalanobis_cost`` and ``pair_covariances``, one
   problem's cost and combined covariances at a given pose;
   ``residual_jacobian``, the Jacobian of the reference-frame residual
@@ -117,6 +120,21 @@ def so3_log(rotation) -> np.ndarray:
         # second-order fallback of theta/sin(theta)
         return w * (1.0 + theta * theta / 6.0)
     return w * (theta / s)
+
+
+def relative_errors_by_loop(gt_poses, est_poses) -> tuple[np.ndarray, np.ndarray]:
+    """Translation (m) and rotation (deg) error of each consecutive pair of
+    poses, one pair at a time: |d_gt - R_t R_hat_t^T d_est| and the angle
+    atan2(|vee(E)|/2, (tr E - 1)/2) of E = rel_est^T rel_gt."""
+    t_err, r_err = [], []
+    for g0, g1, e0, e1 in zip(gt_poses, gt_poses[1:], est_poses, est_poses[1:]):
+        d_gt = g1.translation - g0.translation
+        d_est = e1.translation - e0.translation
+        t_err.append(np.linalg.norm(d_gt - g0.rotation @ e0.rotation.T @ d_est))
+        e = (e0.rotation.T @ e1.rotation).T @ (g0.rotation.T @ g1.rotation)
+        sin_angle = 0.5 * np.linalg.norm([e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1]])
+        r_err.append(np.degrees(np.arctan2(sin_angle, 0.5 * (np.trace(e) - 1.0))))
+    return np.array(t_err), np.array(r_err)
 
 
 def rotation_errors_by_log(gt_poses, est_poses) -> np.ndarray:

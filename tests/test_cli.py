@@ -434,8 +434,15 @@ class TestExitCodes:
 # a waypoint and a TUM line whose quaternion's norm overflows, though each value is finite
 HUGE_QUAT_WAYPOINTS = "kind: waypoints, waypoints: [[0.1, 0, 0, 1.0e300, 0, 0, 1.0e300]" + ", [0, 0, 0, 0, 0, 0, 1]" * 5 + "]"
 HUGE_QUAT_TUM = "1 0.1 0 0 1e300 0 0 1e300\n2 0.1 0 0 0 0 0 1\n"
-# a camera whose travel, and so the depth-variance bound, overflows
+# a camera whose travel overflows, and one whose rotation angle does
 HUGE_TRAVEL = "kind: constant_velocity, velocity: [1.0e307, 0.0, 0.0], angular_velocity: [0.0, 0.1, 0.0]"
+HUGE_SPIN = "kind: constant_velocity, angular_velocity: [1.0e200, 0.0, 0.0]"
+# generated walls whose extent overflows: a 1 px focal length and depths up to 1e308
+HUGE_DEPTH_SCENE = (
+    SCENE_YAML.replace("fx: 90.0", "fx: 1.0")
+    .replace("[2.0, 15.0]", "[1.0, 1.0e308]")
+    .replace("walls: [{z: 10.0, x_range: [-40.0, 40.0], y_range: [-40.0, 40.0]}]\n", "")
+)
 
 
 @pytest.mark.parametrize(
@@ -444,7 +451,9 @@ HUGE_TRAVEL = "kind: constant_velocity, velocity: [1.0e307, 0.0, 0.0], angular_v
         ("waypoint", EXIT_CONFIG, "config error: motion.waypoints[0]: the quaternion"),
         ("eval", EXIT_IO, "gt.txt:1: degenerate quaternion"),
         ("ingest", EXIT_IO, "poses_gt.txt:1: degenerate quaternion"),
-        ("travel", EXIT_CONFIG, "config error: noise.gamma_disp: the depth variance"),
+        ("travel", EXIT_CONFIG, "config error: motion: the camera path overflows"),
+        ("spin", EXIT_CONFIG, "config error: motion: the camera path overflows"),
+        ("far", EXIT_CONFIG, "config error: depth_range: the generated walls overflow"),
     ],
 )
 def test_overflowing_input_exits_without_traceback_or_warning(case, code, message, tmp_path):
@@ -452,9 +461,13 @@ def test_overflowing_input_exits_without_traceback_or_warning(case, code, messag
     (tmp_path / "obs_in").mkdir()
     (tmp_path / "obs_in" / "poses_gt.txt").write_text(HUGE_QUAT_TUM)
     (tmp_path / "run.cfg").write_text(RUN_YAML.format(out=tmp_path / "o", obs=tmp_path / "obs_in"))
-    frames, motion = (100, HUGE_TRAVEL) if case == "travel" else (6, HUGE_QUAT_WAYPOINTS)
-    scene = SCENE_YAML.replace("num_frames: 6", f"num_frames: {frames}")
-    (tmp_path / "scene.cfg").write_text(scene.replace("kind: constant_velocity, velocity: [0.04, 0.02, 0.06]", motion))
+    own_motion = "kind: constant_velocity, velocity: [0.04, 0.02, 0.06]"
+    scene = {
+        "travel": SCENE_YAML.replace("num_frames: 6", "num_frames: 100").replace(own_motion, HUGE_TRAVEL),
+        "spin": SCENE_YAML.replace(own_motion, HUGE_SPIN),
+        "far": HUGE_DEPTH_SCENE,
+    }.get(case, SCENE_YAML.replace(own_motion, HUGE_QUAT_WAYPOINTS))
+    (tmp_path / "scene.cfg").write_text(scene)
     gt = str(tmp_path / "obs_in" / "poses_gt.txt")
     argv = {
         "eval": ["eval", "--gt", gt, "--est", gt, "-o", str(tmp_path / "m.csv")],

@@ -1,12 +1,14 @@
 import csv
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from conftest import random_rotation
-from reference import rotation_errors_by_log
+from reference import relative_errors_by_loop, rotation_errors_by_log
+from test_landmark_calibration import SELECTOR, scene
 from stereovo.cli import EXIT_OK, main
 from stereovo.errors import NumericalError
 from stereovo.evaluation import (
@@ -20,6 +22,7 @@ from stereovo.evaluation import (
     write_tum,
 )
 from stereovo.geometry import PoseSE3, so3_exp
+from stereovo.pipeline import RunConfig, run
 
 
 def make_traj(rng, n=20, step=0.3, rot_step=0.04):
@@ -147,6 +150,26 @@ class TestRrel:
         assert np.all(np.abs(r_err - 180.0) < 1e-9)
 
 
+class TestBatch:
+    """per_frame_errors takes every pair at once; the loop over pairs in
+    reference.relative_errors_by_loop agrees within 1e-12 relative."""
+
+    def test_matches_the_loop_on_random_trajectories(self):
+        rng = np.random.default_rng(22)
+        for rot_step, r_noise in ((0.04, 0.01), (0.3, 0.5), (0.01, 1e-7)):
+            gt = make_traj(rng, n=30, rot_step=rot_step)
+            est = perturb(gt, rng, r_noise=r_noise)
+            for got, want in zip(per_frame_errors(gt, est), relative_errors_by_loop(gt.poses, est.poses)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("multiplier, lie", [(25.0, False), (3.0, True)], ids=["honest", "overconfident"])
+    def test_matches_the_loop_on_a_run(self, multiplier, lie):
+        sc = replace(scene(1011, multiplier, lie), num_frames=20)
+        result = run(RunConfig(seed=1011, output_dir="unused", simulate=sc, selector=SELECTOR))
+        for got, want in zip(per_frame_errors(result.gt, result.est), relative_errors_by_loop(result.gt.poses, result.est.poses)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 class TestInvariances:
     def test_global_rigid_transform_invariance(self):
         rng = np.random.default_rng(4)
@@ -249,6 +272,17 @@ class TestAssociation:
         est = Trajectory(gt.timestamps + 0.5, gt.poses)
         with pytest.raises(NumericalError, match=re.escape("unmatched timestamps: [0.0, 1.0, 2.0, 3.0, 4.0]")):
             t_rel(gt, est)
+
+    @pytest.mark.parametrize("gt_longer", [True, False])
+    def test_unmatched_timestamps_of_the_longer_trajectory(self, gt_longer):
+        # a timestamp is matched by a neighbour within ASSOCIATION_TOL on either side
+        long = Trajectory(np.arange(6.0), [PoseSE3.identity()] * 6)
+        short = Trajectory(np.array([1.0 - 5e-7, 1.5, 2.0 + 5e-7, 3.0 + 2e-6]), [PoseSE3.identity()] * 4)
+        gt, est, counts = (long, short, "6 vs 4") if gt_longer else (short, long, "4 vs 6")
+        with pytest.raises(NumericalError, match=re.escape(f"({counts}); unmatched timestamps: [0.0, 3.0, 4.0, 5.0]")):
+            t_rel(gt, est)
+        with pytest.raises(NumericalError, match=re.escape("(6 vs 0); unmatched timestamps: [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]")):
+            t_rel(long, Trajectory(np.array([]), []))
 
     def test_within_tolerance_ok(self):
         rng = np.random.default_rng(13)

@@ -193,15 +193,22 @@ class TestGeneration:
         # no wall and no splat: the bound is the camera's travel alone
         travel = max(np.linalg.norm(p.translation) for p in motion_poses(scene.motion, 4))
         assert replace(scene, walls=())._largest_depth() == pytest.approx(travel, rel=1e-15)
-        # a path that overflows to nan, and a generated wall whose extent
-        # overflows, bound nothing: the depth variance is named, with no warning
+        # a world that overflows names the field at fault, with no warning,
+        # before the depth variance is bounded: a path that overflows to nan,
+        # a generated wall whose extent overflows, and rendered landmarks that do
         spin = MotionSpec(kind="constant_velocity", angular_velocity=(1e200, 0.0, 0.0))
-        far = dict(camera=small_cam(f=1.0), depth_range=(1.0, 1e308), walls=None)
-        for kw in (dict(motion=spin), far):
+        far = dict(camera=small_cam(f=1.0), depth_range=(1.0, 1e308))
+        for kw, message in (
+            (dict(motion=spin), "motion: the camera path overflows"),
+            (dict(far, walls=None), "depth_range: the generated walls overflow"),
+            (dict(far, render_landmarks=True), "depth_range: the rendered landmarks overflow"),
+        ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ConfigError, match="noise.gamma_disp: the depth variance"):
+                with pytest.raises(ConfigError, match=message):
                     replace(scene, **kw)
+        # landmarks that are not rendered bound nothing
+        assert replace(scene, **far, render_landmarks=False)._largest_depth() < 100
 
     def test_waypoint_count_checked_with_the_scene(self):
         wps = ((0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1))

@@ -125,6 +125,14 @@ class TestSE3:
         with pytest.raises(ValueError):
             PoseSE3(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # det = -1
 
+    def test_nan_rotation_rejected(self):
+        # NaN fails every comparison, so the checks must be written to fail on it
+        with pytest.raises(ValueError, match="rotation is not orthonormal"):
+            PoseSE3(np.full((3, 3), np.nan), np.zeros(3))
+        with np.errstate(over="ignore", invalid="ignore"):  # the angle squared overflows to inf
+            with pytest.raises(ValueError, match="rotation is not orthonormal"):
+                se3_exp([0, 0, 0, 1e200, 0, 0])
+
     def test_apply_batched(self):
         rng = np.random.default_rng(9)
         p = PoseSE3(random_rotation(rng), rng.normal(size=3))
