@@ -169,15 +169,20 @@ class SceneConfig:
         on the world it renders: a depth is at most the distance from the
         camera to the wall point or landmark it sees, so at most the
         camera's largest distance from the origin plus the farthest wall
-        corner's or rendered landmark's; inf where that sum overflows.
-        ``_world`` names a world that is not finite."""
+        corner's or rendered landmark's. A world that is not finite, or a
+        sum that overflows, is a ConfigError naming the field at fault."""
         poses, walls, landmarks = _world(self)
+        wall_field = "walls" if self.walls is not None else "depth_range"
         with np.errstate(over="ignore"):  # a distance or sum that overflows is inf
-            reach = [math.hypot(max(map(abs, w.x_range)), max(map(abs, w.y_range)), w.z) for w in walls]
-            if self.render_landmarks:
-                reach.extend(np.hypot.reduce(landmarks, axis=1))
-            travel = [math.hypot(*p.translation) for p in poses]
-            return float(np.max(travel) + np.max(reach, initial=0.0))
+            reach = [(math.hypot(max(map(abs, w.x_range)), max(map(abs, w.y_range)), w.z), wall_field) for w in walls]
+            reach.extend((d, "depth_range") for d in np.hypot.reduce(landmarks, axis=1))
+            far, far_field = max(reach, default=(0.0, "depth_range"))
+            travel = max(math.hypot(*p.translation) for p in poses)
+            largest = float(travel + far)
+        if not largest < math.inf:
+            name = "motion" if travel > far else far_field
+            raise ConfigError(f"{name}: the depth bound, the camera's travel plus the farthest wall's or landmark's reach, overflows")
+        return largest
 
 
 @dataclass
@@ -216,36 +221,25 @@ class FrameObservation:
 
 
 def motion_poses(motion: MotionSpec, num_frames: int) -> list[PoseSE3]:
-    """Ground-truth camera-to-world poses for the requested motion."""
-    if motion.kind == "static":
-        return [PoseSE3.identity() for _ in range(num_frames)]
-    if motion.kind == "constant_velocity":
-        delta = se3_exp(np.concatenate([motion.velocity, motion.angular_velocity]))
-        poses = [PoseSE3.identity()]
-        for _ in range(num_frames - 1):
-            poses.append(poses[-1].compose(delta))
-        return poses
-    if motion.kind == "orbit":
-        # circle in the world x-z plane around [0, 0, radius], camera
-        # yawed to keep facing the center; starts at the origin
-        center = np.array([0.0, 0.0, motion.orbit_radius])
+    """Ground-truth camera-to-world poses: the waypoints, or from the
+    identity one constant step se3_exp(twist) per frame; the twist is zero
+    (static), (velocity, angular_velocity) or the orbit's, given below."""
+    if motion.kind == "waypoints":
         poses = []
-        for t in range(num_frames):
-            theta = motion.orbit_rate * t
-            rot = np.array(
-                [
-                    [np.cos(theta), 0.0, np.sin(theta)],
-                    [0.0, 1.0, 0.0],
-                    [-np.sin(theta), 0.0, np.cos(theta)],
-                ]
-            )
-            pos = center - motion.orbit_radius * np.array([np.sin(theta), 0.0, np.cos(theta)])
-            poses.append(PoseSE3(rot, pos))
+        for row in motion.waypoints:
+            quat = np.asarray(row[3:], dtype=float)
+            poses.append(PoseSE3(quat_to_matrix(quat / np.linalg.norm(quat)), row[:3]))
         return poses
-    poses = []
-    for row in motion.waypoints:
-        quat = np.asarray(row[3:], dtype=float)
-        poses.append(PoseSE3(quat_to_matrix(quat / np.linalg.norm(quat)), row[:3]))
+    twist = np.zeros(6)
+    if motion.kind == "constant_velocity":
+        twist = np.concatenate([motion.velocity, motion.angular_velocity])
+    elif motion.kind == "orbit":  # the circle about [0, 0, r] in the x-z plane, facing its center
+        r, rate = motion.orbit_radius, motion.orbit_rate
+        twist = np.array([-r * rate, 0.0, 0.0, 0.0, rate, 0.0])
+    delta = se3_exp(twist)
+    poses = [PoseSE3.identity()]
+    for _ in range(num_frames - 1):
+        poses.append(poses[-1].compose(delta))
     return poses
 
 
@@ -291,9 +285,9 @@ def _render_depth(
     pose: PoseSE3,
     rays: np.ndarray,
     walls: list[Wall],
-    landmarks: np.ndarray | None,
+    landmarks: np.ndarray,
 ) -> np.ndarray:
-    """Z-buffer the walls (and optional landmark splats) at pixel centers.
+    """Z-buffer the walls and the landmark splats, (N, 3), at pixel centers.
 
     Returns camera-frame depth; +inf where nothing is hit.
     """
@@ -315,15 +309,13 @@ def _render_depth(
             & (yw <= wall.y_range[1])
         )
         depth = np.where(hit & (d < depth), d, depth)
-    if landmarks is not None and len(landmarks):
-        pts = pose.inverse().apply(landmarks)
-        front = pts[:, 2] > 0
-        pts = pts[front]
-        if len(pts):
-            uu = np.rint(cam.fx * pts[:, 0] / pts[:, 2] + cam.cx).astype(int)
-            vv = np.rint(cam.fy * pts[:, 1] / pts[:, 2] + cam.cy).astype(int)
-            ok = (uu >= 0) & (uu < cam.width) & (vv >= 0) & (vv < cam.height)
-            np.minimum.at(depth, (vv[ok], uu[ok]), pts[ok][:, 2])
+    pts = pose.inverse().apply(landmarks)
+    front = pts[:, 2] > 0
+    pts = pts[front]
+    uu = np.rint(cam.fx * pts[:, 0] / pts[:, 2] + cam.cx).astype(int)
+    vv = np.rint(cam.fy * pts[:, 1] / pts[:, 2] + cam.cy).astype(int)
+    ok = (uu >= 0) & (uu < cam.width) & (vv >= 0) & (vv < cam.height)
+    np.minimum.at(depth, (vv[ok], uu[ok]), pts[ok][:, 2])
     return depth
 
 
@@ -351,10 +343,10 @@ def _anomaly_multiplier(cam: StereoCamera, regions) -> np.ndarray:
 
 
 def _world(cfg: SceneConfig) -> tuple[list[PoseSE3], list[Wall], np.ndarray]:
-    """The camera poses, walls and landmarks of the scene: cfg.walls, or
-    walls generated along the poses, then landmarks, from one generator.
-    A ConfigError names motion when the camera path overflows, and
-    depth_range when the generated walls or rendered landmarks do."""
+    """The camera poses, walls (cfg.walls, or generated along the poses)
+    and rendered landmarks (none unless cfg.render_landmarks), from one
+    generator. A ConfigError names motion when the camera path overflows,
+    and depth_range when the generated walls or rendered landmarks do."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or nan, named below
         try:  # PoseSE3 refuses a rotation that is not finite
             poses = motion_poses(cfg.motion, cfg.num_frames)
@@ -364,8 +356,8 @@ def _world(cfg: SceneConfig) -> tuple[list[PoseSE3], list[Wall], np.ndarray]:
             raise ConfigError("motion: the camera path overflows: a pose is not finite")
         rng = np.random.default_rng([cfg.seed, 0])
         walls = list(cfg.walls) if cfg.walls is not None else _auto_walls(cfg, poses, rng)
-        landmarks = _sample_landmarks(cfg, poses[0], rng)
-    if cfg.render_landmarks and not np.isfinite(landmarks).all():
+        landmarks = _sample_landmarks(cfg, poses[0], rng) if cfg.render_landmarks else np.empty((0, 3))
+    if not np.isfinite(landmarks).all():
         raise ConfigError("depth_range: the rendered landmarks overflow: one is not finite")
     return poses, walls, landmarks
 
@@ -381,22 +373,19 @@ def generate_frames(cfg: SceneConfig) -> Iterator[FrameObservation]:
     one frame ahead, for the occlusion test against frame t+1.
     """
     cam = cfg.camera
-    poses, walls, landmarks = _world(cfg)
+    poses, walls, splats = _world(cfg)
     rng_field = np.random.default_rng([cfg.seed, 1])
     # camera-frame rays with unit z through the pixel centers, (H, W, 3)
     u, v = np.arange(cam.width, dtype=float), np.arange(cam.height, dtype=float)
     rays = backproject(cam, u[None, :], v[:, None], 1.0)
-    splats = landmarks if cfg.render_landmarks else None
 
     field = _noise_field(cam, cfg.noise.heteroscedastic, rng_field)
     mult = _anomaly_multiplier(cam, cfg.anomaly_regions)
+    emit = np.ones_like(mult) if cfg.noise.lie_in_anomalies else mult  # a lying frontend emits no inflation
     sigma_flow_true = cfg.noise.sigma_flow * field * mult
     gamma_true = cfg.noise.gamma_disp * field * mult
-    if cfg.noise.lie_in_anomalies:
-        sigma_flow_emit = cfg.noise.sigma_flow * field
-        gamma_emit = cfg.noise.gamma_disp * field
-    else:
-        sigma_flow_emit, gamma_emit = sigma_flow_true, gamma_true
+    sigma_flow_emit = cfg.noise.sigma_flow * field * emit
+    gamma_emit = cfg.noise.gamma_disp * field * emit
 
     dt_next = _render_depth(cam, poses[0], rays, walls, splats)
     for t in range(cfg.num_frames):

@@ -32,7 +32,9 @@ them:
   ``residual_jacobian``, the Jacobian of the reference-frame residual
   that ``optimizer.solve_pose`` linearizes in the current camera's frame;
   ``tight_solve_pose``, ``solve_pose`` with the stop rule it had before
-  its predicted-decrease test, the tight-convergence reference.
+  its predicted-decrease test, the tight-convergence reference;
+* scripted motion: ``orbit_pose``, the orbit's closed form at one frame,
+  against ``frontend.motion_poses``, which composes one twist per frame.
 """
 
 from __future__ import annotations
@@ -146,6 +148,22 @@ def rotation_errors_by_log(gt_poses, est_poses) -> np.ndarray:
         rel_est = e0.rotation.T @ e1.rotation
         errors.append(np.degrees(np.linalg.norm(so3_log(rel_est.T @ rel_gt))))
     return np.array(errors)
+
+
+def orbit_pose(radius: float, rate: float, t: int) -> PoseSE3:
+    """Frame t of the orbit: the circle in the world x-z plane about
+    [0, 0, radius], starting at the origin, with the camera yawed by
+    rate * t to keep facing the center."""
+    theta = rate * t
+    rot = np.array(
+        [
+            [np.cos(theta), 0.0, np.sin(theta)],
+            [0.0, 1.0, 0.0],
+            [-np.sin(theta), 0.0, np.cos(theta)],
+        ]
+    )
+    center = np.array([0.0, 0.0, radius])
+    return PoseSE3(rot, center - radius * np.array([np.sin(theta), 0.0, np.cos(theta)]))
 
 
 def project(cam: StereoCamera, point) -> tuple[float, float, float]:

@@ -443,6 +443,13 @@ HUGE_DEPTH_SCENE = (
     .replace("[2.0, 15.0]", "[1.0, 1.0e308]")
     .replace("walls: [{z: 10.0, x_range: [-40.0, 40.0], y_range: [-40.0, 40.0]}]\n", "")
 )
+# a finite world whose depth bound, the camera's travel plus the farthest
+# wall's reach, overflows: a camera at x = 1e308 and a wall at z = 1e308
+HUGE_BOUND_SCENE = (
+    SCENE_YAML.replace("num_frames: 6", "num_frames: 2")
+    .replace("kind: constant_velocity, velocity: [0.04, 0.02, 0.06]", "kind: waypoints, waypoints: [[1.0e308, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1]]")
+    .replace("z: 10.0", "z: 1.0e308")
+)
 
 
 @pytest.mark.parametrize(
@@ -454,6 +461,9 @@ HUGE_DEPTH_SCENE = (
         ("travel", EXIT_CONFIG, "config error: motion: the camera path overflows"),
         ("spin", EXIT_CONFIG, "config error: motion: the camera path overflows"),
         ("far", EXIT_CONFIG, "config error: depth_range: the generated walls overflow"),
+        # named as the world's, not as noise.gamma_disp's, with or without depth noise
+        ("bound", EXIT_CONFIG, "config error: walls: the depth bound"),
+        ("bound_noisy", EXIT_CONFIG, "config error: walls: the depth bound"),
     ],
 )
 def test_overflowing_input_exits_without_traceback_or_warning(case, code, message, tmp_path):
@@ -466,6 +476,8 @@ def test_overflowing_input_exits_without_traceback_or_warning(case, code, messag
         "travel": SCENE_YAML.replace("num_frames: 6", "num_frames: 100").replace(own_motion, HUGE_TRAVEL),
         "spin": SCENE_YAML.replace(own_motion, HUGE_SPIN),
         "far": HUGE_DEPTH_SCENE,
+        "bound": HUGE_BOUND_SCENE.replace("gamma_disp: 0.02", "gamma_disp: 0.0"),
+        "bound_noisy": HUGE_BOUND_SCENE.replace("gamma_disp: 0.02", "gamma_disp: 0.05"),
     }.get(case, SCENE_YAML.replace(own_motion, HUGE_QUAT_WAYPOINTS))
     (tmp_path / "scene.cfg").write_text(scene)
     gt = str(tmp_path / "obs_in" / "poses_gt.txt")

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import project
+from reference import orbit_pose, project
 from stereovo.config import from_dict
 from stereovo.errors import ConfigError, DataFormatError
 from stereovo.frontend import (
@@ -146,15 +146,23 @@ class TestGeneration:
         assert resid[25:55, 25:55].mean() > 3 * resid[65:90, 65:90].mean()
 
     def test_motion_kinds(self):
-        assert all(
-            np.allclose(p.rotation, np.eye(3)) and np.allclose(p.translation, 0.0)
-            for p in motion_poses(MotionSpec(kind="static"), 4)
-        )
-        orbit = motion_poses(MotionSpec(kind="orbit", orbit_radius=3.0, orbit_rate=0.1), 5)
-        assert np.allclose(orbit[0].rotation, np.eye(3)) and np.allclose(orbit[0].translation, 0.0)
-        center = np.array([0.0, 0.0, 3.0])
-        for p in orbit:
-            assert abs(np.linalg.norm(p.translation - center) - 3.0) < 1e-12
+        # static is the zero twist: the identity bit for bit, with +0.0
+        # translations so poses_gt.txt never writes -0; velocities are ignored
+        for p in motion_poses(MotionSpec(kind="static", velocity=(0.1, 0.2, 0.3)), 4):
+            assert np.array_equal(p.rotation, np.eye(3)) and np.array_equal(p.translation, np.zeros(3))
+            assert not np.signbit(p.rotation).any() and not np.signbit(p.translation).any()
+        # orbit composes one twist per frame: within 1e-12 of the closed form
+        # (x radius in meters) over 100 frames, on the circle, facing its center
+        radius, rate = 3.0, 0.1
+        orbit = motion_poses(MotionSpec(kind="orbit", orbit_radius=radius, orbit_rate=rate), 100)
+        assert np.array_equal(orbit[0].rotation, np.eye(3)) and np.array_equal(orbit[0].translation, np.zeros(3))
+        center = np.array([0.0, 0.0, radius])
+        for t, p in enumerate(orbit):
+            closed = orbit_pose(radius, rate, t)
+            assert np.abs(p.translation - closed.translation).max() < 1e-12 * radius
+            assert np.abs(p.rotation - closed.rotation).max() < 1e-12
+            assert abs(np.linalg.norm(p.translation - center) - radius) < 1e-12 * radius
+            assert np.allclose(p.rotation[:, 2], (center - p.translation) / radius, atol=1e-12)
         wps = ((0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1))
         wp_poses = motion_poses(MotionSpec(kind="waypoints", waypoints=wps), 2)
         assert np.allclose(wp_poses[1].translation, [1, 0, 0])
@@ -164,7 +172,7 @@ class TestGeneration:
         # pixel; the same seed without splats renders the walls alone
         scene = plane_scene(seed=3, num_frames=4)
         splatted = generate_sequence(replace(scene, render_landmarks=True))
-        poses, _, landmarks = _world(scene)
+        poses, _, landmarks = _world(replace(scene, render_landmarks=True))
         for t, (a, b) in enumerate(zip(splatted, generate_sequence(scene))):
             differs = a.depth != b.depth
             depths = poses[t].inverse().apply(landmarks)[:, 2]
@@ -209,6 +217,28 @@ class TestGeneration:
                     replace(scene, **kw)
         # landmarks that are not rendered bound nothing
         assert replace(scene, **far, render_landmarks=False)._largest_depth() < 100
+        # a finite world whose bound, the camera's travel plus the farthest
+        # reach, overflows names the larger term's field: the motion, given
+        # walls, generated walls, or landmarks rendered beside given walls
+        def to_x(x):
+            return MotionSpec(kind="waypoints", waypoints=((0, 0, 0, 0, 0, 0, 1), (x, 0, 0, 0, 0, 0, 1)))
+
+        def wall_at(z):
+            return (Wall(z=z, x_range=(-1.0, 1.0), y_range=(-1.0, 1.0)),)
+
+        for kw, name in (
+            (dict(motion=to_x(1.5e308), walls=wall_at(5e307)), "motion"),
+            (dict(motion=to_x(5e307), walls=wall_at(1.5e308)), "walls"),
+            (dict(motion=to_x(6e307), walls=None, depth_range=(1.0, 1e308)), "depth_range"),
+            (
+                dict(motion=to_x(1e308), walls=wall_at(1.0), depth_range=(1.0, 1.5e308), render_landmarks=True, camera=small_cam(w=2, h=2, f=1.0)),
+                "depth_range",
+            ),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match=f"^{name}: the depth bound, the camera's travel plus"):
+                    replace(scene, num_frames=2, **kw)
 
     def test_waypoint_count_checked_with_the_scene(self):
         wps = ((0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1))

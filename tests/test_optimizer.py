@@ -578,6 +578,31 @@ class TestSolvePose:
         assert sol.iterations > 1
         assert len(built) == 1 and built[0] is sol.pose
 
+    def test_singular_damped_system_raises_the_damping(self, monkeypatch):
+        # a damped system LAPACK cannot solve is retried with more damping
+        rng = np.random.default_rng(31)
+        problem, t_gt = noiseless_problem(rng, n=15)
+        systems = []
+        real = np.linalg.solve
+
+        def fails_first(a, b):
+            systems.append(a)
+            if len(systems) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", fails_first)
+        sol = solve_pose(problem)
+        # the retry solves the same linearization with lam raised x _LAMBDA_UP
+        first, second = systems[:2]
+        off = ~np.eye(6, dtype=bool)
+        assert np.array_equal(first[off], second[off])
+        ratio = (1 + _LAMBDA_INIT * _LAMBDA_UP) / (1 + _LAMBDA_INIT)
+        assert np.allclose(np.diag(second), np.diag(first) * ratio, rtol=1e-12)
+        assert sol.converged
+        assert np.linalg.norm(sol.pose.translation - t_gt.translation) < 1e-9
+        assert rotation_angle(sol.pose.rotation.T @ t_gt.rotation) < 1e-9
+
 
 class TestClosedFormAlgebra:
     """The closed-form 3x3 algebra against the LAPACK reference above."""
