@@ -381,7 +381,7 @@ def generate_frames(cfg: SceneConfig) -> Iterator[FrameObservation]:
 
     field = _noise_field(cam, cfg.noise.heteroscedastic, rng_field)
     mult = _anomaly_multiplier(cam, cfg.anomaly_regions)
-    emit = np.ones_like(mult) if cfg.noise.lie_in_anomalies else mult  # a lying frontend emits no inflation
+    emit = 1.0 if cfg.noise.lie_in_anomalies else mult  # a lying frontend emits no inflation
     sigma_flow_true = cfg.noise.sigma_flow * field * mult
     gamma_true = cfg.noise.gamma_disp * field * mult
     sigma_flow_emit = cfg.noise.sigma_flow * field * emit
