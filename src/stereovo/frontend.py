@@ -148,11 +148,18 @@ class SceneConfig:
             raise ConfigError(f"frame_dt: the last timestamp (num_frames - 1) * frame_dt overflows, got {self.frame_dt}")
         if self.motion.kind == "waypoints" and len(self.motion.waypoints) != self.num_frames:
             raise ConfigError(f"motion.waypoints: need {self.num_frames} rows, got {len(self.motion.waypoints)}")
-        # the largest emitted variances, (sigma_flow * field * multipliers)^2
+        # the noise scales' field * multipliers, whatever the noise, and the
+        # largest emitted variances, (sigma_flow * field * multipliers)^2
         # and (gamma_disp * field * multipliers * depth)^2, must be finite;
-        # a float product overflows to inf
+        # a float product overflows to inf. A multiplier below 1 counts as
+        # 1: it shrinks no other region's product.
         field = 1 + _FIELD_AMPLITUDE
-        multipliers = [(f"anomaly_regions[{i}].multiplier", r.multiplier) for i, r in enumerate(self.anomaly_regions)]
+        multipliers = [(f"anomaly_regions[{i}].multiplier", max(r.multiplier, 1.0)) for i, r in enumerate(self.anomaly_regions)]
+        scale = field
+        for name, factor in multipliers:
+            scale *= factor
+            if not scale < math.inf:
+                raise ConfigError(f"{name}: the noise scale {field:g} * multipliers overflows, got {factor}")
         flow = [("noise.sigma_flow", self.noise.sigma_flow)] + multipliers
         depth = [("noise.gamma_disp", self.noise.gamma_disp)] + multipliers
         for what, std, factors in (
@@ -252,7 +259,7 @@ def _auto_walls(cfg: SceneConfig, poses: list[PoseSE3], rng: np.random.Generator
     cam = cfg.camera
     tan_u = max(cam.cx, cam.width - cam.cx) / cam.fx
     tan_v = max(cam.cy, cam.height - cam.cy) / cam.fy
-    span = float(np.max(np.abs(np.stack([p.translation for p in poses])))) if poses else 0.0
+    span = float(np.max(np.abs(np.stack([p.translation for p in poses]))))
     # backdrop guaranteed to fill the view from anywhere on the trajectory
     z_far = 0.9 * hi
     ext_x = 1.5 * (tan_u * z_far + span)

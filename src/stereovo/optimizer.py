@@ -17,7 +17,7 @@ pipeline uses the previous camera's, so T is the motion between the two
 frames and the problem depends on those two frames alone.
 
 A problem's N landmark pairs are one MatchedLandmarks record of stacked
-arrays, checked once when it is built; every step works on whole stacks.
+arrays, checked and symmetrized when built; each step works on stacks.
 
 A linearization is built in the current camera's frame: r~ = R^T r =
 R^T (p - t) - q and W~ = R^T W R, the inverse of Sigma_curr +
@@ -53,9 +53,9 @@ differ at rounding level, which can flip an accept/reject decision near
 the optimum. Final costs agree within 1e-9 relative, poses within 1e-6 m
 and 1e-6 rad, and cov_regularized flags are identical.
 
-``tests/reference.py`` keeps as references one problem's cost and S at
-a pose (``mahalanobis_cost``, ``pair_covariances``), J
-(``residual_jacobian``) and the older stop rule (``tight_solve_pose``).
+``tests/reference.py`` keeps as references one problem's cost and S at a
+pose (``mahalanobis_cost``, ``pair_covariances``), J (``residual_jacobian``)
+and the older stop rule (``tight_solve_pose``), all over ``_mode_adjusted``.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class MatchedLandmarks:
     """The N landmarks of one frame pair seen in both frames, stacked:
     positions p (N, 3) and covariances sp (N, 3, 3) of the previous frame
     in the problem's reference frame, q and sq of the current camera in
-    its own frame. Meters and meters^2, ordered (x, y, z)."""
+    its own frame. Meters and meters^2, ordered (x, y, z). Covariances
+    symmetric within 1e-12 are stored exactly symmetric, 0.5 (C + C^T)."""
 
     p: np.ndarray
     q: np.ndarray
@@ -137,6 +138,7 @@ class MatchedLandmarks:
                 raise ValueError(f"{name}: position has a non-finite entry")
         check_covariances(sp)
         check_covariances(sq)
+        sp, sq = (0.5 * (c + np.swapaxes(c, 1, 2)) for c in (sp, sq))
         for name, x in (("p", p), ("q", q), ("sp", sp), ("sq", sq)):
             object.__setattr__(self, name, x)
 
@@ -181,11 +183,6 @@ def _sym3_cofactors(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cof, np.einsum("ni,ni->n", e[:, :3], cof[:, :3])
 
 
-def _sym_entries(c: np.ndarray) -> np.ndarray:
-    """A stack of 3x3 matrices (N, 3, 3), symmetrized, row-major (N, 9)."""
-    return (0.5 * (c + np.swapaxes(c, 1, 2))).reshape(-1, 9)
-
-
 def scale_agnostic_normalizers(pairs: MatchedLandmarks) -> tuple[float, float]:
     """Per-frame normalizers for the scale-agnostic ablation: the mean of
     det(Sigma)^(1/3) over keypoints, one per frame.
@@ -198,7 +195,7 @@ def scale_agnostic_normalizers(pairs: MatchedLandmarks) -> tuple[float, float]:
     which has the same units, and to 1 if even that is zero."""
 
     def normalizer(covs) -> float:
-        e = _sym_entries(covs)[:, _UPPER]
+        e = covs.reshape(-1, 9)[:, _UPPER]
         det = _sym3_cofactors(e)[1]
         trace = e[:, 0] + e[:, 3] + e[:, 5]
         scale = float(np.mean(np.where(det > _DET_REL_TOL * trace**3, det, 0.0) ** (1.0 / 3.0)))
@@ -211,10 +208,10 @@ def scale_agnostic_normalizers(pairs: MatchedLandmarks) -> tuple[float, float]:
 
 
 def _mode_adjusted(pairs: MatchedLandmarks, mode: CovarianceMode) -> tuple[np.ndarray, np.ndarray]:
-    """Both frames' covariances as the mode weights them, symmetrized: the
-    previous frame's as six unique entries (N, 6), the current frame's
-    row-major (N, 9). IDENTITY weights the previous frame's by I and the
-    current frame's by 0, so that S = I exactly."""
+    """Both frames' covariances as the mode weights them, exactly symmetric
+    as the record stores them: the previous frame's as six unique entries
+    (N, 6), the current frame's row-major (N, 9). IDENTITY weights the
+    previous frame's by I and the current frame's by 0, so that S = I exactly."""
     sp, sq = pairs.sp, pairs.sq
     if mode is CovarianceMode.DIAGONAL:
         eye = np.eye(3, dtype=bool)
@@ -224,7 +221,7 @@ def _mode_adjusted(pairs: MatchedLandmarks, mode: CovarianceMode) -> tuple[np.nd
         sp, sq = sp / prev_scale, sq / curr_scale
     elif mode is CovarianceMode.IDENTITY:
         sp, sq = np.broadcast_to(np.eye(3), sp.shape), np.zeros_like(sq)
-    return _sym_entries(sp)[:, _UPPER], _sym_entries(sq)
+    return sp.reshape(-1, 9)[:, _UPPER], sq.reshape(-1, 9)
 
 
 def _combined_covariances(
@@ -250,12 +247,6 @@ def _combined_covariances(
     return s, w.reshape(-1, 3, 3), bad
 
 
-def _problem_arrays(problem: FramePairProblem) -> tuple[np.ndarray, ...]:
-    """Positions p, q (N,3) and _mode_adjusted's covariances sp, sq."""
-    pairs = problem.pairs
-    return (pairs.p, pairs.q) + _mode_adjusted(pairs, problem.covariance_mode)
-
-
 def _weighted_cost(
     p: np.ndarray, q: np.ndarray, sp: np.ndarray, sq: np.ndarray, rotation: np.ndarray, translation: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, bool]:
@@ -277,7 +268,8 @@ def solve_pose(problem: FramePairProblem) -> PoseSolution:
     the arithmetic of ``PoseSE3.compose(se3_exp(step))``, and only the
     returned pose is built (and checked) as a PoseSE3.
     """
-    p, q, sp, sq = _problem_arrays(problem)
+    p, q = problem.pairs.p, problem.pairs.q
+    sp, sq = _mode_adjusted(problem.pairs, problem.covariance_mode)
     # E = d(R^T r)/d xi with R held at the iterate's rotation: [-I, skew(q)]
     jac = np.concatenate([np.broadcast_to(-np.eye(3), q.shape + (3,)), skew(q)], axis=2)
     flat_jac = jac.reshape(-1, 6)

@@ -9,8 +9,9 @@ Three independent pieces:
 * 2D -> 3D projection: the exact covariance of the backprojection of
   independent Gaussian (u, v, d), including the off-diagonal terms that
   couple the lateral axes with depth, returned as built: exactly
-  symmetric, PSD for non-negative variances, and checked only by
-  ``optimizer.MatchedLandmarks``.
+  symmetric (one entry in both triangles) and PSD for non-negative
+  variances; only ``optimizer.MatchedLandmarks`` checks them and stores
+  them symmetrized.
 
 Each takes plain values or arrays, in the argument order
 ``project_covariances`` uses. The depth correction
@@ -138,9 +139,7 @@ def backprojection_covariances(cam: StereoCamera, u, v, sigma_u2, sigma_v2, d, s
     sxz = sigma_d2 * a / cam.fx
     syz = sigma_d2 * b / cam.fy
     sxy = sigma_d2 * a * b / (cam.fx * cam.fy)
-    return np.stack(
-        [np.stack(row, axis=-1) for row in ((sx2, sxy, sxz), (sxy, sy2, syz), (sxz, syz, sz2))], axis=-2
-    )
+    return np.stack((sx2, sxy, sxz, sxy, sy2, syz, sxz, syz, sz2), axis=-1).reshape(np.shape(sx2) + (3, 3))
 
 
 def project_covariances(

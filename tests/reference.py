@@ -28,11 +28,13 @@ them:
   per-frame rotation errors as the norm of ``so3_log``, both against
   ``evaluation.per_frame_errors``;
 * optimization: ``mahalanobis_cost`` and ``pair_covariances``, one
-  problem's cost and combined covariances at a given pose;
+  problem's cost and combined covariances at a given pose, from the
+  record's covariances as ``optimizer._mode_adjusted`` weights them;
   ``residual_jacobian``, the Jacobian of the reference-frame residual
   that ``optimizer.solve_pose`` linearizes in the current camera's frame;
   ``tight_solve_pose``, ``solve_pose`` with the stop rule it had before
-  its predicted-decrease test, the tight-convergence reference;
+  its predicted-decrease test, the tight-convergence reference, which
+  reads the record the same way;
 * scripted motion: ``orbit_pose``, the orbit's closed form at one frame,
   against ``frontend.motion_poses``, which composes one twist per frame.
 """
@@ -66,7 +68,6 @@ from stereovo.optimizer import (
     PoseSolution,
     _combined_covariances,
     _mode_adjusted,
-    _problem_arrays,
     _weighted_cost,
 )
 from stereovo.selector import SelectorConfig
@@ -446,7 +447,8 @@ def project_covariance(cam: StereoCamera, obs: PixelObservation) -> Landmark3D:
 def mahalanobis_cost(problem: FramePairProblem, pose: PoseSE3) -> float:
     """Total squared Mahalanobis distance at the given pose, with the
     combined covariances evaluated at this pose's rotation."""
-    return _weighted_cost(*_problem_arrays(problem), pose.rotation, pose.translation)[0]
+    sp, sq = _mode_adjusted(problem.pairs, problem.covariance_mode)
+    return _weighted_cost(problem.pairs.p, problem.pairs.q, sp, sq, pose.rotation, pose.translation)[0]
 
 
 def pair_covariances(
@@ -486,7 +488,8 @@ def tight_solve_pose(problem: FramePairProblem) -> PoseSolution:
     evaluation, schedule and accept rule, linearized in the reference
     frame with residual_jacobian; it converges more tightly and
     evaluates the cost about twice as often."""
-    p, q, sp, sq = _problem_arrays(problem)
+    p, q = problem.pairs.p, problem.pairs.q
+    sp, sq = _mode_adjusted(problem.pairs, problem.covariance_mode)
     q_skew = skew(q)
     rot, trans = problem.initial_pose.rotation, problem.initial_pose.translation
     cost, res, weights, regularized = _weighted_cost(p, q, sp, sq, rot, trans)

@@ -451,6 +451,15 @@ HUGE_BOUND_SCENE = (
     .replace("z: 10.0", "z: 1.0e308")
 )
 
+# no noise, and two overlapping anomaly regions whose multipliers' product overflows
+HUGE_ANOMALY_SCENE = (
+    SCENE_YAML.replace("num_frames: 6", "num_frames: 3")
+    .replace("cx: 48.0, cy: 48.0", "cx: 32.0, cy: 24.0")
+    .replace("width: 96, height: 96", "width: 64, height: 48")
+    .replace("sigma_flow: 0.1, gamma_disp: 0.02", "sigma_flow: 0.0, gamma_disp: 0.0")
+    + "anomaly_regions: [{rect: [0, 0, 32, 24], multiplier: 1.0e300}, {rect: [10, 10, 40, 30], multiplier: 1.0e300}]\n"
+)
+
 
 @pytest.mark.parametrize(
     "case, code, message",
@@ -464,6 +473,10 @@ HUGE_BOUND_SCENE = (
         # named as the world's, not as noise.gamma_disp's, with or without depth noise
         ("bound", EXIT_CONFIG, "config error: walls: the depth bound"),
         ("bound_noisy", EXIT_CONFIG, "config error: walls: the depth bound"),
+        # the product of the multipliers itself, where a zero noise scale hides it from
+        # the variance bounds; a region that shrinks its own pixels shrinks no other's
+        ("anomalies", EXIT_CONFIG, "config error: anomaly_regions[1].multiplier: the noise scale"),
+        ("anomalies_shrunk", EXIT_CONFIG, "config error: anomaly_regions[2].multiplier: the noise scale"),
     ],
 )
 def test_overflowing_input_exits_without_traceback_or_warning(case, code, message, tmp_path):
@@ -478,6 +491,8 @@ def test_overflowing_input_exits_without_traceback_or_warning(case, code, messag
         "far": HUGE_DEPTH_SCENE,
         "bound": HUGE_BOUND_SCENE.replace("gamma_disp: 0.02", "gamma_disp: 0.0"),
         "bound_noisy": HUGE_BOUND_SCENE.replace("gamma_disp: 0.02", "gamma_disp: 0.05"),
+        "anomalies": HUGE_ANOMALY_SCENE,
+        "anomalies_shrunk": HUGE_ANOMALY_SCENE.replace("anomaly_regions: [", "anomaly_regions: [{rect: [0, 0, 8, 8], multiplier: 1.0e-300}, "),
     }.get(case, SCENE_YAML.replace(own_motion, HUGE_QUAT_WAYPOINTS))
     (tmp_path / "scene.cfg").write_text(scene)
     gt = str(tmp_path / "obs_in" / "poses_gt.txt")

@@ -197,6 +197,19 @@ class TestMatchedLandmarks:
                 MatchedLandmarks(points, points, bad, covs)
             with pytest.raises(ValueError, match=match):
                 MatchedLandmarks(points, points, covs, bad)
+        # asymmetric within 1e-12: accepted, stored exactly symmetric, and
+        # solved bit for bit as the record of the symmetrized stacks
+        problem, _ = noiseless_problem(np.random.default_rng(17))
+        pairs, upper = problem.pairs, 1e-13 * np.triu(np.ones(3), 1)
+        asym = MatchedLandmarks(pairs.p, pairs.q, pairs.sp + upper, pairs.sq - upper)
+        for got, given in ((asym.sp, pairs.sp), (asym.sq, pairs.sq)):
+            assert np.array_equal(got, got.transpose(0, 2, 1)) and not np.array_equal(got, given)
+        sym = MatchedLandmarks(pairs.p, pairs.q, *(0.5 * (c + c.transpose(0, 2, 1)) for c in (pairs.sp + upper, pairs.sq - upper)))
+        for mode in CovarianceMode:
+            got, want = (solve_pose(FramePairProblem(x, problem.initial_pose, mode)) for x in (asym, sym))
+            assert np.array_equal(got.pose.rotation, want.pose.rotation), mode
+            assert np.array_equal(got.pose.translation, want.pose.translation), mode
+            assert (got.cost, got.iterations) == (want.cost, want.iterations), mode
 
     def test_rejects_non_finite_positions(self):
         # unchecked, a NaN in p made FramePairProblem's SVD fail, and an
