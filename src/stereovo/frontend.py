@@ -14,8 +14,10 @@ A frame's flow maps pixel centers of frame t to their corresponding
 (float) locations in frame t+1; the last frame carries zero flow. Only
 ``FrameObservation`` decides which pixels are usable: a valid pixel has
 finite positive depth and finite non-negative variances, and no other
-pixel is read. All maps are float64 in memory; the on-disk format is
-float32. Frames stream: ``generate_frames`` yields them one at a time,
+pixel is read. All maps are float64 in memory and may be read-only
+views: a generated frame's two flow-variance channels are one plane, as
+the emitted flow noise is isotropic. The on-disk format is float32.
+Frames stream: ``generate_frames`` yields them one at a time,
 ``ingest_observations`` reads a frame's file only when the frame is
 indexed, and ``write_observations`` writes each frame as it arrives.
 """
@@ -194,7 +196,11 @@ class SceneConfig:
 
 @dataclass
 class FrameObservation:
-    """Dense maps for one frame plus its ground-truth pose."""
+    """Dense maps for one frame plus its ground-truth pose.
+
+    The maps are float64 and may be read-only views, so a reader copies
+    a map before writing to it. A generated frame's flow_var is one
+    (H, W) plane broadcast over its two channels."""
 
     flow: np.ndarray  # (H, W, 2) pixels, frame t -> t+1
     flow_var: np.ndarray  # (H, W, 2) pixels^2
@@ -380,20 +386,26 @@ def generate_frames(cfg: SceneConfig) -> Iterator[FrameObservation]:
     one frame ahead, for the occlusion test against frame t+1.
     """
     cam = cfg.camera
+    h, w = cam.height, cam.width
     poses, walls, splats = _world(cfg)
     rng_field = np.random.default_rng([cfg.seed, 1])
-    # camera-frame rays with unit z through the pixel centers, (H, W, 3)
-    u, v = np.arange(cam.width, dtype=float), np.arange(cam.height, dtype=float)
+    # camera-frame rays with unit z through the pixel centers, (H, W, 3),
+    # and the centers' pixel coordinates
+    u, v = np.arange(w, dtype=float), np.arange(h, dtype=float)
     rays = backproject(cam, u[None, :], v[:, None], 1.0)
+    uu, vv = rays[..., 0] * cam.fx + cam.cx, rays[..., 1] * cam.fy + cam.cy
 
     field = _noise_field(cam, cfg.noise.heteroscedastic, rng_field)
     mult = _anomaly_multiplier(cam, cfg.anomaly_regions)
     emit = 1.0 if cfg.noise.lie_in_anomalies else mult  # a lying frontend emits no inflation
     sigma_flow_true = cfg.noise.sigma_flow * field * mult
     gamma_true = cfg.noise.gamma_disp * field * mult
-    sigma_flow_emit = cfg.noise.sigma_flow * field * emit
+    flow_var_emit = (cfg.noise.sigma_flow * field * emit) ** 2
     gamma_emit = cfg.noise.gamma_disp * field * emit
 
+    # Full-frame ops go channel by channel: numpy runs an op broadcast
+    # along a trailing axis of length 2 or 3 as one short loop per pixel.
+    pts = np.empty((h * w, 3))
     dt_next = _render_depth(cam, poses[0], rays, walls, splats)
     for t in range(cfg.num_frames):
         rng_t = np.random.default_rng([cfg.seed, 2, t])
@@ -402,38 +414,37 @@ def generate_frames(cfg: SceneConfig) -> Iterator[FrameObservation]:
 
         if t + 1 < cfg.num_frames:
             dt_next = _render_depth(cam, poses[t + 1], rays, walls, splats)
-            pts_world = poses[t].apply((rays * np.where(depth_ok, dt_map, 1.0)[..., None]).reshape(-1, 3))
-            pts_next = poses[t + 1].inverse().apply(pts_world).reshape(cam.height, cam.width, 3)
+            z = np.where(depth_ok, dt_map, 1.0).reshape(-1)
+            for c in range(3):
+                np.multiply(rays[..., c].reshape(-1), z, out=pts[:, c])
+            pts_next = poses[t + 1].inverse().apply(poses[t].apply(pts)).reshape(h, w, 3)
             zb = pts_next[..., 2]
             with np.errstate(divide="ignore", invalid="ignore"):
                 mu = cam.fx * pts_next[..., 0] / zb + cam.cx
                 mv = cam.fy * pts_next[..., 1] / zb + cam.cy
-            in_view = (
-                (zb > 1e-9)
-                & (mu >= 0)
-                & (mu <= cam.width - 1)
-                & (mv >= 0)
-                & (mv <= cam.height - 1)
-            )
-            ui = np.clip(np.rint(np.where(in_view, mu, 0)).astype(int), 0, cam.width - 1)
-            vi = np.clip(np.rint(np.where(in_view, mv, 0)).astype(int), 0, cam.height - 1)
+            in_view = (zb > 1e-9) & (mu >= 0) & (mu <= w - 1) & (mv >= 0) & (mv <= h - 1)
+            ui = np.clip(np.rint(np.where(in_view, mu, 0)).astype(int), 0, w - 1)
+            vi = np.clip(np.rint(np.where(in_view, mv, 0)).astype(int), 0, h - 1)
             seen = dt_next[vi, ui]
             not_occluded = seen >= zb * (1.0 - _OCCLUSION_REL_TOL)
             valid = depth_ok & in_view & not_occluded
-            uu, vv = rays[..., 0] * cam.fx + cam.cx, rays[..., 1] * cam.fy + cam.cy
-            flow_true = np.stack([np.where(valid, mu - uu, 0.0), np.where(valid, mv - vv, 0.0)], axis=-1)
+            flow_true = (np.where(valid, mu - uu, 0.0), np.where(valid, mv - vv, 0.0))
         else:
             valid = depth_ok.copy()
-            flow_true = np.zeros((cam.height, cam.width, 2))
+            flow_true = (0.0, 0.0)
 
-        eps_flow = rng_t.standard_normal((cam.height, cam.width, 2))
-        eps_depth = rng_t.standard_normal((cam.height, cam.width))
+        eps_flow = rng_t.standard_normal((h, w, 2))
+        eps_depth = rng_t.standard_normal((h, w))
         depth_true = np.where(depth_ok, dt_map, 0.0)
         depth = depth_true * (1.0 + gamma_true * eps_depth)
         valid = valid & (depth > 0)
+        flow = np.empty((h, w, 2))
+        for c in range(2):
+            flow[..., c] = np.where(valid, flow_true[c] + sigma_flow_true * eps_flow[..., c], 0.0)
         yield FrameObservation(
-            flow=np.where(valid[..., None], flow_true + sigma_flow_true[..., None] * eps_flow, 0.0),
-            flow_var=np.where(valid, sigma_flow_emit**2, 0.0)[..., None].repeat(2, axis=-1),
+            flow=flow,
+            # isotropic: one read-only plane serves both channels
+            flow_var=np.broadcast_to(np.where(valid, flow_var_emit, 0.0)[..., None], (h, w, 2)),
             depth=np.where(valid, depth, 0.0),
             depth_var=np.where(valid, (gamma_emit * depth_true) ** 2, 0.0),
             valid=valid,

@@ -139,7 +139,10 @@ class PoseSE3:
         p = np.asarray(points, dtype=float)
         if p.ndim == 1:
             return self.rotation @ p + self.translation
-        return p @ self.rotation.T + self.translation
+        out = p @ self.rotation.T
+        for c in range(3):  # a (N, 3) + (3,) add would loop per point
+            out[..., c] += self.translation[c]
+        return out
 
     def orthonormalized(self) -> "PoseSE3":
         """Project the rotation onto SO(3) (nearest orthonormal matrix).
@@ -239,14 +242,19 @@ def psd_within_sym3(c: np.ndarray):
 
 def check_covariances(c: np.ndarray) -> None:
     """Check one covariance (3, 3) or a stack (N, 3, 3): finite, symmetric
-    within 1e-12, no eigenvalue below -_PSD_TOL; ValueError otherwise."""
+    within 1e-12 * max(1, max|C|) per matrix, so that rounding in a matrix
+    with large variances passes, no eigenvalue below -_PSD_TOL; ValueError
+    otherwise."""
     if c.shape[-2:] != (3, 3) or c.ndim not in (2, 3):
         raise ValueError(f"covariance must be 3x3, got {c.shape}")
-    # inf - inf would turn the symmetry test into NaN > 1e-12, which passes
+    # inf - inf would turn the symmetry test into NaN > tolerance, which passes
     if not np.isfinite(c).all():
         raise ValueError("covariance has a non-finite entry")
-    if c.size and np.max(np.abs(c - np.swapaxes(c, -1, -2))) > 1e-12:
-        raise ValueError("covariance is not symmetric within 1e-12")
+    asym = np.abs(c - np.swapaxes(c, -1, -2))
+    if c.size and asym.max() > 1e-12:  # each matrix's own bound is never tighter
+        scale = np.maximum(1.0, np.abs(c).max(axis=(-2, -1), keepdims=True))
+        if np.any(asym > 1e-12 * scale):
+            raise ValueError("covariance is not symmetric within 1e-12 * max(1, max|C|)")
     if not np.all(psd_within_sym3(c)):
         raise ValueError(f"covariance has an eigenvalue below -{_PSD_TOL:g}")
 

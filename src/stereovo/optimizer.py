@@ -118,7 +118,8 @@ class MatchedLandmarks:
     positions p (N, 3) and covariances sp (N, 3, 3) of the previous frame
     in the problem's reference frame, q and sq of the current camera in
     its own frame. Meters and meters^2, ordered (x, y, z). Covariances
-    symmetric within 1e-12 are stored exactly symmetric, 0.5 (C + C^T)."""
+    symmetric within 1e-12 * max(1, max|C|), a bound relative to each
+    matrix's largest entry, are stored exactly symmetric, 0.5 (C + C^T)."""
 
     p: np.ndarray
     q: np.ndarray

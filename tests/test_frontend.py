@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,9 @@ from stereovo.frontend import (
     write_observations,
 )
 from stereovo.geometry import StereoCamera, backproject
+from stereovo.pipeline import build_matched_pairs
+from stereovo.selector import select
+from test_pipeline import small_selector
 
 
 def small_cam(w=96, h=96, f=90.0):
@@ -144,6 +147,34 @@ class TestGeneration:
         clean = generate_sequence(plane_scene(seed=5, anomaly_regions=(region,)))
         resid = np.abs(frames[0].flow - clean[0].flow)
         assert resid[25:55, 25:55].mean() > 3 * resid[65:90, 65:90].mean()
+
+    def test_flow_variance_is_one_read_only_plane(self, tmp_path):
+        region = AnomalyRegion(rect=(20.0, 20.0, 60.0, 60.0), multiplier=10.0)
+        noise = NoiseModel(sigma_flow=0.3, gamma_disp=0.04)
+        frames = generate_sequence(plane_scene(seed=5, num_frames=2, noise=noise, anomaly_regions=(region,)))
+        f = frames[0]
+        assert np.shares_memory(f.flow_var[..., 0], f.flow_var[..., 1])
+        assert not f.flow_var.flags.writeable
+        inside = np.zeros(f.valid.shape, dtype=bool)
+        inside[20:60, 20:60] = True
+        emitted = (0.3 * np.where(inside, 10.0, 1.0)) ** 2
+        for c in range(2):
+            assert np.array_equal(f.flow_var[..., c], np.where(f.valid, emitted, 0.0))
+        # readers see the same values as in a frame of contiguous copies
+        maps = ("flow", "flow_var", "depth", "depth_var", "valid")
+        copies = [replace(x, **{k: np.ascontiguousarray(getattr(x, k)) for k in maps}) for x in frames]
+        assert copies[0].flow_var.flags.writeable
+        write_observations(frames, tmp_path / "view")
+        write_observations(copies, tmp_path / "copy")
+        for name in sorted(p.name for p in (tmp_path / "view").iterdir()):
+            assert (tmp_path / "view" / name).read_bytes() == (tmp_path / "copy" / name).read_bytes()
+        cam = plane_scene().camera
+        kps, kps_copy = (select(x[0], cam, small_selector()) for x in (frames, copies))
+        pairs, pairs_copy = (build_matched_pairs(cam, *x, k) for x, k in ((frames, kps), (copies, kps_copy)))
+        assert len(kps) > 0 and len(pairs) > 0
+        for got, want in ((kps, kps_copy), (pairs, pairs_copy)):
+            for name in (fld.name for fld in fields(want)):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_motion_kinds(self):
         # static is the zero twist: the identity bit for bit, with +0.0

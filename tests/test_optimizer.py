@@ -197,6 +197,14 @@ class TestMatchedLandmarks:
                 MatchedLandmarks(points, points, bad, covs)
             with pytest.raises(ValueError, match=match):
                 MatchedLandmarks(points, points, covs, bad)
+        # rotated large variances are asymmetric by rounding alone (up to
+        # ~3.6e-12 here), within 1e-12 times their largest entry: accepted
+        rng = np.random.default_rng(4)
+        rot = np.stack([random_rotation(rng) for _ in range(50)])
+        large = rot @ np.diag([4e4, 1e3, 1e2]) @ rot.transpose(0, 2, 1)
+        assert np.max(np.abs(large - large.transpose(0, 2, 1))) > 1e-12
+        record = MatchedLandmarks(np.zeros((50, 3)), np.zeros((50, 3)), large, large)
+        assert np.array_equal(record.sp, 0.5 * (large + large.transpose(0, 2, 1)))
         # asymmetric within 1e-12: accepted, stored exactly symmetric, and
         # solved bit for bit as the record of the symmetrized stacks
         problem, _ = noiseless_problem(np.random.default_rng(17))
