@@ -469,15 +469,23 @@ def _frame_path(directory: Path, index: int) -> Path:
 def write_observations(frames: Iterable[FrameObservation], directory) -> None:
     """Write one binary .obs file per frame, then poses_gt.txt; frames
     may be any iterable, such as ``generate_frames``, and are written as
-    they arrive. Then frame files numbered past the last are removed."""
+    they arrive. Then frame files numbered past the last are removed.
+    A map with finite values beyond float32's range is a DataFormatError
+    naming its frame's file, which is not written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     timestamps, poses = [], []
     for i, frame in enumerate(frames):
         h, w = frame.depth.shape
+        path = _frame_path(directory, i)
         header = OBS_MAGIC + struct.pack("<II5I", w, h, *(c for _, c in OBS_CHANNELS))
         maps = (frame.flow, frame.flow_var, frame.depth, frame.depth_var, frame.valid)
-        _frame_path(directory, i).write_bytes(header + b"".join(m.astype("<f4").tobytes() for m in maps))
+        with np.errstate(over="ignore"):
+            cast = [m.astype("<f4") for m in maps]
+        for (name, _), m, m32 in zip(OBS_CHANNELS, maps, cast):
+            if (np.isfinite(m) & ~np.isfinite(m32)).any():
+                raise DataFormatError(f"{path}: {name} has finite values beyond float32's range")
+        path.write_bytes(header + b"".join(m.tobytes() for m in cast))
         timestamps.append(frame.timestamp)
         poses.append(frame.pose)
     for path in directory.iterdir():

@@ -115,7 +115,8 @@ def build_matched_pairs(
 ) -> MatchedLandmarks:
     """The matched landmarks of ``select``'s keypoints on src, matched
     into dst by src's flow, as one record: each frame's positions and
-    covariances in its own camera's frame.
+    covariances in its own camera's frame. src's maps are read at the
+    keypoints' integer pixels.
 
     ``select`` keeps src's depth positive (``depth_min > 0``). Keypoints
     whose match leaves the image or finds no valid depth around it are
@@ -123,21 +124,20 @@ def build_matched_pairs(
     none left the record is empty.
     """
     u, v = keypoints.u, keypoints.v
-    ui, vi = u.astype(int), v.astype(int)
-    mu, mv = u + src.flow[vi, ui, 0], v + src.flow[vi, ui, 1]
+    mu, mv = u + src.flow[v, u, 0], v + src.flow[v, u, 1]
     keep = (0 <= mu) & (mu <= cam.width - 1) & (0 <= mv) & (mv <= cam.height - 1)
-    u, v, ui, vi, mu, mv = (x[keep] for x in (u, v, ui, vi, mu, mv))
-    su2, sv2 = src.flow_var[vi, ui, 0], src.flow_var[vi, ui, 1]
+    u, v, mu, mv = (x[keep] for x in (u, v, mu, mv))
+    su2, sv2 = src.flow_var[v, u, 0], src.flow_var[v, u, 1]
 
     # the matched location is only known up to the flow variance, so its
     # depth comes from the patch statistics around it
     mu_d, var_d, supported = windowed_depth_moments(dst.depth, dst.valid, mu, mv, su2, sv2, PATCH_KERNEL)
     keep = supported & (mu_d > 0)  # a weighted mean of positive depths can underflow to 0
-    u, v, ui, vi, mu, mv, su2, sv2, mu_d, var_d = (x[keep] for x in (u, v, ui, vi, mu, mv, su2, sv2, mu_d, var_d))
+    u, v, mu, mv, su2, sv2, mu_d, var_d = (x[keep] for x in (u, v, mu, mv, su2, sv2, mu_d, var_d))
     n, zero = len(u), np.zeros(len(u))
     # both frames in one projection, src's first; the earlier frame's
     # pixel is chosen, not matched: zero matching variance
-    columns = ((u, mu), (v, mv), (zero, su2), (zero, sv2), (src.depth[vi, ui], mu_d), (src.depth_var[vi, ui], var_d))
+    columns = ((u, mu), (v, mv), (zero, su2), (zero, sv2), (src.depth[v, u], mu_d), (src.depth_var[v, u], var_d))
     pos, cov = project_covariances(cam, *(np.concatenate(c) for c in columns))
     return MatchedLandmarks(pos[:n], pos[n:], cov[:n], cov[n:])
 
@@ -175,7 +175,7 @@ def _matched_pairs(
         landmarks = None
         if src is not None:
             rng = np.random.default_rng([cfg.seed, t]) if cfg.keypoint_mode is KeypointMode.RANDOM else None
-            landmarks = build_matched_pairs(cam, src, dst, select(src, cam, cfg.selector, rng))
+            landmarks = build_matched_pairs(cam, src, dst, select(src, cfg.selector, rng))
         yield dst.timestamp, dst.pose, landmarks
         src = dst
     if t < 1:

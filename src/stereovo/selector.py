@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .frontend import FrameObservation
-from .geometry import StereoCamera
 from .optimizer import MIN_PAIRS
 
 # positions of the NMS order screened against the suppression map at once
@@ -31,8 +30,8 @@ _NMS_BLOCK = 256
 
 @dataclass(frozen=True)
 class Keypoints:
-    """Selected keypoints as parallel arrays: pixel column, pixel row and
-    score (lower is better)."""
+    """Selected keypoints as parallel arrays: integer pixel column and
+    row (the pixel centre) and score (lower is better)."""
 
     u: np.ndarray
     v: np.ndarray
@@ -145,16 +144,12 @@ def _greedy_nms(score: np.ndarray, u: np.ndarray, v: np.ndarray, shape: tuple, r
     return order[kept]
 
 
-def select(
-    frame: FrameObservation,
-    cam: StereoCamera,
-    cfg: SelectorConfig,
-    rng: np.random.Generator | None = None,
-) -> Keypoints:
+def select(frame: FrameObservation, cfg: SelectorConfig, rng: np.random.Generator | None = None) -> Keypoints:
     """Full selection pipeline on a frame's valid pixels, whose depth and
     variances ``FrameObservation`` checked: NMS -> geometry ->
     uncertainty, then truncation to max_keypoints by ascending score;
-    the survivors, however few, come back in canonical (score, u, v) order.
+    the survivors, however few, come back in canonical (score, u, v) order,
+    as integer pixels. The border is measured from the frame's own size.
 
     Given an rng, the NMS and uncertainty stages are bypassed and the
     survivors are drawn uniformly without replacement from the
@@ -162,8 +157,6 @@ def select(
     order.
     """
     h, w = frame.depth.shape
-    if (h, w) != (cam.height, cam.width):
-        raise ValueError(f"maps are {w}x{h} but camera expects {cam.width}x{cam.height}")
     # candidates by row-major flat index, each map gathered by it
     idx = np.flatnonzero(frame.valid)
     vv = idx // w
@@ -176,14 +169,7 @@ def select(
         idx, vv, uu, score, flow_unc, depth_unc = (x[keep] for x in (idx, vv, uu, score, flow_unc, depth_unc))
     m = cfg.border_margin
     depth = frame.depth.reshape(-1)[idx]
-    in_geom = (
-        (uu >= m)
-        & (uu < cam.width - m)
-        & (vv >= m)
-        & (vv < cam.height - m)
-        & (depth >= cfg.depth_min)
-        & (depth <= cfg.depth_max)
-    )
+    in_geom = (uu >= m) & (uu < w - m) & (vv >= m) & (vv < h - m) & (depth >= cfg.depth_min) & (depth <= cfg.depth_max)
     vv, uu, score = vv[in_geom], uu[in_geom], score[in_geom]
     if rng is None and vv.size:
         f_unc, d_unc = flow_unc[in_geom], depth_unc[in_geom]
@@ -194,4 +180,4 @@ def select(
         take = np.sort(rng.choice(vv.size, size=min(cfg.max_keypoints, vv.size), replace=False))
     else:
         take = slice(cfg.max_keypoints)
-    return Keypoints(uu[take].astype(float), vv[take].astype(float), score[take])
+    return Keypoints(uu[take], vv[take], score[take])

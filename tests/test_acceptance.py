@@ -281,7 +281,7 @@ def test_criterion_8_selector_oracle_equivalence():
         # anomaly band: honest uncertainty keeps the band keypoint-free
         scene = ablation_scene(seed=5, num_frames=3)
         frames = generate_sequence(scene)
-        picked = select(frames[0], ABLATION_CAM, ABLATION_SELECTOR)
+        picked = select(frames[0], ABLATION_SELECTOR)
         assert len(picked)
         assert not np.any((44.0 <= picked.v) & (picked.v < 76.0)), "keypoints leaked into the anomaly band"
 

@@ -319,6 +319,18 @@ class TestExitCodes:
             victim.write_bytes(original)
         assert not (tmp / "o" / "poses_est.txt").exists()
 
+    def test_simulate_refuses_depths_beyond_float32_exit_2(self, workspace, capsys):
+        # the scene runs in memory, but its wall's depths would be read
+        # back from the float32 observation format as inf
+        tmp, scene = workspace
+        scene.write_text(SCENE_YAML.replace("z: 10.0", "z: 1.0e39").replace("gamma_disp: 0.02", "gamma_disp: 0.0"))
+        capsys.readouterr()
+        assert main(["simulate", str(scene), "-o", str(tmp / "obs")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "frame_000000.obs: depth" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not (tmp / "obs" / "frame_000000.obs").exists()
+
     def test_malformed_trajectory_exit_2(self, workspace, capsys):
         tmp, scene = workspace
         obs = tmp / "obs"

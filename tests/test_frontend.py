@@ -169,7 +169,7 @@ class TestGeneration:
         for name in sorted(p.name for p in (tmp_path / "view").iterdir()):
             assert (tmp_path / "view" / name).read_bytes() == (tmp_path / "copy" / name).read_bytes()
         cam = plane_scene().camera
-        kps, kps_copy = (select(x[0], cam, small_selector()) for x in (frames, copies))
+        kps, kps_copy = (select(x[0], small_selector()) for x in (frames, copies))
         pairs, pairs_copy = (build_matched_pairs(cam, *x, k) for x, k in ((frames, kps), (copies, kps_copy)))
         assert len(kps) > 0 and len(pairs) > 0
         for got, want in ((kps, kps_copy), (pairs, pairs_copy)):

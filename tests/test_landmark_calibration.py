@@ -60,7 +60,7 @@ def landmark_scores(scenes):
         frames, truths = generate_frames(sc), generate_frames(replace(sc, noise=NoiseModel()))
         prev, prev_true = next(frames), next(truths)
         for cur, cur_true in zip(frames, truths):
-            pairs = build_matched_pairs(CAM, prev, cur, select(prev, CAM, SELECTOR))
+            pairs = build_matched_pairs(CAM, prev, cur, select(prev, SELECTOR))
             # keypoints sit at pixel centers, so the pixel is recovered exactly
             u = np.rint(CAM.fx * pairs.p[:, 0] / pairs.p[:, 2] + CAM.cx).astype(int)
             v = np.rint(CAM.fy * pairs.p[:, 1] / pairs.p[:, 2] + CAM.cy).astype(int)

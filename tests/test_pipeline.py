@@ -201,7 +201,7 @@ class TestBuildMatchedPairs:
         frames = generate_sequence(scene)
         cam = scene.camera
         for src, dst in zip(frames, frames[1:]):
-            kps = select(src, cam, small_selector())
+            kps = select(src, small_selector())
             # dropped: a keypoint whose flow leaves the image, and one
             # whose match has no valid depth in its window
             flow = src.flow.copy()
@@ -228,11 +228,11 @@ class TestBuildMatchedPairs:
         src, dst, _ = generate_sequence(scene)
         assert not src.valid.all() and not dst.valid.all()
         cam, cfg = scene.camera, small_selector()
-        kps = select(src, cam, cfg)
+        kps = select(src, cfg)
         pairs = build_matched_pairs(cam, src, dst, kps)
         assert len(pairs) > 0
         poisoned = [replace(f, depth=np.where(f.valid, f.depth, value)) for f in (src, dst)]
-        kps_poisoned = select(poisoned[0], cam, cfg)
+        kps_poisoned = select(poisoned[0], cfg)
         for a, b in zip((kps.u, kps.v, kps.score), (kps_poisoned.u, kps_poisoned.v, kps_poisoned.score)):
             assert np.array_equal(a, b)
         got = build_matched_pairs(cam, *poisoned, kps_poisoned)
@@ -241,7 +241,7 @@ class TestBuildMatchedPairs:
 
     def test_no_keypoints_no_pairs(self):
         frames = generate_sequence(plane_scene(num_frames=2))
-        pairs = build_matched_pairs(small_cam(), frames[0], frames[1], Keypoints(*np.empty((3, 0))))
+        pairs = build_matched_pairs(small_cam(), frames[0], frames[1], Keypoints(*np.empty((2, 0), dtype=int), np.empty(0)))
         assert len(pairs) == 0
         assert pairs.p.shape == (0, 3) and pairs.sq.shape == (0, 3, 3)
         with pytest.raises(InsufficientKeypointsError, match="need at least 3 pairs, got 0"):
@@ -308,7 +308,7 @@ class TestBenchmarkEntryPoints:
         frames = generate_sequence(plane_scene(num_frames=2, noise=NoiseModel(sigma_flow=0.2, gamma_disp=0.04)))
         src, dst = frames
         cam = small_cam()
-        kps = pipeline.select(src, cam, small_selector())
+        kps = pipeline.select(src, small_selector())
         assert len(kps) == kps.u.size == kps.v.size == kps.score.size > 0
         pairs = pipeline.build_matched_pairs(cam, src, dst, kps)
         assert 0 < len(pairs) == pairs.p.shape[0] <= len(kps)

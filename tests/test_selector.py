@@ -152,13 +152,12 @@ def _uniform_maps(h, w, flow_unc=0.5, depth_unc=0.01, depth=5.0):
 
 
 class TestSelect:
-    def _cam(self, h=64, w=64):
+    def _cam(self, h, w):
         return StereoCamera(fx=50, fy=50, cx=w / 2, cy=h / 2, baseline=0.1, width=w, height=h)
 
     def test_uniform_frame_even_grid(self):
-        cam = self._cam()
         cfg = SelectorConfig(nms_radius=6, border_margin=2, max_keypoints=500)
-        out = select(_uniform_maps(64, 64), cam, cfg)
+        out = select(_uniform_maps(64, 64), cfg)
         us = sorted(set(out.u))
         vs = sorted(set(out.v))
         # survivors form an even grid at the NMS spacing
@@ -171,7 +170,6 @@ class TestSelect:
     def test_grid_nms_matches_list_nms(self):
         rng = np.random.default_rng(77)
         h = w = 40
-        cam = self._cam(h, w)
         for _ in range(5):
             maps = frame_of(
                 flow_var=rng.uniform(0.1, 2.0, size=(h, w, 2)),
@@ -183,7 +181,7 @@ class TestSelect:
                 nms_radius=4, border_margin=0, depth_min=1e-3, depth_max=1e3,
                 unc_multiplier=1e9, max_keypoints=10_000,
             )
-            got = select(maps, cam, cfg)
+            got = select(maps, cfg)
             # same thing through the list API
             want = nms_filter(candidates_of(maps), 4)
             got_set = set(zip(got.u, got.v))
@@ -192,7 +190,6 @@ class TestSelect:
 
     def test_high_uncertainty_band_excluded(self):
         h = w = 64
-        cam = self._cam()
         maps = _uniform_maps(h, w)
         fv = maps.flow_var.copy()
         dv = maps.depth_var.copy()
@@ -200,49 +197,50 @@ class TestSelect:
         dv[20:40, :] *= 400.0
         maps = frame_of(fv, dv, maps.depth, maps.valid)
         cfg = SelectorConfig(nms_radius=4, border_margin=2, max_keypoints=500)
-        out = select(maps, cam, cfg)
+        out = select(maps, cfg)
         assert len(out) and not np.any((20 <= out.v) & (out.v < 40))
 
-    def test_frame_size_must_match_camera(self):
-        cfg = SelectorConfig(nms_radius=4, border_margin=2)
-        with pytest.raises(ValueError, match="maps are 64x64 but camera expects 64x48"):
-            select(_uniform_maps(64, 64), self._cam(h=48, w=64), cfg)
-
     def test_all_border_selects_none(self):
-        cam = self._cam()
         cfg = SelectorConfig(border_margin=32)
         for rng in (None, np.random.default_rng(0)):
-            out = select(_uniform_maps(64, 64), cam, cfg, rng)
+            out = select(_uniform_maps(64, 64), cfg, rng)
             assert len(out) == 0 and out.u.shape == out.v.shape == out.score.shape == (0,)
 
     def test_truncates_to_max_keypoints_by_score(self):
-        cam = self._cam()
         cfg = SelectorConfig(nms_radius=4, border_margin=2, max_keypoints=10)
-        out = select(_uniform_maps(64, 64), cam, cfg)
+        out = select(_uniform_maps(64, 64), cfg)
         assert len(out) == 10
 
     def test_random_mode_reproducible(self):
-        cam = self._cam()
         cfg = SelectorConfig(nms_radius=4, border_margin=4, max_keypoints=30)
         maps = _uniform_maps(64, 64)
-        a = select(maps, cam, cfg, rng=np.random.default_rng(9))
-        b = select(maps, cam, cfg, rng=np.random.default_rng(9))
-        c = select(maps, cam, cfg, rng=np.random.default_rng(10))
+        a = select(maps, cfg, rng=np.random.default_rng(9))
+        b = select(maps, cfg, rng=np.random.default_rng(9))
+        c = select(maps, cfg, rng=np.random.default_rng(10))
         assert as_tuples(a) == as_tuples(b)
         assert len(a) == 30
         assert as_tuples(a) != as_tuples(c)
 
     def test_filters_shrink(self):
-        cam = self._cam()
         cfg = SelectorConfig(nms_radius=5, border_margin=4, max_keypoints=10_000)
-        out = select(_uniform_maps(64, 64), cam, cfg)
+        out = select(_uniform_maps(64, 64), cfg)
         assert len(out) <= 64 * 64
+
+    def test_keypoints_are_integer_pixels_of_valid_pixels(self):
+        maps = oracle_maps(5, 40, 30)
+        cfg = SelectorConfig(nms_radius=3, border_margin=2, depth_min=1.0, depth_max=20.0)
+        for rng in (None, np.random.default_rng(3)):
+            out = select(maps, cfg, rng)
+            assert len(out) > 0
+            assert np.issubdtype(out.u.dtype, np.integer) and np.issubdtype(out.v.dtype, np.integer)
+            assert maps.valid[out.v, out.u].all()
 
     def test_select_geometry_stage_matches_list_filter(self):
         # the vectorized geometry predicate inside select must agree with
-        # the list-based geometry_filter
+        # the list-based geometry_filter; on a non-square frame, select's
+        # border comes from the frame's own size, the list's from a camera
         rng = np.random.default_rng(31)
-        h = w = 48
+        h, w = 48, 36
         cam = self._cam(h, w)
         maps = frame_of(
             flow_var=rng.uniform(0.1, 1.0, size=(h, w, 2)),
@@ -254,7 +252,7 @@ class TestSelect:
             nms_radius=3, border_margin=5, depth_min=1.0, depth_max=20.0,
             unc_multiplier=1e9, max_keypoints=10_000,
         )
-        got = select(maps, cam, cfg)
+        got = select(maps, cfg)
         # reference: NMS over all valid pixels, then the list filter
         want = geometry_filter(nms_filter(candidates_of(maps), 3), cam, cfg)
         assert set(zip(got.u, got.v)) == {(c.u, c.v) for c in want}
@@ -313,13 +311,15 @@ class TestSelectAgainstComposedOracles:
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_same_keypoints_in_order(self, h, w, variances, invalid_row, sel, seed):
+        # the reference takes its border from a camera of the frame's size,
+        # select from the frame itself (48x36, 12x10 and 60x1 are not square)
         cam = StereoCamera(fx=50, fy=50, cx=w / 2, cy=h / 2, baseline=0.1, width=w, height=h)
         cfg = SelectorConfig(**{"border_margin": 2, "depth_min": 1.0, "depth_max": 20.0, **sel})
         maps = oracle_maps(seed, h, w, variances, invalid_row)
         want = composed_oracles(maps, cam, cfg)
         # the truncation binds, unless one NMS survivor suppresses all others
         assert len(want) > cfg.max_keypoints or len(want) <= 1
-        got = select(maps, cam, cfg)
+        got = select(maps, cfg)
         assert as_tuples(got) == [(c.u, c.v, c.score) for c in want[: cfg.max_keypoints]]
 
     def test_finite_multiplier_drops_keypoints(self):
@@ -327,7 +327,7 @@ class TestSelectAgainstComposedOracles:
         cfg = SelectorConfig(nms_radius=3, border_margin=2, depth_min=1.0, depth_max=20.0, unc_multiplier=1.0)
         maps = oracle_maps(0, 40, 40)
         before = geometry_filter(nms_filter(candidates_of(maps), 3), cam, cfg)
-        assert len(before) > len(composed_oracles(maps, cam, cfg)) == len(select(maps, cam, cfg))
+        assert len(before) > len(composed_oracles(maps, cam, cfg)) == len(select(maps, cfg))
 
 
 @st.composite
